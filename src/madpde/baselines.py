@@ -19,7 +19,6 @@ from .trainer import AdamState, TrainConfig, TrainingError
 
 _PINN_STREAM = 0x0B5E
 _META_STREAM = 0x4E71
-_PROBE_STREAM = 0xE7A1
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,6 @@ def _require_latent_free(net_cfg: NetworkConfig):
         raise ValueError("baselines run latent-free networks (latent_dim == 0)")
 
 
-def _probe_loss(task: Task, params: ModelParams, cfg: TrainConfig) -> float:
-    batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc,
-                                  np.random.default_rng([cfg.seed, _PROBE_STREAM]))
-    out = trainer.assemble_loss(task, params, None, batch, cfg,
-                                trainable_theta=False)
-    return out.breakdown.total
-
-
 def pinn_train(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
                theta0: Optional[np.ndarray] = None,
                eval_grid: Optional[EvalGrid] = None,
@@ -73,7 +64,7 @@ def pinn_train(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
             return
         params = ModelParams(theta, net_cfg)
         series.append((it, evaluation.rel_l2(eval_grid, params, None),
-                       _probe_loss(task, params, cfg)))
+                       trainer.probe_loss(task, params, None, cfg)))
 
     record(0)
     batch = None
@@ -150,8 +141,8 @@ def run_reptile(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
         if meta.anneal_eps:
             eps *= 1.0 - m / max(meta.meta_iters, 1)
         theta = theta + eps * (adapted - theta)
-        meta_losses.append(_probe_loss(tasks[idx], ModelParams(theta, net_cfg),
-                                       fine_cfg))
+        meta_losses.append(trainer.probe_loss(tasks[idx], ModelParams(theta, net_cfg),
+                                              None, fine_cfg))
     _, rec = pinn_train(task_new, net_cfg, fine_cfg, theta0=theta,
                         eval_grid=eval_grid, method="reptile",
                         task_label=task_label)

@@ -21,8 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import baselines, benchviz, evaluation, grf, mad, oracles, problems
+from .diffcore import DiffError
 from .network import NetworkConfig
-from .trainer import TrainConfig
+from .trainer import TrainConfig, TrainingError
 
 
 class CliError(RuntimeError):
@@ -131,15 +132,18 @@ def network_config(cfg: dict) -> NetworkConfig:
     net = dict(cfg.get("network", {}))
     input_dim = 1 if variant == "ode_shift" else 2
     encoding = "periodic_x" if variant == "burgers" else "identity"
-    return NetworkConfig(
-        input_dim=input_dim,
-        latent_dim=int(net.get("latent_dim", 0)),
-        hidden_layers=int(net.get("hidden_layers", 4)),
-        width=int(net.get("width", 64)),
-        activation=net.get("activation", "sine"),
-        first_layer_omega=float(net.get("first_layer_omega", 30.0)),
-        input_encoding=encoding,
-    )
+    try:
+        return NetworkConfig(
+            input_dim=input_dim,
+            latent_dim=int(net.get("latent_dim", 0)),
+            hidden_layers=int(net.get("hidden_layers", 4)),
+            width=int(net.get("width", 64)),
+            activation=net.get("activation", "sine"),
+            first_layer_omega=float(net.get("first_layer_omega", 30.0)),
+            input_encoding=encoding,
+        )
+    except (TypeError, ValueError) as e:
+        raise CliError(f"bad network settings: {e}")
 
 
 def train_config(cfg: dict, section: str) -> TrainConfig:
@@ -521,7 +525,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = override_seeds(cfg, args.seed)
         return _COMMANDS[args.command](cfg, args)
-    except (CliError, mad.CheckpointError, oracles.OracleError) as e:
+    except (CliError, mad.CheckpointError, oracles.OracleError, TrainingError,
+            problems.ProblemError, DiffError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

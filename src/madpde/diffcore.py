@@ -12,6 +12,12 @@ records a node only when at least one argument is a ``Var``, otherwise it
 just computes the numpy result.  The float 0.0 is treated as a structural
 zero by the jet helpers so that derivative channels known to vanish cost
 nothing.
+
+Ownership runs one way.  A ``Var`` handle holds its ``Tape``; the tape holds
+plain ``Node`` records, and neither a record nor its backward closures refer
+back to a ``Var`` or to the tape.  There are no reference cycles, so a tape
+and every array on it are freed as soon as its last handle is dropped,
+without waiting for the garbage collector.
 """
 
 from __future__ import annotations
@@ -31,22 +37,36 @@ class DomainError(DiffError):
     """An op was evaluated outside its domain (e.g. division by zero)."""
 
 
-class Var:
-    """One tape node: op kind, numpy value, parent ids and local partials.
+class Node:
+    """One tape record: op kind, numpy value, parent ids and local partials.
 
     The local partials are stored as vector-Jacobian closures, one per
-    parent; the reverse sweep calls them with the adjoint of this node.
+    parent; the reverse sweep calls them with the adjoint of this node.  A
+    record refers to no ``Var`` and to no tape.
     """
 
-    __slots__ = ("tape", "idx", "op", "value", "parents", "vjps")
+    __slots__ = ("op", "value", "parents", "vjps")
 
-    def __init__(self, tape, idx, op, value, parents, vjps):
-        self.tape = tape
-        self.idx = idx
+    def __init__(self, op, value, parents, vjps):
         self.op = op
         self.value = value
         self.parents = parents
         self.vjps = vjps
+
+
+class Var:
+    """Caller's handle on one tape node: its tape, index, op kind and value.
+
+    The handle keeps its tape alive; the tape never points back at it.
+    """
+
+    __slots__ = ("tape", "idx", "op", "value")
+
+    def __init__(self, tape, idx, op, value):
+        self.tape = tape
+        self.idx = idx
+        self.op = op
+        self.value = value
 
     @property
     def shape(self):
@@ -86,16 +106,17 @@ class Var:
 
 
 class Tape:
-    """Append-only list of Var nodes in topological order.
+    """Append-only list of ``Node`` records in topological order.
 
     Single-writer: nodes are only appended, never mutated, so a built tape
-    can be swept by ``gradient`` any number of times.
+    can be swept by ``gradient`` any number of times.  The tape lives as
+    long as a ``Var`` on it (or the tape object itself) is referenced.
     """
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "__weakref__")
 
     def __init__(self):
-        self.nodes: list[Var] = []
+        self.nodes: list[Node] = []
 
     def __len__(self):
         return len(self.nodes)
@@ -105,9 +126,8 @@ class Tape:
         return self._record(op, _as_array(value), (), ())
 
     def _record(self, op, value, parents, vjps) -> Var:
-        node = Var(self, len(self.nodes), op, value, parents, vjps)
-        self.nodes.append(node)
-        return node
+        self.nodes.append(Node(op, value, parents, vjps))
+        return Var(self, len(self.nodes) - 1, op, value)
 
     def gradient(self, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
         """Reverse-mode gradient of a scalar output w.r.t. the given nodes.
@@ -281,6 +301,20 @@ def cos(a: Arraylike):
         return np.cos(value_of(a))
     s = np.sin(a.value)
     return a.tape._record("cos", np.cos(a.value), (a.idx,), (lambda g, s=s: -g * s,))
+
+
+def sincos(a: Arraylike):
+    """(sin a, cos a) from one ``np.sin`` and one ``np.cos``.
+
+    Records a "sin" node and then a "cos" node; each node's value is the
+    other's local partial, so the two share the same two arrays.
+    """
+    av = value_of(a)
+    s, c = np.sin(av), np.cos(av)
+    if not isinstance(a, Var):
+        return s, c
+    return (a.tape._record("sin", s, (a.idx,), (lambda g, c=c: g * c,)),
+            a.tape._record("cos", c, (a.idx,), (lambda g, s=s: -g * s,)))
 
 
 def exp(a: Arraylike):

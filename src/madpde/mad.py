@@ -216,17 +216,9 @@ def _finetune(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
     series: list[tuple[int, float, float]] = []
     snapshots: list[tuple[int, np.ndarray]] = []
 
-    def measured_loss(w):
-        params, zc = split(w)
-        batch = problems.sample_batch(task_new, train_cfg.M_r, train_cfg.M_bc,
-                                      np.random.default_rng([train_cfg.seed, 0xE7A1]))
-        out = trainer.assemble_loss(task_new, params, zc, batch, train_cfg,
-                                    trainable_theta=False)
-        return out.breakdown.total
-
     params, zc = split(w)
     _record_point(series, snapshots, 0, eval_grid, params, zc,
-                  measured_loss(w), want_snapshots)
+                  trainer.probe_loss(task_new, params, zc, train_cfg), want_snapshots)
 
     batch = None
     for it in range(train_cfg.total_iters):
@@ -248,7 +240,8 @@ def _finetune(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
         if done % train_cfg.eval_every == 0 or done == train_cfg.total_iters:
             params, zc = split(w)
             _record_point(series, snapshots, done, eval_grid, params, zc,
-                          measured_loss(w), want_snapshots)
+                          trainer.probe_loss(task_new, params, zc, train_cfg),
+                          want_snapshots)
 
     params, zc = split(w)
     record = ConvergenceRecord(task_label, "mad_lm" if tune_theta else "mad_l",

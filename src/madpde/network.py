@@ -230,17 +230,14 @@ def _activation_jets(pre: list[Jet2], kind: str) -> list[Jet2]:
     """
     val = pre[0].val
     if kind == "sine":
-        f0 = dc.sin(val)
-        f1 = dc.cos(val)
-        f2 = dc.neg(f0) if dc.is_var(f0) else -f0
+        return _sine_jets(pre, val)
+    f0 = dc.tanh(val)
+    if dc.is_var(f0):
+        f1 = dc.sub(1.0, dc.mul(f0, f0))
+        f2 = dc.mul(-2.0, dc.mul(f0, f1))
     else:
-        f0 = dc.tanh(val)
-        if dc.is_var(f0):
-            f1 = dc.sub(1.0, dc.mul(f0, f0))
-            f2 = dc.mul(-2.0, dc.mul(f0, f1))
-        else:
-            f1 = 1.0 - f0 * f0
-            f2 = -2.0 * f0 * f1
+        f1 = 1.0 - f0 * f0
+        f2 = -2.0 * f0 * f1
     out = []
     for j in pre:
         d1 = dc._jmul(f1, j.d1)
@@ -248,6 +245,30 @@ def _activation_jets(pre: list[Jet2], kind: str) -> list[Jet2]:
         if j.d2 is not None:
             sq = dc._jmul(j.d1, j.d1)
             d2 = dc._jadd(dc._jmul(f2, sq), dc._jmul(f1, j.d2))
+        out.append(Jet2(f0, d1, d2))
+    return out
+
+
+def _sine_jets(pre: list[Jet2], val) -> list[Jet2]:
+    """sin through jets, with sin'' = -sin folded in: d2 = f1*d2 - f0*d1^2.
+
+    A value-only pass (every derivative a structural zero) records sin
+    alone.  Otherwise sin and cos come from one ``sincos``, and each
+    channel's terms are recorded in the order of the ``dc.jet_sin`` chain:
+    d1, d1^2, f0*d1^2, f1*d2.  With one order-2 direction the reverse sweep
+    then yields the same gradients as that chain, bit for bit.
+    """
+    if all(dc._is_zero(j.d1) and (j.d2 is None or dc._is_zero(j.d2)) for j in pre):
+        f0 = dc.sin(val)
+        return [Jet2(f0, j.d1, j.d2) for j in pre]
+    f0, f1 = dc.sincos(val)
+    out = []
+    for j in pre:
+        d1 = dc._jmul(f1, j.d1)
+        d2 = None
+        if j.d2 is not None:
+            curvature = dc._jmul(f0, dc._jmul(j.d1, j.d1))
+            d2 = dc._jsub(dc._jmul(f1, j.d2), curvature)
         out.append(Jet2(f0, d1, d2))
     return out
 

@@ -70,17 +70,19 @@ def load_reference(path: str) -> ReferenceField:
         blob = f.read()
     if not blob.startswith(_REF_MAGIC):
         raise OracleError(f"{path}: not a reference-field file")
+    if len(blob) < 12:
+        raise OracleError(f"{path}: truncated header ({len(blob)} bytes)")
     n = struct.unpack("<I", blob[8:12])[0]
     try:
         header = json.loads(blob[12:12 + n])
-    except ValueError as e:
-        raise OracleError(f"{path}: corrupt header") from e
-    shape = tuple(header["shape"])
+        shape = tuple(header["shape"])
+        axes = tuple(np.asarray(a) for a in header["axes"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise OracleError(f"{path}: corrupt header ({type(e).__name__}: {e})") from e
     need = 12 + n + 8 * int(np.prod(shape))
     if len(blob) != need:
         raise OracleError(f"{path}: truncated payload ({len(blob)} of {need} bytes)")
     values = np.frombuffer(blob[12 + n:], dtype="<f8").reshape(shape).copy()
-    axes = tuple(np.asarray(a) for a in header["axes"])
     return ReferenceField(axes, values, header.get("meta", {}))
 
 

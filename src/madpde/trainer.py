@@ -212,6 +212,20 @@ def assemble_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
     return assemble_multitask_loss([task], [batch], params, Z, cfg, trainable_theta)
 
 
+PROBE_STREAM = 0xE7A1  # rng stream of the fixed batch ``probe_loss`` measures on
+
+
+def probe_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
+               cfg: TrainConfig) -> float:
+    """Total loss on one fixed batch, drawn afresh from stream
+    [cfg.seed, PROBE_STREAM], so that losses logged at different iterations
+    compare like with like."""
+    batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc,
+                                  np.random.default_rng([cfg.seed, PROBE_STREAM]))
+    return assemble_loss(task, params, z, batch, cfg,
+                         trainable_theta=False).breakdown.total
+
+
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ class TestReptile:
             rng.integers(1)  # the meta loop's task pick consumes one draw
             theta = baselines.inner_adapt(theta, TASKS[1], meta.inner_steps,
                                           meta.inner_lr, fine, net_cfg(), rng)
-        expected = baselines._probe_loss(TASKS[1], ModelParams(theta, net_cfg()),
-                                         fine)
+        expected = trainer.probe_loss(TASKS[1], ModelParams(theta, net_cfg()),
+                                      None, fine)
         assert losses[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_meta_training_reduces_family_loss(self):

@@ -160,6 +160,16 @@ class TestErrors:
                          "--tasks", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "o")]) == 1
 
+    def test_bad_network_settings_exit_without_traceback(self, ode_setup, capsys):
+        _, tasks_dir, tmp_path = ode_setup
+        bad = write_config(tmp_path / "bad_net.json",
+                           network={"hidden_layers": 0})
+        assert cli.main(["pretrain", "--config", bad, "--tasks", tasks_dir,
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad network settings")
+        assert "Traceback" not in err
+
     def test_seed_override_changes_tasks(self, ode_setup, tmp_path):
         cfg_path, tasks_dir, _ = ode_setup
         other = str(tmp_path / "tasks_seeded")

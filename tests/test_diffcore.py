@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from madpde import diffcore as dc
+from madpde import grf, network, problems, trainer
 from madpde.diffcore import Jet2, Tape
 
 
@@ -200,6 +204,79 @@ class TestTapeGradient:
         y = dc.vsum(dc.power(dc.take_rows(x, 1, 3), 2))
         (g,) = tape.gradient(y, [x])
         np.testing.assert_allclose(g, [0.0, 2.0, 4.0, 0.0, 0.0])
+
+
+class TestSincos:
+    def test_values_equal_numpy(self):
+        v = np.random.default_rng(5).normal(size=(4, 3)) * 3.0
+        s, c = dc.sincos(Tape().constant(v))
+        assert (s.op, c.op) == ("sin", "cos")
+        np.testing.assert_array_equal(s.value, np.sin(v))
+        np.testing.assert_array_equal(c.value, np.cos(v))
+        s, c = dc.sincos(v)
+        np.testing.assert_array_equal(s, np.sin(v))
+        np.testing.assert_array_equal(c, np.cos(v))
+
+    def test_vjps_match_central_differences(self):
+        rng = np.random.default_rng(6)
+        v = rng.normal(size=(3, 4)) * 2.0
+        ws, wc = rng.normal(size=(2, 3, 4))
+
+        def f(x):
+            return float(np.sum(ws * np.sin(x) + wc * np.cos(x)))
+
+        tape = Tape()
+        x = tape.constant(v)
+        s, c = dc.sincos(x)
+        y = dc.add(dc.vsum(dc.mul(s, ws)), dc.vsum(dc.mul(c, wc)))
+        (g,) = tape.gradient(y, [x])
+        h = 1e-6
+        fd = np.zeros_like(v)
+        for i in np.ndindex(v.shape):
+            e = np.zeros_like(v)
+            e[i] = h
+            fd[i] = (f(v + e) - f(v - e)) / (2 * h)
+        np.testing.assert_allclose(g, fd, rtol=1e-7, atol=1e-9)
+
+
+class TestTapeLifetime:
+    """Records hold no back-references, so reference counting alone frees a
+    tape once its last handle is dropped (the cyclic collector is off)."""
+
+    def test_tape_dies_with_its_last_var(self):
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.constant(np.arange(3.0))
+            y = dc.vsum(dc.mul(dc.sin(x), x))
+            tape.gradient(y, [x])
+            ref = weakref.ref(tape)
+            del tape, x
+            assert ref() is not None  # y still holds the tape
+            del y
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_loss_tape_dies_after_gradients(self):
+        rng = np.random.default_rng(2)
+        tasks = [problems.BurgersTask(grf.sample_grf(grf.BURGERS_GRF, rng), 0.01)
+                 for _ in range(2)]
+        net_cfg = network.NetworkConfig(input_dim=2, latent_dim=3, hidden_layers=2,
+                                        width=8, input_encoding="periodic_x")
+        cfg = trainer.TrainConfig(lr0=1e-3, total_iters=1, M_r=8, M_bc=4)
+        batches = [problems.sample_batch(t, cfg.M_r, cfg.M_bc, rng) for t in tasks]
+        params = network.init_siren(net_cfg, 0)
+        Z = rng.normal(size=(2, 3))
+        gc.disable()
+        try:
+            loss = trainer.assemble_multitask_loss(tasks, batches, params, Z, cfg)
+            loss.gradients()
+            ref = weakref.ref(loss.tape)
+            del loss
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestForwardOverReverse:

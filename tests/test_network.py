@@ -3,6 +3,7 @@ import pytest
 
 from madpde import diffcore as dc
 from madpde import network as net
+from madpde.diffcore import Jet2, Tape
 from madpde.network import ModelParams, NetworkConfig
 
 
@@ -181,3 +182,49 @@ class TestForwardJets:
         params = net.init_siren(cfg, 1)
         with pytest.raises(ValueError):
             net.forward_jets(params, np.array([[0.2]]), np.array([0.1]), [3])
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestSineJets:
+    def test_value_only_pass_records_no_cos_or_neg(self):
+        cfg = small_cfg(hidden_layers=3)
+        params = net.init_siren(cfg, 2)
+        x = np.array([[0.1], [0.4], [0.7]])
+        z = np.array([[0.2], [0.3], [-0.1]])
+        tape = Tape()
+        staged = net.stage_network(tape, params)
+        out = net.jet_forward(staged, x, tape.constant(z), [], None)[None]
+        ops = [node.op for node in tape.nodes]
+        assert ops.count("sin") == cfg.hidden_layers
+        assert "cos" not in ops and "neg" not in ops
+        np.testing.assert_allclose(out.val.value, net.forward(params, x, z),
+                                   rtol=1e-15, atol=0)
+
+    def test_matches_generic_jet_sin_with_two_second_order_directions(self):
+        rng = np.random.default_rng(8)
+        tape = Tape()
+        val = tape.constant(2.0 * rng.normal(size=(6, 5)))
+        leaves = [tape.constant(rng.normal(size=(6, 5))) for _ in range(4)]
+        pre = [Jet2(val, leaves[0], leaves[1]), Jet2(val, leaves[2], leaves[3])]
+        weights = rng.normal(size=(2, 3, 6, 5))
+
+        def scalar(jets):
+            total = 0.0
+            for w, j in zip(weights, jets):
+                for wk, part in zip(w, (j.val, j.d1, j.d2)):
+                    total = dc.add(total, dc.vsum(dc.mul(wk, part)))
+            return total
+
+        fused = net._activation_jets(pre, "sine")
+        generic = [dc.jet_sin(j) for j in pre]
+        for a, b in zip(fused, generic):
+            for pa, pb in ((a.val, b.val), (a.d1, b.d1), (a.d2, b.d2)):
+                assert max_rel(pa.value, pb.value) <= 1e-12
+        wrt = [val] + leaves
+        g_fused = tape.gradient(scalar(fused), wrt)
+        g_generic = tape.gradient(scalar(generic), wrt)
+        for a, b in zip(g_fused, g_generic):
+            assert max_rel(a, b) <= 1e-12

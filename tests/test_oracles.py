@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,28 @@ class TestReferencePersistence:
         blob = open(p, "rb").read()
         open(p, "wb").write(blob[:-5])
         with pytest.raises(oracles.OracleError):
+            oracles.load_reference(p)
+
+    def test_magic_alone_rejected(self, tmp_path):
+        p = str(tmp_path / "ref.bin")
+        open(p, "wb").write(oracles._REF_MAGIC)
+        with pytest.raises(oracles.OracleError, match="ref.bin"):
+            oracles.load_reference(p)
+
+    @pytest.mark.parametrize("missing", ["shape", "axes"])
+    def test_header_without_key_rejected(self, tmp_path, missing):
+        ref = ReferenceField((np.arange(2.0), np.arange(3.0)),
+                             np.zeros((2, 3)), {})
+        p = str(tmp_path / "ref.bin")
+        oracles.save_reference(p, ref)
+        blob = open(p, "rb").read()
+        n = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + n])
+        del header[missing]
+        hbytes = json.dumps(header).encode()
+        open(p, "wb").write(oracles._REF_MAGIC + len(hbytes).to_bytes(4, "little")
+                            + hbytes + blob[12 + n:])
+        with pytest.raises(oracles.OracleError, match="ref.bin"):
             oracles.load_reference(p)
 
     def test_garbage_rejected(self, tmp_path):
