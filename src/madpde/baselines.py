@@ -80,6 +80,7 @@ def pinn_train(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
         g_theta = trainer.clip_gradient(g_theta, cfg.clip_grad_norm)
         adam, theta = trainer.adam_step(adam, theta, g_theta,
                                         trainer.lr_at(cfg, it))
+        del loss  # free this tape before the next one (or the probe's) is recorded
         done = it + 1
         if done % cfg.eval_every == 0 or done == cfg.total_iters:
             record(done)
@@ -117,8 +118,8 @@ def inner_adapt(theta: np.ndarray, task: Task, steps: int, inner_lr: float,
     adam = AdamState.zeros(w.size)
     for _ in range(steps):
         batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc, rng)
-        loss = trainer.assemble_loss(task, ModelParams(w, net_cfg), None, batch, cfg)
-        g, _ = loss.gradients()
+        g, _ = trainer.assemble_loss(task, ModelParams(w, net_cfg), None, batch,
+                                     cfg).gradients()
         adam, w = trainer.adam_step(adam, w, g, inner_lr)
     return w
 
@@ -170,9 +171,8 @@ def run_maml_fo(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
             for _ in range(meta.inner_steps):
                 batch = problems.sample_batch(tasks[i], fine_cfg.M_r,
                                               fine_cfg.M_bc, rng)
-                loss = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg),
-                                             None, batch, fine_cfg)
-                g, _ = loss.gradients()
+                g, _ = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg),
+                                             None, batch, fine_cfg).gradients()
                 w = w - meta.inner_lr * g
             batch = problems.sample_batch(tasks[i], fine_cfg.M_r, fine_cfg.M_bc,
                                           rng)
@@ -181,6 +181,7 @@ def run_maml_fo(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
             g, _ = loss.gradients()
             grads += g
             post_loss += loss.breakdown.total
+            del loss  # free this tape before the next one is recorded
         grads /= len(picks)
         adam, theta = trainer.adam_step(adam, theta, grads, meta.meta_lr)
         meta_losses.append(post_loss / len(picks))

@@ -19,7 +19,7 @@ from .benchviz import ConvergenceRecord
 from .evaluation import EvalGrid
 from .grf import evaluate_grf
 from .network import ModelParams, NetworkConfig, init_siren, param_count
-from .problems import BurgersTask, OdeShiftTask, Task
+from .problems import BurgersTask, OdeShiftTask, ProblemError, Task
 from .trainer import AdamState, TrainConfig, TrainingError
 
 CHECKPOINT_VERSION = 1
@@ -111,6 +111,7 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
     blocks = [("theta", 0, P), ("latents", P, w.size)]
     batches = None
     per_task_loss = None
+    running_min = min((v for _, v in loss_series), default=np.inf)
     for it in range(start, stop_at):
         if batches is None or it % train_cfg.resample_every == 0:
             batches = [problems.sample_batch(t, train_cfg.M_r, train_cfg.M_bc, g)
@@ -120,6 +121,7 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
         try:
             loss = trainer.assemble_multitask_loss(tasks, batches, params, Z,
                                                    train_cfg)
+            running_min = trainer.check_divergence(loss.breakdown.total, running_min)
         except TrainingError as e:
             raise TrainingError(f"pre-training diverged at iteration {it}: {e}") from e
         g_theta, g_z = loss.gradients()
@@ -129,6 +131,7 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
         adam, w = trainer.adam_step(adam, w, grad, lr, blocks)
         loss_series.append((it, loss.breakdown.total))
         per_task_loss = loss.per_task_loss
+        del loss  # free this tape before the next one is recorded
 
     return Checkpoint(
         version=CHECKPOINT_VERSION,
@@ -161,17 +164,18 @@ def _task_distance(task_new: Task, task_i: Task) -> float:
         a = evaluate_grf(task_new.u0, _DISCRETIZE_GRID)
         b = evaluate_grf(task_i.u0, _DISCRETIZE_GRID)
         return float(np.linalg.norm(a - b))
-    raise ValueError(
+    raise ProblemError(
         "nearest-latent initialization is ill-defined for triangle tasks "
         "(the parameter includes the domain shape); use strategy='mean'")
 
 
 def init_latent(task_new: Task, checkpoint: Checkpoint, strategy: str) -> np.ndarray:
     if strategy not in INIT_STRATEGIES:
-        raise ValueError(f"strategy must be one of {INIT_STRATEGIES}")
+        raise ProblemError(f"latent init strategy {strategy!r} is not one of "
+                           f"{INIT_STRATEGIES}")
     latents = checkpoint.latents
     if latents.shape[0] < 1:
-        raise ValueError("checkpoint holds no latent vectors")
+        raise ProblemError("checkpoint holds no latent vectors")
     if strategy == "zero":
         return np.zeros(checkpoint.net_config.latent_dim)
     if strategy == "mean":
@@ -221,6 +225,7 @@ def _finetune(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
                   trainer.probe_loss(task_new, params, zc, train_cfg), want_snapshots)
 
     batch = None
+    running_min = np.inf
     for it in range(train_cfg.total_iters):
         if batch is None or it % train_cfg.resample_every == 0:
             batch = problems.sample_batch(task_new, train_cfg.M_r, train_cfg.M_bc,
@@ -229,6 +234,7 @@ def _finetune(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
         try:
             loss = trainer.assemble_loss(task_new, params, zc, batch, train_cfg,
                                          trainable_theta=tune_theta)
+            running_min = trainer.check_divergence(loss.breakdown.total, running_min)
         except TrainingError as e:
             raise TrainingError(f"fine-tuning diverged at iteration {it}: {e}") from e
         g_theta, g_z = loss.gradients()

@@ -212,6 +212,18 @@ def assemble_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
     return assemble_multitask_loss([task], [batch], params, Z, cfg, trainable_theta)
 
 
+DIVERGENCE_FACTOR = 1e8  # loss / running minimum at which a run has diverged
+
+
+def check_divergence(total: float, running_min: float) -> float:
+    """The new running minimum; raises TrainingError once ``total`` exceeds
+    DIVERGENCE_FACTOR times the smallest loss seen before it."""
+    if 0.0 < running_min and total > DIVERGENCE_FACTOR * running_min:
+        raise TrainingError(f"loss {total:.3e} exceeds {DIVERGENCE_FACTOR:.0e} times "
+                            f"its running minimum {running_min:.3e}")
+    return min(running_min, total)
+
+
 PROBE_STREAM = 0xE7A1  # rng stream of the fixed batch ``probe_loss`` measures on
 
 

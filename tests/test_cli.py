@@ -170,6 +170,44 @@ class TestErrors:
         assert err.startswith("error: bad network settings")
         assert "Traceback" not in err
 
+    def test_nearest_init_on_triangles_exits_without_traceback(self, tmp_path,
+                                                              capsys):
+        cfg_path = write_config(
+            tmp_path / "lap.json", experiment="laplace_mini",
+            problem={"variant": "laplace_triangle"},
+            tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 7},
+            network={"latent_dim": 1, "hidden_layers": 1, "width": 4,
+                     "first_layer_omega": 1.0},
+            pretrain={"lr0": 1e-3, "total_iters": 1, "M_r": 8, "M_bc": 4},
+            finetune={"lr0": 1e-3, "total_iters": 1, "M_r": 8, "M_bc": 4,
+                      "init_strategy": "nearest"})
+        tasks_dir = str(tmp_path / "tasks")
+        pre_dir = str(tmp_path / "pre")
+        assert cli.main(["gen-tasks", "--config", cfg_path, "--out", tasks_dir]) == 0
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", pre_dir]) == 0
+        capsys.readouterr()
+        assert cli.main(["finetune", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--checkpoint", os.path.join(pre_dir, "checkpoint.ckpt"),
+                         "--mode", "L", "--out", str(tmp_path / "ft")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: nearest-latent initialization")
+        assert "Traceback" not in err
+
+    def test_unknown_init_strategy_exits_without_traceback(self, ode_setup, capsys):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        pre_dir = str(tmp_path / "pre")
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", pre_dir]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--checkpoint", os.path.join(pre_dir, "checkpoint.ckpt"),
+                         "--out", str(tmp_path / "ev"),
+                         "--set", "finetune.init_strategy=closest"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: latent init strategy 'closest'")
+        assert "Traceback" not in err
+
     def test_seed_override_changes_tasks(self, ode_setup, tmp_path):
         cfg_path, tasks_dir, _ = ode_setup
         other = str(tmp_path / "tasks_seeded")

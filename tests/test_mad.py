@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from madpde import evaluation, grf, mad, network, problems, trainer
+from madpde import baselines, evaluation, grf, mad, network, problems, trainer
 from madpde.grf import LAPLACE_GRF, GrfSample
 from madpde.mad import Checkpoint
 from madpde.problems import LaplaceTriangleTask, OdeShiftTask
@@ -54,6 +57,14 @@ class TestPretrain:
             mad.pretrain(ode_tasks(3), ode_net(), quick_cfg(lr0=1e6,
                                                             total_iters=200))
 
+    def test_finetune_divergence_reports_iteration(self, small_checkpoint):
+        task = OdeShiftTask(0.5)
+        with pytest.raises(trainer.TrainingError, match="fine-tuning diverged at "
+                                                        "iteration"):
+            mad.finetune_LM(small_checkpoint, task, small_checkpoint.latents[0],
+                            quick_cfg(lr0=1e6, total_iters=50),
+                            evaluation.for_task(task))
+
     def test_permutation_of_tasks(self):
         tasks = ode_tasks(4)
         ids = list(range(4))
@@ -67,6 +78,52 @@ class TestPretrain:
         b_by_id = dict(zip(b.task_ids, b.final_per_task_loss))
         for tid in ids:
             assert a_by_id[tid] == pytest.approx(b_by_id[tid], rel=1e-8)
+
+
+def _ode_runs():
+    tasks = ode_tasks(3)
+    cfg = quick_cfg(total_iters=6, eval_every=2)
+    grid = evaluation.for_task(tasks[1])
+    plain = ode_net(latent_dim=0)
+    meta = baselines.MetaConfig(meta_iters=2, inner_steps=2, meta_batch=2)
+
+    return {
+        "pretrain": lambda: mad.pretrain(tasks, ode_net(), cfg),
+        "pinn_train": lambda: baselines.pinn_train(tasks[1], plain, cfg,
+                                                   eval_grid=grid),
+        "reptile": lambda: baselines.run_reptile(tasks, tasks[1], plain, meta,
+                                                 cfg, grid),
+        "maml_fo": lambda: baselines.run_maml_fo(tasks, tasks[1], plain, meta,
+                                                 cfg, grid),
+    }
+
+
+class TestOneTapeAlive:
+    """Each loop drops its previous TapedLoss before it records the next one,
+    so at most one tape is alive at the memory peak (the cyclic collector is
+    off, so only reference counting frees them)."""
+
+    @pytest.mark.parametrize("name", ["pretrain", "pinn_train", "reptile",
+                                      "maml_fo"])
+    def test_previous_tape_dead_on_entry(self, name, monkeypatch):
+        run = _ode_runs()[name]
+        assemble = trainer.assemble_multitask_loss
+        last = [None]
+        calls = []
+
+        def watched(*args, **kw):
+            calls.append(last[0] is None or last[0]() is None)
+            loss = assemble(*args, **kw)
+            last[0] = weakref.ref(loss.tape)
+            return loss
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
+        gc.disable()
+        try:
+            run()
+        finally:
+            gc.enable()
+        assert len(calls) > 4 and all(calls), calls
 
 
 class TestInitLatent:

@@ -49,6 +49,58 @@ class TestBurgersSolver:
             b = oracles.burgers_solve_cn(u0, nu=0.01, nx=512, nt=20)
             assert oracles.relative_l2(b.values, a.values) <= 1e-3
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_temporal_order_four(self, seed):
+        # unit amplitude, so that each output interval spans several steps and
+        # halving ``safety`` halves the step; exact halving gives 16x
+        draw = grf.sample_grf(BURGERS_GRF, np.random.default_rng(seed))
+        scale = 1.0 / np.abs(grf.evaluate_grf(draw, np.arange(256) / 256.0)).max()
+        u0 = GrfSample(scale * draw.cos_coeffs, scale * draw.sin_coeffs, draw.domain)
+        fine = oracles.burgers_solve(u0, nu=0.01, nx=256, nt=20, safety=1 / 16)
+        errs = [oracles.relative_l2(oracles.burgers_solve(
+                    u0, nu=0.01, nx=256, nt=20, safety=s).values, fine.values)
+                for s in (4.0, 2.0, 1.0)]
+        assert errs[0] >= 8 * errs[1] and errs[1] >= 8 * errs[2], errs
+
+    def test_stiff_linear_decay(self):
+        # nu k^2 dt is ~1e5 at the top kept mode; the diffusion is exact, so a
+        # tiny amplitude (negligible advection) decays as the heat equation
+        nu = 0.5
+        u0 = GrfSample(np.zeros(2), np.array([1e-8]), "unit_interval_periodic")
+        ref = oracles.burgers_solve(u0, nu=nu, nx=512, nt=10)
+        t, x = ref.axes
+        exact = np.outer(np.exp(-4 * np.pi ** 2 * nu * t), 1e-8 * np.sin(2 * np.pi * x))
+        assert oracles.relative_l2(ref.values, exact) <= 1e-6
+        assert ref.meta["solver"] == "spectral_etdrk4"
+
+    def test_crank_nicolson_matches_dense_solve(self):
+        # the rfft-space solve against the dense circulant system it replaces
+        u0 = GrfSample(np.array([0.1, 0.0, 0.2]), np.array([0.5, 0.0]),
+                       "unit_interval_periodic")
+        nu, nx, nt, sub = 0.05, 32, 2, 40
+        dx, dt = 1.0 / nx, 1.0 / (nt * sub)
+        ident = np.eye(nx)
+        D2 = (-2 * ident + np.roll(ident, 1, axis=1)
+              + np.roll(ident, -1, axis=1)) / dx ** 2
+        A = ident - 0.5 * nu * dt * D2
+        B = ident + 0.5 * nu * dt * D2
+
+        def advect(u):
+            return u * (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+
+        u = grf.evaluate_grf(u0, np.arange(nx) / nx)
+        n_prev = advect(u)
+        expected = [u]
+        for _ in range(nt):
+            for _ in range(sub):
+                n_cur = advect(u)
+                u = np.linalg.solve(A, B @ u - dt * (1.5 * n_cur - 0.5 * n_prev))
+                n_prev = n_cur
+            expected.append(u)
+        got = oracles.burgers_solve_cn(u0, nu, nx, nt, substeps_per_interval=sub)
+        np.testing.assert_allclose(got.values, np.array(expected), rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected[0]).max())
+
     def test_bad_nx_rejected(self):
         u0 = GrfSample(np.zeros(2), np.zeros(1), "unit_interval_periodic")
         with pytest.raises(ValueError):
