@@ -359,7 +359,12 @@ def cmd_baseline(cfg: dict, args) -> int:
     if net_cfg.latent_dim != 0:
         net_cfg = NetworkConfig(**{**net_cfg.to_dict(), "latent_dim": 0})
     fine_cfg = train_config(cfg, "finetune")
-    meta_kw = cfg.get("baseline", {}).get("meta", {})
+    if args.method in ("reptile", "maml"):
+        try:
+            meta = baselines.MetaConfig(seed=fine_cfg.seed,
+                                        **cfg.get("baseline", {}).get("meta", {}))
+        except (TypeError, ValueError) as e:
+            raise CliError(f"bad baseline.meta settings: {e}")
     records = []
     for tid, task in zip(s2_ids, s2):
         grid = _eval_grid_for(task, args.tasks, tid, cfg)
@@ -373,7 +378,6 @@ def cmd_baseline(cfg: dict, args) -> int:
                                          train_config(cfg, "pretrain"),
                                          fine_cfg, grid, label)
         elif args.method in ("reptile", "maml"):
-            meta = baselines.MetaConfig(seed=fine_cfg.seed, **meta_kw)
             runner = (baselines.run_reptile if args.method == "reptile"
                       else baselines.run_maml_fo)
             rec, _ = runner(s1, task, net_cfg, meta, fine_cfg, grid, label)

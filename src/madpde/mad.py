@@ -238,6 +238,7 @@ def _finetune(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
         except TrainingError as e:
             raise TrainingError(f"fine-tuning diverged at iteration {it}: {e}") from e
         g_theta, g_z = loss.gradients()
+        del loss  # free this tape before the next one (or the probe's) is recorded
         grad = np.concatenate([g_theta, g_z.ravel()]) if tune_theta else g_z.ravel()
         grad = trainer.clip_gradient(grad, train_cfg.clip_grad_norm)
         adam, w = trainer.adam_step(adam, w, grad, trainer.lr_at(train_cfg, it),

@@ -170,6 +170,23 @@ class TestErrors:
         assert err.startswith("error: bad network settings")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("meta, message", [
+        ({"inner_steps": 1}, "meta_iters"),
+        ({"meta_iters": 1, "inner_lr": -1}, "learning rates must be positive"),
+    ], ids=["no_meta_iters", "negative_inner_lr"])
+    def test_bad_meta_settings_exit_without_traceback(self, ode_setup, capsys,
+                                                      meta, message):
+        _, tasks_dir, tmp_path = ode_setup
+        bad = write_config(tmp_path / "bad_meta.json", baseline={"meta": meta})
+        capsys.readouterr()
+        assert cli.main(["baseline", "--config", bad, "--tasks", tasks_dir,
+                         "--method", "reptile", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad baseline.meta settings")
+        assert message in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_nearest_init_on_triangles_exits_without_traceback(self, tmp_path,
                                                               capsys):
         cfg_path = write_config(

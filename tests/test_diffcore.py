@@ -1,4 +1,7 @@
 import gc
+import platform
+import resource
+import sys
 import weakref
 
 import numpy as np
@@ -277,6 +280,40 @@ class TestTapeLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+
+GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+class TestSteadyHeap:
+    """Importing diffcore pins glibc's malloc thresholds, so a freed tape
+    stays in the heap and the next step does not fault it back in."""
+
+    @pytest.mark.skipif(not GLIBC, reason="mallopt thresholds are glibc's")
+    def test_steady_step_takes_no_fresh_pages(self):
+        rng = np.random.default_rng(5)
+        tasks = [problems.BurgersTask(grf.sample_grf(grf.BURGERS_GRF, rng), 0.01)
+                 for _ in range(2)]
+        net_cfg = network.NetworkConfig(input_dim=2, latent_dim=4, hidden_layers=3,
+                                        width=64, input_encoding="periodic_x")
+        cfg = trainer.TrainConfig(lr0=1e-3, total_iters=1, M_r=400, M_bc=50)
+        batches = [problems.sample_batch(t, cfg.M_r, cfg.M_bc, rng) for t in tasks]
+        params = network.init_siren(net_cfg, 0)
+        Z = rng.normal(size=(2, 4))
+
+        def step():
+            trainer.assemble_multitask_loss(tasks, batches, params, Z,
+                                            cfg).gradients()
+
+        step()
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 100, faults
+
+    def test_libc_without_mallopt_is_left_alone(self):
+        assert dc.pin_heap(object()) is False
 
 
 class TestForwardOverReverse:

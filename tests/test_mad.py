@@ -86,9 +86,12 @@ def _ode_runs():
     grid = evaluation.for_task(tasks[1])
     plain = ode_net(latent_dim=0)
     meta = baselines.MetaConfig(meta_iters=2, inner_steps=2, meta_batch=2)
+    ck = mad.pretrain(tasks, ode_net(), quick_cfg(total_iters=2))
 
     return {
         "pretrain": lambda: mad.pretrain(tasks, ode_net(), cfg),
+        "finetune_L": lambda: mad.finetune_L(ck, tasks[1], ck.latents[1], cfg,
+                                             grid),
         "pinn_train": lambda: baselines.pinn_train(tasks[1], plain, cfg,
                                                    eval_grid=grid),
         "reptile": lambda: baselines.run_reptile(tasks, tasks[1], plain, meta,
@@ -103,8 +106,8 @@ class TestOneTapeAlive:
     so at most one tape is alive at the memory peak (the cyclic collector is
     off, so only reference counting frees them)."""
 
-    @pytest.mark.parametrize("name", ["pretrain", "pinn_train", "reptile",
-                                      "maml_fo"])
+    @pytest.mark.parametrize("name", ["pretrain", "finetune_L", "pinn_train",
+                                      "reptile", "maml_fo"])
     def test_previous_tape_dead_on_entry(self, name, monkeypatch):
         run = _ode_runs()[name]
         assemble = trainer.assemble_multitask_loss
