@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import baselines, benchviz, evaluation, grf, mad, oracles, problems
+from . import baselines, benchviz, evaluation, mad, oracles, problems
 from .diffcore import DiffError
 from .network import NetworkConfig
 from .trainer import TrainConfig, TrainingError
@@ -82,65 +83,24 @@ def override_seeds(cfg: dict, seed: int) -> dict:
     return cfg
 
 
-def build_tasks(cfg: dict) -> tuple[list[int], list[problems.Task],
-                                    list[int], list[problems.Task]]:
-    """(s1_ids, s1_tasks, s2_ids, s2_tasks) from the problem/tasks sections."""
-    prob = cfg["problem"]
-    tcfg = cfg["tasks"]
-    variant = prob.get("variant")
-    n_tasks = int(tcfg["n_tasks"])
-    n_pre = int(tcfg["n_pretrain"])
-    seed = int(tcfg.get("seed", 0))
-    if not 1 <= n_pre < n_tasks:
-        raise CliError("need 1 <= n_pretrain < n_tasks")
-
-    if variant == "ode_shift":
-        lo, hi = prob.get("eta_range", [0.0, 2.0])
-        etas = np.linspace(lo, hi, n_tasks)
-        tasks = [problems.OdeShiftTask(float(e)) for e in etas]
-    elif variant == "burgers":
-        spec = grf.GrfSpec(**{**grf.BURGERS_GRF.__dict__, **prob.get("grf", {})})
-        nu = float(prob.get("nu", 0.01))
-        tasks = [problems.BurgersTask(
-            grf.sample_grf(spec, np.random.default_rng([seed, i])), nu)
-            for i in range(n_tasks)]
-    elif variant == "laplace_triangle":
-        spec = grf.GrfSpec(**{**grf.LAPLACE_GRF.__dict__, **prob.get("grf", {})})
-        tasks = []
-        for i in range(n_tasks):
-            rng = np.random.default_rng([seed, i])
-            while True:
-                angles = np.sort(rng.uniform(0, 2 * np.pi, 3))
-                try:
-                    task = problems.LaplaceTriangleTask(
-                        tuple(angles), grf.sample_grf(spec, rng))
-                    break
-                except problems.ProblemError:
-                    continue  # resample near-degenerate triangles
-            tasks.append(task)
-    else:
-        raise CliError(f"unknown problem variant {variant!r}")
-
-    perm = np.random.default_rng([seed, 0x5917]).permutation(n_tasks)
-    s1 = sorted(int(i) for i in perm[:n_pre])
-    s2 = sorted(int(i) for i in perm[n_pre:])
-    return s1, [tasks[i] for i in s1], s2, [tasks[i] for i in s2]
+_NETWORK_KEYS = ("latent_dim", "hidden_layers", "width", "first_layer_omega")
 
 
-def network_config(cfg: dict) -> NetworkConfig:
-    variant = cfg["problem"]["variant"]
-    net = dict(cfg.get("network", {}))
-    input_dim = 1 if variant == "ode_shift" else 2
-    encoding = "periodic_x" if variant == "burgers" else "identity"
+def network_config(cfg: dict, task: problems.Task) -> NetworkConfig:
+    """The ``network`` section, sized and encoded for the family of ``task``."""
+    net = cfg.get("network", {})
+    unknown = set(net) - set(_NETWORK_KEYS)
+    if unknown:
+        raise CliError(f"unknown network settings {sorted(unknown)}; "
+                       f"allowed: {list(_NETWORK_KEYS)}")
     try:
         return NetworkConfig(
-            input_dim=input_dim,
+            input_dim=task.input_dim,
             latent_dim=int(net.get("latent_dim", 0)),
             hidden_layers=int(net.get("hidden_layers", 4)),
             width=int(net.get("width", 64)),
-            activation=net.get("activation", "sine"),
             first_layer_omega=float(net.get("first_layer_omega", 30.0)),
-            input_encoding=encoding,
+            input_encoding=task.encoding,
         )
     except (TypeError, ValueError) as e:
         raise CliError(f"bad network settings: {e}")
@@ -216,37 +176,63 @@ def default_out(cfg: dict, command: str, out_flag) -> str:
 # ---------------------------------------------------------------------------
 
 def _write_task_file(path: str, ids: list[int], tasks: list[problems.Task]):
-    payload = [{"id": i, "task": problems.task_to_json(t)}
-               for i, t in zip(ids, tasks)]
+    payload = [{"id": i, "task": t.to_json()} for i, t in zip(ids, tasks)]
     with open(path, "w") as f:
         json.dump(payload, f, sort_keys=True)
         f.write("\n")
 
 
-def read_task_file(path: str) -> tuple[list[int], list[problems.Task]]:
+def read_tasks(cfg: dict, tasks_dir: str, split: str
+               ) -> tuple[list[int], list[problems.Task]]:
+    """Ids and tasks of ``tasks_<split>.json``, all of the config's family."""
+    path = os.path.join(tasks_dir, f"tasks_{split}.json")
     try:
         with open(path) as f:
             payload = json.load(f)
     except OSError as e:
         raise CliError(f"cannot read task file: {e}")
-    ids = [int(e["id"]) for e in payload]
-    tasks = [problems.task_from_json(e["task"]) for e in payload]
+    except ValueError as e:
+        raise CliError(f"{path} is not valid JSON: {e}")
+    try:
+        ids = [int(e["id"]) for e in payload]
+        tasks = [problems.task_from_json(e["task"]) for e in payload]
+    except KeyError as e:
+        raise CliError(f"{path}: a task entry has no {e} entry")
+    if not tasks:
+        raise CliError(f"{path} holds no tasks")
+    named = cfg["problem"].get("variant", tasks[0].variant)
+    for t in tasks:
+        if t.variant != named:
+            raise CliError(f"{path} holds a {t.variant!r} task where the config "
+                           f"expects {named!r} tasks")
     return ids, tasks
+
+
+def _held_out(cfg: dict, args) -> tuple[list[int], list[problems.Task],
+                                        mad.Checkpoint]:
+    """Held-out ids and tasks, and a checkpoint pre-trained on their family."""
+    ids, tasks = read_tasks(cfg, args.tasks, "s2")
+    ck = mad.load_checkpoint(args.checkpoint)
+    if type(ck.tasks[0]) is not type(tasks[0]):
+        raise CliError(f"{args.checkpoint} was pre-trained on "
+                       f"{ck.tasks[0].variant!r} tasks, not {tasks[0].variant!r}")
+    return ids, tasks, ck
 
 
 def _ref_path(tasks_dir: str, task_id: int) -> str:
     return os.path.join(tasks_dir, "refs", f"task_{task_id:04d}.ref")
 
 
-def _eval_grid_for(task, tasks_dir: str, task_id: int, cfg: dict):
-    if isinstance(task, problems.BurgersTask):
+def _eval_grid(task, tasks_dir: str, task_id: int, cfg: dict):
+    reference = None
+    if task.solve_reference is not None:
         path = _ref_path(tasks_dir, task_id)
         if not os.path.exists(path):
             raise CliError(f"missing reference field {path}; run gen-tasks first")
-        return evaluation.for_task(task, reference=oracles.load_reference(path))
+        reference = oracles.load_reference(path)
     n_pts = int(cfg.get("eval", {}).get("n_laplace_points",
                                         evaluation.LAPLACE_EVAL_POINTS))
-    return evaluation.for_task(task, seed=task_id, n_laplace=n_pts)
+    return evaluation.for_task(task, reference, seed=task_id, n_laplace=n_pts)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +242,21 @@ def _eval_grid_for(task, tasks_dir: str, task_id: int, cfg: dict):
 def cmd_gen_tasks(cfg: dict, args) -> int:
     out = prepare_out_dir(default_out(cfg, "tasks", args.out), args.force)
     write_manifest(out, "gen-tasks", cfg, args)
-    s1_ids, s1, s2_ids, s2 = build_tasks(cfg)
+    prob, tcfg = cfg["problem"], cfg["tasks"]
+    n_tasks = int(tcfg["n_tasks"])
+    n_pre = int(tcfg["n_pretrain"])
+    seed = int(tcfg.get("seed", 0))
+    if not 1 <= n_pre < n_tasks:
+        raise CliError("need 1 <= n_pretrain < n_tasks")
+    family = problems.family(prob.get("variant"))
+    tasks = family.build(prob, n_tasks, seed)
+    perm = np.random.default_rng([seed, 0x5917]).permutation(n_tasks)
+    s1_ids = sorted(int(i) for i in perm[:n_pre])
+    s2_ids = sorted(int(i) for i in perm[n_pre:])
+    s1, s2 = [tasks[i] for i in s1_ids], [tasks[i] for i in s2_ids]
     _write_task_file(os.path.join(out, "tasks_s1.json"), s1_ids, s1)
     _write_task_file(os.path.join(out, "tasks_s2.json"), s2_ids, s2)
-    if cfg["problem"]["variant"] == "burgers":
+    if family.solve_reference is not None:
         ref_cfg = cfg.get("reference", {})
         nx = int(ref_cfg.get("nx", 256))
         nt = int(ref_cfg.get("nt", 50))
@@ -269,9 +266,8 @@ def cmd_gen_tasks(cfg: dict, args) -> int:
         if which == "all":
             targets += list(zip(s1_ids, s1))
         for tid, task in targets:
-            ref = oracles.burgers_solve(task.u0, task.nu, nx, nt,
-                                        meta={"task_id": tid})
-            oracles.save_reference(_ref_path(out, tid), ref)
+            oracles.save_reference(_ref_path(out, tid),
+                                   task.solve_reference(nx, nt, {"task_id": tid}))
     print(f"wrote {len(s1)} pre-training and {len(s2)} held-out tasks to {out}")
     return 0
 
@@ -279,8 +275,8 @@ def cmd_gen_tasks(cfg: dict, args) -> int:
 def cmd_pretrain(cfg: dict, args) -> int:
     out = prepare_out_dir(default_out(cfg, "pretrain", args.out), args.force)
     write_manifest(out, "pretrain", cfg, args)
-    ids, tasks = read_task_file(os.path.join(args.tasks, "tasks_s1.json"))
-    net_cfg = network_config(cfg)
+    ids, tasks = read_tasks(cfg, args.tasks, "s1")
+    net_cfg = network_config(cfg, tasks[0])
     pre_cfg = train_config(cfg, "pretrain")
     ck = mad.pretrain(tasks, net_cfg, pre_cfg, task_ids=ids)
     mad.save_checkpoint(os.path.join(out, "checkpoint.ckpt"), ck)
@@ -292,24 +288,11 @@ def cmd_pretrain(cfg: dict, args) -> int:
     return 0
 
 
-def _finetune_one(ck, task, tid, mode, strategy, fine_cfg, eval_grid, snapshots):
-    z0 = mad.init_latent(task, ck, strategy)
-    label = f"s2-{tid}"
-    if mode == "L":
-        _, rec = mad.finetune_L(ck, task, z0, fine_cfg, eval_grid,
-                                task_label=label, record_snapshots=snapshots)
-    else:
-        _, _, rec = mad.finetune_LM(ck, task, z0, fine_cfg, eval_grid,
-                                    task_label=label, record_snapshots=snapshots)
-    return rec
-
-
 def cmd_finetune(cfg: dict, args) -> int:
     out = prepare_out_dir(default_out(cfg, f"finetune_{args.mode}", args.out),
                           args.force)
     write_manifest(out, "finetune", cfg, args)
-    ck = mad.load_checkpoint(args.checkpoint)
-    ids, tasks = read_task_file(os.path.join(args.tasks, "tasks_s2.json"))
+    ids, tasks, ck = _held_out(cfg, args)
     if args.task_index is not None:
         if args.task_index not in ids:
             raise CliError(f"task id {args.task_index} not in the held-out set")
@@ -317,15 +300,17 @@ def cmd_finetune(cfg: dict, args) -> int:
         ids, tasks = [ids[keep]], [tasks[keep]]
     fine_cfg = train_config(cfg, "finetune")
     strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
-    mode = args.mode
-    variant = cfg["problem"]["variant"]
-    snapshots = variant == "ode_shift"
+    tune = mad.finetune_L if args.mode == "L" else mad.finetune_LM
+    # snapshots feed the manifold plot, which needs the exact family
+    snapshots = tasks[0].exact_family is not None
 
     def run(pair):
         tid, task = pair
-        grid = _eval_grid_for(task, args.tasks, tid, cfg)
-        return _finetune_one(ck, task, tid, mode, strategy, fine_cfg, grid,
-                             snapshots)
+        grid = _eval_grid(task, args.tasks, tid, cfg)
+        z0 = mad.init_latent(task, ck, strategy)
+        *_, rec = tune(ck, task, z0, fine_cfg, grid, task_label=f"s2-{tid}",
+                       record_snapshots=snapshots)
+        return rec
 
     pairs = list(zip(ids, tasks))
     if args.workers > 1:
@@ -353,11 +338,9 @@ def cmd_baseline(cfg: dict, args) -> int:
     out = prepare_out_dir(default_out(cfg, f"baseline_{args.method}", args.out),
                           args.force)
     write_manifest(out, "baseline", cfg, args)
-    s1_ids, s1 = read_task_file(os.path.join(args.tasks, "tasks_s1.json"))
-    s2_ids, s2 = read_task_file(os.path.join(args.tasks, "tasks_s2.json"))
-    net_cfg = network_config(cfg)
-    if net_cfg.latent_dim != 0:
-        net_cfg = NetworkConfig(**{**net_cfg.to_dict(), "latent_dim": 0})
+    s1_ids, s1 = read_tasks(cfg, args.tasks, "s1")
+    s2_ids, s2 = read_tasks(cfg, args.tasks, "s2")
+    net_cfg = dataclasses.replace(network_config(cfg, s2[0]), latent_dim=0)
     fine_cfg = train_config(cfg, "finetune")
     if args.method in ("reptile", "maml"):
         try:
@@ -367,7 +350,7 @@ def cmd_baseline(cfg: dict, args) -> int:
             raise CliError(f"bad baseline.meta settings: {e}")
     records = []
     for tid, task in zip(s2_ids, s2):
-        grid = _eval_grid_for(task, args.tasks, tid, cfg)
+        grid = _eval_grid(task, args.tasks, tid, cfg)
         label = f"s2-{tid}"
         if args.method == "from-scratch":
             rec = baselines.run_from_scratch(task, net_cfg, fine_cfg, grid, label)
@@ -395,12 +378,11 @@ def cmd_eval(cfg: dict, args) -> int:
     """Error of the pre-trained model on held-out tasks, no fine-tuning."""
     out = prepare_out_dir(default_out(cfg, "eval", args.out), args.force)
     write_manifest(out, "eval", cfg, args)
-    ck = mad.load_checkpoint(args.checkpoint)
-    ids, tasks = read_task_file(os.path.join(args.tasks, "tasks_s2.json"))
+    ids, tasks, ck = _held_out(cfg, args)
     strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
     errors = []
     for tid, task in zip(ids, tasks):
-        grid = _eval_grid_for(task, args.tasks, tid, cfg)
+        grid = _eval_grid(task, args.tasks, tid, cfg)
         z0 = mad.init_latent(task, ck, strategy)
         errors.append(evaluation.rel_l2(grid, ck.params(), z0))
     summary = {"n_tasks": len(errors), "mean": float(np.mean(errors))}
@@ -441,24 +423,17 @@ def cmd_viz(cfg: dict, args) -> int:
                     f"{'' if hi is None else repr(hi)}\n")
     benchviz.write_summary_json(os.path.join(out, "summary.json"), by_method)
 
-    if args.snapshots and cfg["problem"]["variant"] == "ode_shift":
-        x = evaluation.ode_grid_points()[:, 0]
-        lo, hi = cfg["problem"].get("eta_range", [0.0, 2.0])
-        etas = np.linspace(lo, hi, int(cfg["tasks"]["n_tasks"]))
-        family = np.stack([oracles.ode_exact(e, x) for e in etas])
-        trajectories = {}
-        stack = [family]
+    family = problems.family(cfg["problem"].get("variant")) if args.snapshots else None
+    if family is not None and family.exact_family is not None:
+        exact = family.exact_family(cfg["problem"], int(cfg["tasks"]["n_tasks"]))
+        named = [(label, values[None, :]) for label, values in exact]
         for path in args.snapshots:
             with np.load(path) as data:
-                name = os.path.splitext(os.path.basename(path))[0]
-                trajectories[name] = data["snapshots"]
-                stack.append(data["snapshots"])
+                named.append((os.path.splitext(os.path.basename(path))[0],
+                              data["snapshots"]))
         # one shared basis: exact family plus every recorded snapshot
-        proj = benchviz.pca_fit(np.concatenate(stack, axis=0))
-        labelled = {f"exact_eta_{e:.3f}": benchviz.project_trajectory(proj, f)
-                    for e, f in zip(etas, family[:, None, :])}
-        for name, snaps in trajectories.items():
-            labelled[name] = benchviz.project_trajectory(proj, snaps)
+        proj = benchviz.pca_fit(np.concatenate([s for _, s in named], axis=0))
+        labelled = {name: benchviz.project_trajectory(proj, s) for name, s in named}
         benchviz.write_manifold_csv(os.path.join(out, "manifold.csv"), labelled)
     print(f"visualization data in {out}")
     return 0

@@ -36,7 +36,7 @@ nothing is changed.  The arithmetic is unaffected.
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -365,13 +365,6 @@ def exp(a: Arraylike):
     return a.tape._record("exp", out, (a.idx,), (lambda g, e=out: g * e,))
 
 
-def tanh(a: Arraylike):
-    if not isinstance(a, Var):
-        return np.tanh(value_of(a))
-    out = np.tanh(a.value)
-    return a.tape._record("tanh", out, (a.idx,), (lambda g, t=out: g * (1.0 - t * t),))
-
-
 def matmul(a: Arraylike, b: Arraylike):
     av, bv = value_of(a), value_of(b)
     out = av @ bv
@@ -607,14 +600,6 @@ def jet_exp(a) -> Jet2:
     return _jet_chain(a, e, e, e)
 
 
-def jet_tanh(a) -> Jet2:
-    a = a if isinstance(a, Jet2) else jet_const(a)
-    t = tanh(a.val)
-    one_m_t2 = sub(1.0, mul(t, t)) if is_var(t) else 1.0 - t * t
-    f2 = mul(-2.0, mul(t, one_m_t2)) if is_var(t) else -2.0 * t * one_m_t2
-    return _jet_chain(a, t, one_m_t2, f2)
-
-
 def jet_pow(a, p: float) -> Jet2:
     a = a if isinstance(a, Jet2) else jet_const(a)
     f0 = power(a.val, p)
@@ -629,7 +614,6 @@ _JET_UNARY = {
     "sin": jet_sin,
     "cos": jet_cos,
     "exp": jet_exp,
-    "tanh": jet_tanh,
 }
 _JET_BINARY = {
     "add": jet_add,

@@ -1,10 +1,5 @@
-"""Per-task evaluation grids: where to measure errors, and against what.
-
-ODE tasks are scored on the equidistant 128-point grid against the closed
-form, Burgers tasks on the reference field's full space-time grid, Laplace
-tasks on seeded random interior points against the analytic harmonic
-extension.
-"""
+"""Per-task evaluation grids: where to measure errors, and against what
+(each family's ``eval_points`` decides), and the errors there."""
 
 from __future__ import annotations
 
@@ -13,12 +8,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import oracles, problems
+from . import oracles
 from .network import ModelParams, forward
 from .oracles import ReferenceField
-from .problems import BurgersTask, LaplaceTriangleTask, OdeShiftTask, Task
+from .problems import Task
 
-ODE_GRID_POINTS = 128
 LAPLACE_EVAL_POINTS = 16 * 1024
 
 
@@ -32,29 +26,10 @@ class EvalGrid:
             raise ValueError("reference values have zero norm")
 
 
-def ode_grid_points(n: int = ODE_GRID_POINTS) -> np.ndarray:
-    return np.linspace(-np.pi, np.pi, n).reshape(-1, 1)
-
-
 def for_task(task: Task, reference: Optional[ReferenceField] = None,
              seed: int = 0, n_laplace: int = LAPLACE_EVAL_POINTS) -> EvalGrid:
-    if isinstance(task, OdeShiftTask):
-        pts = ode_grid_points()
-        return EvalGrid(pts, oracles.ode_exact(task.eta, pts[:, 0]))
-    if isinstance(task, BurgersTask):
-        if reference is None:
-            raise ValueError("Burgers evaluation needs a reference field")
-        t, x = reference.axes
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        pts = np.stack([xx.ravel(), tt.ravel()], axis=1)
-        return EvalGrid(pts, reference.values.ravel())
-    if isinstance(task, LaplaceTriangleTask):
-        rng = np.random.default_rng([seed, 0x5EED])
-        batch = problems.sample_batch(task, n_laplace, 1, rng)
-        pts = batch.interior
-        vals = oracles.laplace_solution_xy(task.boundary_field, pts[:, 0], pts[:, 1])
-        return EvalGrid(pts, vals)
-    raise ValueError(f"unknown task {task!r}")
+    """Points and reference values from the family's ``eval_points``."""
+    return EvalGrid(*task.eval_points(reference, seed, n_laplace))
 
 
 def predict(params: ModelParams, z: Optional[np.ndarray], points: np.ndarray) -> np.ndarray:

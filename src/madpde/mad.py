@@ -6,23 +6,20 @@ per-task latent codes, then solve new tasks by optimizing the latent alone
 
 from __future__ import annotations
 
-import json
-import os
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import evaluation, problems, trainer
+from . import container, evaluation, problems, trainer
 from .benchviz import ConvergenceRecord
 from .evaluation import EvalGrid
-from .grf import evaluate_grf
+from .grf import evaluate_grf  # noqa: F401  (perfbench/spans.py traces it here)
 from .network import ModelParams, NetworkConfig, init_siren, param_count
-from .problems import BurgersTask, OdeShiftTask, ProblemError, Task
+from .problems import ProblemError, Task
 from .trainer import AdamState, TrainConfig, TrainingError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _CKPT_MAGIC = b"MADCKPT1"
 
 LATENT_INIT_STD = 0.1
@@ -153,22 +150,6 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
 # latent initialization for a new task
 # ---------------------------------------------------------------------------
 
-_DISCRETIZE_GRID = np.arange(128) / 128.0
-
-
-def _task_distance(task_new: Task, task_i: Task) -> float:
-    """Euclidean distance between discretized task parameters."""
-    if isinstance(task_new, OdeShiftTask):
-        return abs(task_new.eta - task_i.eta)
-    if isinstance(task_new, BurgersTask):
-        a = evaluate_grf(task_new.u0, _DISCRETIZE_GRID)
-        b = evaluate_grf(task_i.u0, _DISCRETIZE_GRID)
-        return float(np.linalg.norm(a - b))
-    raise ProblemError(
-        "nearest-latent initialization is ill-defined for triangle tasks "
-        "(the parameter includes the domain shape); use strategy='mean'")
-
-
 def init_latent(task_new: Task, checkpoint: Checkpoint, strategy: str) -> np.ndarray:
     if strategy not in INIT_STRATEGIES:
         raise ProblemError(f"latent init strategy {strategy!r} is not one of "
@@ -180,7 +161,7 @@ def init_latent(task_new: Task, checkpoint: Checkpoint, strategy: str) -> np.nda
         return np.zeros(checkpoint.net_config.latent_dim)
     if strategy == "mean":
         return latents.mean(axis=0)
-    dists = [_task_distance(task_new, t) for t in checkpoint.tasks]
+    dists = [task_new.distance(t) for t in checkpoint.tasks]
     return latents[int(np.argmin(dists))].copy()
 
 
@@ -280,7 +261,7 @@ def finetune_LM(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint persistence: JSON header + little-endian float64 blocks
+# checkpoint persistence, in the layout of ``container``
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: str, ck: Checkpoint) -> None:
@@ -292,10 +273,10 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
     }
     header = {
         "version": ck.version,
-        "net_config": ck.net_config.to_dict(),
-        "train_config": ck.train_config.to_dict(),
+        "net_config": asdict(ck.net_config),
+        "train_config": asdict(ck.train_config),
         "task_ids": ck.task_ids,
-        "tasks": [problems.task_to_json(t) for t in ck.tasks],
+        "tasks": [t.to_json() for t in ck.tasks],
         "rng_states": ck.rng_states,
         "adam_step": ck.adam.step,
         "iteration": ck.iteration,
@@ -304,56 +285,28 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
                                 else ck.final_per_task_loss.tolist()),
         "arrays": [[k, list(v.shape)] for k, v in arrays.items()],
     }
-    hbytes = json.dumps(header, sort_keys=True).encode()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", len(hbytes)))
-        f.write(hbytes)
-        for _, v in arrays.items():
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    container.write(path, _CKPT_MAGIC, header, arrays.values())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if not blob.startswith(_CKPT_MAGIC):
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    if len(blob) < 12:
-        raise CheckpointError(f"{path}: truncated")
-    n = struct.unpack("<I", blob[8:12])[0]
-    try:
-        header = json.loads(blob[12:12 + n])
-    except ValueError as e:
-        raise CheckpointError(f"{path}: corrupt header") from e
+    header, blocks = container.read(path, _CKPT_MAGIC, "checkpoint", CheckpointError,
+                                    lambda h: [shape for _, shape in h["arrays"]])
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
-    arrays = {}
-    pos = 12 + n
-    for name, shape in header["arrays"]:
-        size = int(np.prod(shape)) if shape else 1
-        end = pos + 8 * size
-        if end > len(blob):
-            raise CheckpointError(f"{path}: truncated payload in block {name!r}")
-        arrays[name] = np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape).copy()
-        pos = end
-    if pos != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes")
-
-    adam = AdamState(arrays["adam_m"], arrays["adam_v"], int(header["adam_step"]))
-    return Checkpoint(
-        version=header["version"],
-        net_config=NetworkConfig.from_dict(header["net_config"]),
-        train_config=TrainConfig.from_dict(header["train_config"]),
-        task_ids=list(header["task_ids"]),
-        tasks=[problems.task_from_json(d) for d in header["tasks"]],
-        theta=arrays["theta"],
-        latents=arrays["latents"],
-        rng_states=header["rng_states"],
-        adam=adam,
-        iteration=int(header["iteration"]),
-        loss_series=[(int(i), float(v)) for i, v in header["loss_series"]],
-        final_per_task_loss=(None if header["final_per_task_loss"] is None
-                             else np.asarray(header["final_per_task_loss"])),
-    )
+    with container.header_errors(path, CheckpointError):
+        arrays = {name: block for (name, _), block in zip(header["arrays"], blocks)}
+        return Checkpoint(
+            version=header["version"],
+            net_config=NetworkConfig(**header["net_config"]),
+            train_config=TrainConfig(**header["train_config"]),
+            task_ids=list(header["task_ids"]),
+            tasks=[problems.task_from_json(d) for d in header["tasks"]],
+            theta=arrays["theta"],
+            latents=arrays["latents"],
+            rng_states=header["rng_states"],
+            adam=AdamState(arrays["adam_m"], arrays["adam_v"], int(header["adam_step"])),
+            iteration=int(header["iteration"]),
+            loss_series=[(int(i), float(v)) for i, v in header["loss_series"]],
+            final_per_task_loss=(None if header["final_per_task_loss"] is None
+                                 else np.asarray(header["final_per_task_loss"])),
+        )

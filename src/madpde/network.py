@@ -10,7 +10,7 @@ latent vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Jet2, Tape, Var
 
-ACTIVATIONS = ("sine", "tanh")
 ENCODINGS = ("identity", "periodic_x")
 
 TWO_PI = 2.0 * np.pi
@@ -31,7 +30,6 @@ class NetworkConfig:
     hidden_layers: int
     width: int
     output_dim: int = 1
-    activation: str = "sine"
     first_layer_omega: float = 30.0
     input_encoding: str = "identity"
 
@@ -42,8 +40,6 @@ class NetworkConfig:
             raise ValueError("hidden_layers must be >= 1")
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.input_encoding not in ENCODINGS:
             raise ValueError(f"input_encoding must be one of {ENCODINGS}")
         if self.input_encoding == "periodic_x" and self.input_dim < 1:
@@ -62,22 +58,6 @@ class NetworkConfig:
         dims += [(self.width, self.width)] * (self.hidden_layers - 1)
         dims.append((self.width, self.output_dim))
         return dims
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "latent_dim": self.latent_dim,
-            "hidden_layers": self.hidden_layers,
-            "width": self.width,
-            "output_dim": self.output_dim,
-            "activation": self.activation,
-            "first_layer_omega": self.first_layer_omega,
-            "input_encoding": self.input_encoding,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(**d)
 
 
 def param_count(config: NetworkConfig) -> int:
@@ -180,9 +160,8 @@ def forward(params: ModelParams, x, z=None) -> np.ndarray:
     x, z = _check_dims(cfg, x, z)
     h = np.concatenate([encode(cfg, x), z], axis=1)
     layers = params.layers()
-    act = np.sin if cfg.activation == "sine" else np.tanh
     for W, b in layers[:-1]:
-        h = act(h @ W + b)
+        h = np.sin(h @ W + b)
     W, b = layers[-1]
     return h @ W + b
 
@@ -221,43 +200,18 @@ def stage_network(tape: Tape, params: ModelParams, trainable: bool = True) -> St
     return StagedNetwork(params.config, tape, weights, trainable)
 
 
-def _activation_jets(pre: list[Jet2], kind: str) -> list[Jet2]:
-    """Apply the activation to jets sharing one value channel.
-
-    All jets in ``pre`` hold the same .val (the layer pre-activation); the
-    nonlinearity and its derivatives are computed once and reused across
-    directions.
-    """
-    val = pre[0].val
-    if kind == "sine":
-        return _sine_jets(pre, val)
-    f0 = dc.tanh(val)
-    if dc.is_var(f0):
-        f1 = dc.sub(1.0, dc.mul(f0, f0))
-        f2 = dc.mul(-2.0, dc.mul(f0, f1))
-    else:
-        f1 = 1.0 - f0 * f0
-        f2 = -2.0 * f0 * f1
-    out = []
-    for j in pre:
-        d1 = dc._jmul(f1, j.d1)
-        d2 = None
-        if j.d2 is not None:
-            sq = dc._jmul(j.d1, j.d1)
-            d2 = dc._jadd(dc._jmul(f2, sq), dc._jmul(f1, j.d2))
-        out.append(Jet2(f0, d1, d2))
-    return out
-
-
-def _sine_jets(pre: list[Jet2], val) -> list[Jet2]:
+def _sine_jets(pre: list[Jet2]) -> list[Jet2]:
     """sin through jets, with sin'' = -sin folded in: d2 = f1*d2 - f0*d1^2.
 
-    A value-only pass (every derivative a structural zero) records sin
-    alone.  Otherwise sin and cos come from one ``sincos``, and each
-    channel's terms are recorded in the order of the ``dc.jet_sin`` chain:
-    d1, d1^2, f0*d1^2, f1*d2.  With one order-2 direction the reverse sweep
-    then yields the same gradients as that chain, bit for bit.
+    All jets in ``pre`` hold the same .val (the layer pre-activation), so
+    sin and cos are computed once for every direction.  A value-only pass
+    (every derivative a structural zero) records sin alone.  Otherwise sin
+    and cos come from one ``sincos``, and each channel's terms are recorded
+    in the order of the ``dc.jet_sin`` chain: d1, d1^2, f0*d1^2, f1*d2.  With
+    one order-2 direction the reverse sweep then yields the same gradients
+    as that chain, bit for bit.
     """
+    val = pre[0].val
     if all(dc._is_zero(j.d1) and (j.d2 is None or dc._is_zero(j.d2)) for j in pre):
         f0 = dc.sin(val)
         return [Jet2(f0, j.d1, j.d2) for j in pre]
@@ -327,7 +281,7 @@ def jet_forward(staged: StagedNetwork, x: np.ndarray, z_rows,
             new.append(Jet2(lin_val, _matvec(j.d1, W), d2))
         chans = new
         if li < len(layers) - 1:
-            chans = _activation_jets(chans, cfg.activation)
+            chans = _sine_jets(chans)
 
     return {d: chans[i] for i, d in enumerate(directions)} if directions \
         else {None: chans[0]}

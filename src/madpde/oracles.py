@@ -11,14 +11,12 @@ used by the benchmark harness.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import container
 from .grf import GrfSample, evaluate_grf
 
 _REF_MAGIC = b"MADREF1\n"
@@ -50,41 +48,16 @@ class ReferenceField:
 
 
 def save_reference(path: str, ref: ReferenceField) -> None:
-    header = {
-        "axes": [a.tolist() for a in ref.axes],
-        "shape": list(ref.values.shape),
-        "meta": ref.meta,
-    }
-    hbytes = json.dumps(header, sort_keys=True).encode()
-    payload = np.ascontiguousarray(ref.values, dtype="<f8").tobytes()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(_REF_MAGIC)
-        f.write(struct.pack("<I", len(hbytes)))
-        f.write(hbytes)
-        f.write(payload)
-    os.replace(tmp, path)
+    header = {"axes": [a.tolist() for a in ref.axes],
+              "shape": list(ref.values.shape), "meta": ref.meta}
+    container.write(path, _REF_MAGIC, header, [ref.values])
 
 
 def load_reference(path: str) -> ReferenceField:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if not blob.startswith(_REF_MAGIC):
-        raise OracleError(f"{path}: not a reference-field file")
-    if len(blob) < 12:
-        raise OracleError(f"{path}: truncated header ({len(blob)} bytes)")
-    n = struct.unpack("<I", blob[8:12])[0]
-    try:
-        header = json.loads(blob[12:12 + n])
-        shape = tuple(header["shape"])
-        axes = tuple(np.asarray(a) for a in header["axes"])
-    except (ValueError, KeyError, TypeError) as e:
-        raise OracleError(f"{path}: corrupt header ({type(e).__name__}: {e})") from e
-    need = 12 + n + 8 * int(np.prod(shape))
-    if len(blob) != need:
-        raise OracleError(f"{path}: truncated payload ({len(blob)} of {need} bytes)")
-    values = np.frombuffer(blob[12 + n:], dtype="<f8").reshape(shape).copy()
-    return ReferenceField(axes, values, header.get("meta", {}))
+    header, (values,) = container.read(path, _REF_MAGIC, "reference-field",
+                                       OracleError, lambda h: [h["shape"]])
+    with container.header_errors(path, OracleError):
+        return ReferenceField(tuple(header["axes"]), values, header.get("meta", {}))
 
 
 # ---------------------------------------------------------------------------

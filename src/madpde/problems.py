@@ -1,6 +1,19 @@
-"""The parametric PDE families: residuals, boundary data and samplers.
+"""The parametric PDE families, one frozen dataclass each.
 
-Three task variants are supported:
+A family class owns all that differs between families.  It declares the
+class data ``variant`` (registry key and JSON tag), ``input_dim``,
+``encoding`` (the network input encoding) and ``directions`` (coordinate
+direction -> derivative order the residual reads), and the methods
+``to_json``/``from_json``, ``residual_coefficients`` (per row, so they stack
+across the tasks of a batch), ``residual`` (from jets and those
+coefficients), ``boundary_targets`` (validated Dirichlet data), ``sample``
+(reached through ``sample_batch``), ``distance`` (for nearest-latent
+initialization), ``eval_points`` (where to score, against what) and
+``build`` (the family from a config's ``problem`` section).  Two more are
+None where a family has no use for them: ``solve_reference`` (scored
+against a stored reference field) and ``exact_family`` (fine-tuning records
+snapshots for the manifold plot).  A new family is one more such class in
+``VARIANTS``.
 
 * ``OdeShiftTask``  -- du/dx = 2(x-eta)cos((x-eta)^2) on (-pi, pi) with both
   endpoint values prescribed; the task parameter is the shift eta.
@@ -21,199 +34,12 @@ from typing import Union
 import numpy as np
 
 from . import diffcore as dc
-from . import oracles
+from . import grf, oracles
 from .grf import GrfSample
-from .network import NetworkConfig
 
 
 class ProblemError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OdeShiftTask:
-    eta: float
-
-    variant = "ode_shift"
-    input_dim = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.eta):
-            raise ProblemError("eta must be finite")
-
-
-@dataclass(frozen=True)
-class BurgersTask:
-    u0: GrfSample
-    nu: float
-
-    variant = "burgers"
-    input_dim = 2  # (x, t)
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ProblemError("viscosity must be positive")
-
-
-MIN_ANGLE_GAP = 1e-3
-
-
-@dataclass(frozen=True)
-class LaplaceTriangleTask:
-    vertex_angles: tuple[float, float, float]
-    boundary_field: GrfSample
-
-    variant = "laplace_triangle"
-    input_dim = 2  # (x, y)
-
-    def __post_init__(self):
-        a = np.mod(np.asarray(self.vertex_angles, dtype=float), 2 * np.pi)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                gap = abs(a[i] - a[j])
-                gap = min(gap, 2 * np.pi - gap)
-                if gap < MIN_ANGLE_GAP:
-                    raise ProblemError(f"degenerate triangle: vertices {i} and {j} "
-                                       f"are {gap:.2e} rad apart")
-        if self.boundary_field.domain != "unit_circle":
-            raise ProblemError("boundary field must live on the unit circle")
-
-    def vertices(self) -> np.ndarray:
-        a = np.asarray(self.vertex_angles, dtype=float)
-        return np.stack([np.cos(a), np.sin(a)], axis=1)
-
-
-Task = Union[OdeShiftTask, BurgersTask, LaplaceTriangleTask]
-
-
-def task_to_json(task: Task) -> dict:
-    if isinstance(task, OdeShiftTask):
-        return {"variant": task.variant, "eta": task.eta}
-    if isinstance(task, BurgersTask):
-        return {"variant": task.variant, "nu": task.nu, "u0": task.u0.to_json()}
-    if isinstance(task, LaplaceTriangleTask):
-        return {"variant": task.variant,
-                "vertex_angles": list(task.vertex_angles),
-                "boundary_field": task.boundary_field.to_json()}
-    raise ProblemError(f"unknown task {task!r}")
-
-
-def task_from_json(d: dict) -> Task:
-    v = d.get("variant")
-    if v == "ode_shift":
-        return OdeShiftTask(float(d["eta"]))
-    if v == "burgers":
-        return BurgersTask(GrfSample.from_json(d["u0"]), float(d["nu"]))
-    if v == "laplace_triangle":
-        return LaplaceTriangleTask(tuple(float(a) for a in d["vertex_angles"]),
-                                   GrfSample.from_json(d["boundary_field"]))
-    raise ProblemError(f"unknown task variant {v!r}")
-
-
-def network_input_dim(task: Task) -> int:
-    return task.input_dim
-
-
-def default_encoding(task: Task) -> str:
-    return "periodic_x" if isinstance(task, BurgersTask) else "identity"
-
-
-def directions_needed(task: Task) -> dict[int, int]:
-    """Coordinate direction -> derivative order required by the residual."""
-    if isinstance(task, OdeShiftTask):
-        return {0: 1}
-    if isinstance(task, BurgersTask):
-        return {0: 2, 1: 1}  # u_x, u_xx and u_t
-    return {0: 2, 1: 2}
-
-
-def ode_forcing(eta: float, x: np.ndarray) -> np.ndarray:
-    return 2.0 * (x - eta) * np.cos((x - eta) ** 2)
-
-
-def residual_coefficients(task: Task, points: np.ndarray) -> dict:
-    """Per-row residual data for one task (stackable across tasks)."""
-    if isinstance(task, OdeShiftTask):
-        return {"forcing": ode_forcing(task.eta, points[:, :1])}
-    if isinstance(task, BurgersTask):
-        return {"nu": task.nu}
-    if isinstance(task, LaplaceTriangleTask):
-        return {}
-    raise ProblemError(f"unknown task {task!r}")
-
-
-def residual_op(variant: str, jets: dict, coef: dict):
-    """Pointwise PDE residual from jets; the single code path shared by
-    per-task and batched multi-task loss assembly."""
-    try:
-        if variant == "ode_shift":
-            return dc.sub(jets[0].d1, coef["forcing"])
-        if variant == "burgers":
-            uxx = jets[0].d2
-            if uxx is None:
-                raise ProblemError("Burgers residual needs second x-derivatives")
-            advect = dc.add(jets[1].d1, dc.mul(jets[0].val, jets[0].d1))
-            return dc.sub(advect, dc.mul(coef["nu"], uxx))
-        if variant == "laplace_triangle":
-            if jets[0].d2 is None or jets[1].d2 is None:
-                raise ProblemError("Laplace residual needs both second derivatives")
-            return dc.add(jets[0].d2, jets[1].d2)
-    except KeyError as e:
-        raise ProblemError(f"missing derivative direction {e} for {variant}")
-    raise ProblemError(f"unknown variant {variant!r}")
-
-
-def residual(task: Task, points: np.ndarray, jets: dict):
-    """PDE residual at ``points`` (one row per point); zero iff the PDE holds.
-
-    ``jets`` maps coordinate direction -> Jet2 and may hold tape variables
-    or plain arrays.
-    """
-    return residual_op(task.variant, jets, residual_coefficients(task, points))
-
-
-_BOUNDARY_TOL = 1e-9
-
-
-def boundary_targets(task: Task, points: np.ndarray) -> np.ndarray:
-    """Dirichlet target values at boundary points (validated)."""
-    points = np.atleast_2d(points)
-    if isinstance(task, OdeShiftTask):
-        x = points[:, 0]
-        if np.any(np.minimum(np.abs(x - np.pi), np.abs(x + np.pi)) > _BOUNDARY_TOL):
-            raise ProblemError("ODE boundary points must be the interval endpoints")
-        return oracles.ode_exact(task.eta, x)
-    if isinstance(task, BurgersTask):
-        if np.any(np.abs(points[:, 1]) > _BOUNDARY_TOL):
-            raise ProblemError("Burgers boundary points must lie on the t=0 slice")
-        from .grf import evaluate_grf
-        return evaluate_grf(task.u0, points[:, 0])
-    if isinstance(task, LaplaceTriangleTask):
-        _assert_on_edges(task, points)
-        return oracles.laplace_solution_xy(task.boundary_field,
-                                           points[:, 0], points[:, 1])
-    raise ProblemError(f"unknown task {task!r}")
-
-
-def boundary_residual(task: Task, u_value, point) -> float:
-    """u(point) minus the Dirichlet target; errors off the boundary set."""
-    target = boundary_targets(task, np.atleast_2d(point))
-    return float(np.asarray(u_value).ravel()[0] - target[0])
-
-
-def _barycentric(verts: np.ndarray, points: np.ndarray) -> np.ndarray:
-    a, b, c = verts
-    T = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
-    uv = np.linalg.solve(T, (points - a).T).T
-    return np.stack([1.0 - uv[:, 0] - uv[:, 1], uv[:, 0], uv[:, 1]], axis=1)
-
-
-def _assert_on_edges(task: LaplaceTriangleTask, points: np.ndarray):
-    bary = _barycentric(task.vertices(), points)
-    inside = np.all(bary > -1e-9, axis=1)
-    on_edge = np.min(np.abs(bary), axis=1) < 1e-7
-    if not np.all(inside & on_edge):
-        raise ProblemError("points must lie on the triangle edges")
 
 
 @dataclass
@@ -231,30 +57,239 @@ class SampleBatch:
             raise ValueError("boundary targets must match boundary points")
 
 
-def sample_batch(task: Task, M_r: int, M_bc: int, rng: np.random.Generator) -> SampleBatch:
-    """Collocation batch for one task.
+_BOUNDARY_TOL = 1e-9
+ODE_GRID_POINTS = 128
+_DISCRETIZE_GRID = np.arange(128) / 128.0
+MIN_ANGLE_GAP = 1e-3
 
-    ODE: fixed equidistant grid on [-pi, pi] with the two endpoints as the
-    boundary set (M_bc is ignored there).  Burgers: uniform (x,t) on
-    (0,1) x (0,1] with M_bc initial-slice points.  Laplace: uniform interior
-    by barycentric sampling, boundary uniform-by-length over the edges.
-    """
-    if M_r < 1 or M_bc < 1:
-        raise ValueError("batch sizes must be >= 1")
-    if isinstance(task, OdeShiftTask):
+
+def _check_jets(cls, jets: dict) -> None:
+    """Raise unless ``jets`` holds every derivative ``cls.directions`` asks for."""
+    for d, order in cls.directions.items():
+        if d not in jets or (order == 2 and jets[d].d2 is None):
+            raise ProblemError(f"{cls.variant} residual needs order-{order} "
+                               f"derivatives along direction {d}")
+
+
+def ode_forcing(eta: float, x: np.ndarray) -> np.ndarray:
+    return 2.0 * (x - eta) * np.cos((x - eta) ** 2)
+
+
+@dataclass(frozen=True)
+class OdeShiftTask:
+    eta: float
+
+    variant = "ode_shift"
+    input_dim = 1
+    encoding = "identity"
+    directions = {0: 1}
+    solve_reference = None
+
+    def __post_init__(self):
+        if not np.isfinite(self.eta):
+            raise ProblemError("eta must be finite")
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant, "eta": self.eta}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "OdeShiftTask":
+        return cls(float(d["eta"]))
+
+    @classmethod
+    def build(cls, problem: dict, n_tasks: int, seed: int) -> list:
+        """Shifts evenly spaced over ``problem["eta_range"]`` (seed unused)."""
+        lo, hi = problem.get("eta_range", [0.0, 2.0])
+        return [cls(float(e)) for e in np.linspace(lo, hi, n_tasks)]
+
+    def residual_coefficients(self, points: np.ndarray) -> dict:
+        return {"forcing": ode_forcing(self.eta, points[:, :1])}
+
+    @classmethod
+    def residual(cls, jets: dict, coef: dict):
+        _check_jets(cls, jets)
+        return dc.sub(jets[0].d1, coef["forcing"])
+
+    def boundary_targets(self, points: np.ndarray) -> np.ndarray:
+        x = points[:, 0]
+        if np.any(np.minimum(np.abs(x - np.pi), np.abs(x + np.pi)) > _BOUNDARY_TOL):
+            raise ProblemError("ODE boundary points must be the interval endpoints")
+        return oracles.ode_exact(self.eta, x)
+
+    def sample(self, M_r: int, M_bc: int, rng: np.random.Generator) -> SampleBatch:
+        """The equidistant grid on [-pi, pi]; both endpoints (M_bc unused)."""
         x = np.linspace(-np.pi, np.pi, M_r).reshape(-1, 1)
         bc = np.array([[-np.pi], [np.pi]])
-        return SampleBatch(x, bc, boundary_targets(task, bc))
-    if isinstance(task, BurgersTask):
+        return SampleBatch(x, bc, self.boundary_targets(bc))
+
+    def distance(self, other: "OdeShiftTask") -> float:
+        return abs(self.eta - other.eta)
+
+    def eval_points(self, *_) -> tuple[np.ndarray, np.ndarray]:
+        """The equidistant 128-point grid, against the closed form."""
+        pts = np.linspace(-np.pi, np.pi, ODE_GRID_POINTS).reshape(-1, 1)
+        return pts, oracles.ode_exact(self.eta, pts[:, 0])
+
+    @classmethod
+    def exact_family(cls, problem: dict, n_tasks: int) -> list:
+        """(label, exact solution on the evaluation grid) for every task."""
+        return [(f"exact_eta_{t.eta:.3f}", t.eval_points()[1])
+                for t in cls.build(problem, n_tasks, 0)]
+
+
+@dataclass(frozen=True)
+class BurgersTask:
+    u0: GrfSample
+    nu: float
+
+    variant = "burgers"
+    input_dim = 2  # (x, t)
+    encoding = "periodic_x"
+    directions = {0: 2, 1: 1}  # u_x, u_xx and u_t
+    exact_family = None
+
+    def __post_init__(self):
+        if self.nu <= 0:
+            raise ProblemError("viscosity must be positive")
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant, "nu": self.nu, "u0": self.u0.to_json()}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "BurgersTask":
+        return cls(GrfSample.from_json(d["u0"]), float(d["nu"]))
+
+    @classmethod
+    def build(cls, problem: dict, n_tasks: int, seed: int) -> list:
+        """Initial condition i drawn from stream [seed, i] of the GRF
+        ``grf.BURGERS_GRF`` updated by ``problem["grf"]``."""
+        spec = grf.GrfSpec(**{**grf.BURGERS_GRF.__dict__, **problem.get("grf", {})})
+        nu = float(problem.get("nu", 0.01))
+        return [cls(grf.sample_grf(spec, np.random.default_rng([seed, i])), nu)
+                for i in range(n_tasks)]
+
+    def residual_coefficients(self, points: np.ndarray) -> dict:
+        return {"nu": np.full((points.shape[0], 1), self.nu)}
+
+    @classmethod
+    def residual(cls, jets: dict, coef: dict):
+        _check_jets(cls, jets)
+        advect = dc.add(jets[1].d1, dc.mul(jets[0].val, jets[0].d1))
+        return dc.sub(advect, dc.mul(coef["nu"], jets[0].d2))
+
+    def boundary_targets(self, points: np.ndarray) -> np.ndarray:
+        if np.any(np.abs(points[:, 1]) > _BOUNDARY_TOL):
+            raise ProblemError("Burgers boundary points must lie on the t=0 slice")
+        return grf.evaluate_grf(self.u0, points[:, 0])
+
+    def sample(self, M_r: int, M_bc: int, rng: np.random.Generator) -> SampleBatch:
+        """Uniform (x, t) on (0, 1) x (0, 1] and M_bc points of the t=0 slice."""
         x = rng.random(M_r)
         t = 1.0 - rng.random(M_r)  # (0, 1]
         interior = np.stack([x, t], axis=1)
-        xb = rng.random(M_bc)
-        bc = np.stack([xb, np.zeros(M_bc)], axis=1)
-        return SampleBatch(interior, bc, boundary_targets(task, bc))
-    if isinstance(task, LaplaceTriangleTask):
-        verts = task.vertices()
-        a, b, c = verts
+        bc = np.stack([rng.random(M_bc), np.zeros(M_bc)], axis=1)
+        return SampleBatch(interior, bc, self.boundary_targets(bc))
+
+    def distance(self, other: "BurgersTask") -> float:
+        """Euclidean distance between the initial conditions on a 128-point grid."""
+        a = grf.evaluate_grf(self.u0, _DISCRETIZE_GRID)
+        b = grf.evaluate_grf(other.u0, _DISCRETIZE_GRID)
+        return float(np.linalg.norm(a - b))
+
+    def eval_points(self, reference, *_) -> tuple[np.ndarray, np.ndarray]:
+        """The full space-time grid of the reference field."""
+        if reference is None:
+            raise ValueError("Burgers evaluation needs a reference field")
+        t, x = reference.axes
+        tt, xx = np.meshgrid(t, x, indexing="ij")
+        return np.stack([xx.ravel(), tt.ravel()], axis=1), reference.values.ravel()
+
+    def solve_reference(self, nx: int, nt: int, meta: dict) -> oracles.ReferenceField:
+        return oracles.burgers_solve(self.u0, self.nu, nx, nt, meta=meta)
+
+
+def _barycentric(verts: np.ndarray, points: np.ndarray) -> np.ndarray:
+    a, b, c = verts
+    T = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
+    uv = np.linalg.solve(T, (points - a).T).T
+    return np.stack([1.0 - uv[:, 0] - uv[:, 1], uv[:, 0], uv[:, 1]], axis=1)
+
+
+@dataclass(frozen=True)
+class LaplaceTriangleTask:
+    vertex_angles: tuple[float, float, float]
+    boundary_field: GrfSample
+
+    variant = "laplace_triangle"
+    input_dim = 2  # (x, y)
+    encoding = "identity"
+    directions = {0: 2, 1: 2}
+    solve_reference = None
+    exact_family = None
+
+    def __post_init__(self):
+        a = np.mod(np.asarray(self.vertex_angles, dtype=float), 2 * np.pi)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                gap = abs(a[i] - a[j])
+                gap = min(gap, 2 * np.pi - gap)
+                if gap < MIN_ANGLE_GAP:
+                    raise ProblemError(f"degenerate triangle: vertices {i} and {j} "
+                                       f"are {gap:.2e} rad apart")
+        if self.boundary_field.domain != "unit_circle":
+            raise ProblemError("boundary field must live on the unit circle")
+
+    def vertices(self) -> np.ndarray:
+        a = np.asarray(self.vertex_angles, dtype=float)
+        return np.stack([np.cos(a), np.sin(a)], axis=1)
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant, "vertex_angles": list(self.vertex_angles),
+                "boundary_field": self.boundary_field.to_json()}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "LaplaceTriangleTask":
+        return cls(tuple(float(a) for a in d["vertex_angles"]),
+                   GrfSample.from_json(d["boundary_field"]))
+
+    @classmethod
+    def build(cls, problem: dict, n_tasks: int, seed: int) -> list:
+        """Task i draws sorted vertex angles and then its boundary data (the
+        GRF ``grf.LAPLACE_GRF`` updated by ``problem["grf"]``) from stream
+        [seed, i], drawing again while the triangle is near-degenerate."""
+        spec = grf.GrfSpec(**{**grf.LAPLACE_GRF.__dict__, **problem.get("grf", {})})
+        tasks = []
+        for i in range(n_tasks):
+            rng = np.random.default_rng([seed, i])
+            while True:
+                angles = np.sort(rng.uniform(0, 2 * np.pi, 3))
+                try:
+                    tasks.append(cls(tuple(angles), grf.sample_grf(spec, rng)))
+                    break
+                except ProblemError:
+                    pass
+        return tasks
+
+    def residual_coefficients(self, points: np.ndarray) -> dict:
+        return {}
+
+    @classmethod
+    def residual(cls, jets: dict, coef: dict):
+        _check_jets(cls, jets)
+        return dc.add(jets[0].d2, jets[1].d2)
+
+    def boundary_targets(self, points: np.ndarray) -> np.ndarray:
+        bary = _barycentric(self.vertices(), points)
+        inside = np.all(bary > -1e-9, axis=1)
+        on_edge = np.min(np.abs(bary), axis=1) < 1e-7
+        if not np.all(inside & on_edge):
+            raise ProblemError("points must lie on the triangle edges")
+        return oracles.laplace_solution_xy(self.boundary_field, points[:, 0], points[:, 1])
+
+    def sample(self, M_r: int, M_bc: int, rng: np.random.Generator) -> SampleBatch:
+        """Uniform interior by barycentric sampling; boundary uniform by
+        length over the edges."""
+        a, b, c = self.vertices()
         u = rng.random(M_r)
         v = rng.random(M_r)
         flip = u + v > 1.0
@@ -263,25 +298,62 @@ def sample_batch(task: Task, M_r: int, M_bc: int, rng: np.random.Generator) -> S
         interior = a + np.outer(u, b - a) + np.outer(v, c - a)
         edges = [(a, b), (b, c), (c, a)]
         lengths = np.array([np.linalg.norm(q - p) for p, q in edges])
-        probs = lengths / lengths.sum()
-        which = rng.choice(3, size=M_bc, p=probs)
+        which = rng.choice(3, size=M_bc, p=lengths / lengths.sum())
         s = rng.random(M_bc)
         bc = np.empty((M_bc, 2))
         for i, (p, q) in enumerate(edges):
             m = which == i
             bc[m] = p + np.outer(s[m], q - p)
-        return SampleBatch(interior, bc, boundary_targets(task, bc))
-    raise ProblemError(f"unknown task {task!r}")
+        return SampleBatch(interior, bc, self.boundary_targets(bc))
+
+    def distance(self, other) -> float:
+        raise ProblemError(
+            "nearest-latent initialization is ill-defined for triangle tasks "
+            "(the parameter includes the domain shape); use strategy='mean'")
+
+    def eval_points(self, reference, seed: int,
+                    n_points: int) -> tuple[np.ndarray, np.ndarray]:
+        """``n_points`` interior points drawn from stream [seed, 0x5EED],
+        against the analytic harmonic extension."""
+        rng = np.random.default_rng([seed, 0x5EED])
+        pts = sample_batch(self, n_points, 1, rng).interior
+        return pts, oracles.laplace_solution_xy(self.boundary_field,
+                                                pts[:, 0], pts[:, 1])
 
 
-def network_config_for(task: Task, latent_dim: int, hidden_layers: int,
-                       width: int, first_layer_omega: float = 30.0) -> NetworkConfig:
-    return NetworkConfig(
-        input_dim=task.input_dim,
-        latent_dim=latent_dim,
-        hidden_layers=hidden_layers,
-        width=width,
-        activation="sine",
-        first_layer_omega=first_layer_omega,
-        input_encoding=default_encoding(task),
-    )
+Task = Union[OdeShiftTask, BurgersTask, LaplaceTriangleTask]
+
+VARIANTS = {cls.variant: cls for cls in (OdeShiftTask, BurgersTask,
+                                         LaplaceTriangleTask)}
+
+
+def family(variant) -> type:
+    """The task class registered under ``variant``."""
+    if variant not in VARIANTS:
+        raise ProblemError(f"unknown task variant {variant!r}; "
+                           f"choose from {sorted(VARIANTS)}")
+    return VARIANTS[variant]
+
+
+def task_from_json(d: dict) -> Task:
+    cls = family(d.get("variant"))
+    try:
+        return cls.from_json(d)
+    except KeyError as e:
+        raise ProblemError(f"{cls.variant} task has no {e} entry") from None
+
+
+def default_encoding(task: Task) -> str:
+    return task.encoding
+
+
+def directions_needed(task: Task) -> dict[int, int]:
+    """Coordinate direction -> derivative order required by the residual."""
+    return dict(task.directions)
+
+
+def sample_batch(task: Task, M_r: int, M_bc: int, rng: np.random.Generator) -> SampleBatch:
+    """Collocation batch for one task; see each family's ``sample``."""
+    if M_r < 1 or M_bc < 1:
+        raise ValueError("batch sizes must be >= 1")
+    return task.sample(M_r, M_bc, rng)

@@ -14,7 +14,7 @@ reductions deterministic and the BLAS calls large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,19 +54,6 @@ class TrainConfig:
             raise ValueError("inv_sigma2 must be >= 0")
         if self.eval_every < 1 or self.resample_every < 1:
             raise ValueError("cadences must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "lr0": self.lr0, "total_iters": self.total_iters,
-            "M_r": self.M_r, "M_bc": self.M_bc, "lambda_bc": self.lambda_bc,
-            "inv_sigma2": self.inv_sigma2, "eval_every": self.eval_every,
-            "seed": self.seed, "resample_every": self.resample_every,
-            "clip_grad_norm": self.clip_grad_norm,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:
@@ -112,24 +99,6 @@ class TapedLoss:
         return theta_grad, z_grad
 
 
-def _stack_coefficients(tasks: Sequence[Task], batches: Sequence[SampleBatch]) -> dict:
-    per_task = [problems.residual_coefficients(t, b.interior)
-                for t, b in zip(tasks, batches)]
-    keys = per_task[0].keys()
-    out = {}
-    for key in keys:
-        vals = [c[key] for c in per_task]
-        if all(np.ndim(v) == 0 for v in vals):
-            if len(set(float(v) for v in vals)) == 1:
-                out[key] = float(vals[0])
-            else:
-                M = batches[0].interior.shape[0]
-                out[key] = np.repeat(np.asarray(vals, dtype=float), M).reshape(-1, 1)
-        else:
-            out[key] = np.concatenate([np.atleast_2d(v) for v in vals], axis=0)
-    return out
-
-
 def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch],
                             params: ModelParams, Z: Optional[np.ndarray],
                             cfg: TrainConfig, trainable_theta: bool = True) -> TapedLoss:
@@ -138,8 +107,7 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
         raise TrainingError("empty task list")
     if len(tasks) != len(batches):
         raise TrainingError("one batch per task required")
-    variant = tasks[0].variant
-    if any(t.variant != variant for t in tasks):
+    if any(type(t) is not type(tasks[0]) for t in tasks):
         raise TrainingError("all tasks in a batch must share the PDE variant")
     M_r = batches[0].interior.shape[0]
     M_bc = batches[0].boundary.shape[0]
@@ -163,9 +131,12 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
     # interior: stacked residual pass
     X = np.concatenate([b.interior for b in batches], axis=0)
     z_rows = dc.repeat_rows(z_var, M_r) if z_var is not None else None
-    orders = problems.directions_needed(tasks[0])
+    orders = tasks[0].directions
     jets = jet_forward(staged, X, z_rows, list(orders), orders)
-    res = problems.residual_op(variant, jets, _stack_coefficients(tasks, batches))
+    # each task's per-row residual coefficients, stacked like its rows
+    coef = [t.residual_coefficients(b.interior) for t, b in zip(tasks, batches)]
+    coef = {k: np.concatenate([c[k] for c in coef]) for k in coef[0]}
+    res = tasks[0].residual(jets, coef)
     res_sq = dc.mul(res, res)
     per_task_res = dc.vmean(dc.reshape(res_sq, (N, M_r)), axis=1)
     residual_sum = dc.vsum(per_task_res)

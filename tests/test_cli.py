@@ -233,3 +233,87 @@ class TestErrors:
         a = open(os.path.join(tasks_dir, "tasks_s1.json")).read()
         b = open(os.path.join(other, "tasks_s1.json")).read()
         assert a != b
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+class TestFamilies:
+    @pytest.fixture()
+    def burgers_tasks(self, tmp_path):
+        cfg_path = write_config(
+            tmp_path / "b.json", experiment="burgers_mini",
+            problem={"variant": "burgers", "nu": 0.01, "grf": {"n_modes": 8}},
+            tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 7},
+            reference={"nx": 64, "nt": 4})
+        out = str(tmp_path / "tasks_b")
+        assert cli.main(["gen-tasks", "--config", cfg_path, "--out", out]) == 0
+        return cfg_path, out
+
+    @pytest.mark.parametrize("command, strategy", [
+        ("finetune", "nearest"), ("finetune", "mean"), ("eval", "mean")])
+    def test_checkpoint_of_another_family(self, ode_setup, burgers_tasks, capsys,
+                                          command, strategy):
+        ode_cfg, ode_tasks, tmp_path = ode_setup
+        pre_dir = str(tmp_path / "pre")
+        assert cli.main(["pretrain", "--config", ode_cfg, "--tasks", ode_tasks,
+                         "--out", pre_dir]) == 0
+        cfg_path, tasks_dir = burgers_tasks
+        capsys.readouterr()
+        argv = [command, "--config", cfg_path, "--tasks", tasks_dir,
+                "--checkpoint", os.path.join(pre_dir, "checkpoint.ckpt"),
+                "--out", str(tmp_path / "o"),
+                "--set", f"finetune.init_strategy={strategy}"]
+        if command == "finetune":
+            argv += ["--mode", "L"]
+        assert cli.main(argv) == 1
+        err = one_error_line(capsys)
+        assert "'ode_shift'" in err and "'burgers'" in err
+
+    def test_config_variant_disagrees_with_task_file(self, ode_setup, capsys):
+        _, tasks_dir, tmp_path = ode_setup
+        bad = write_config(tmp_path / "burgers_cfg.json",
+                           problem={"variant": "burgers"})
+        capsys.readouterr()
+        assert cli.main(["pretrain", "--config", bad, "--tasks", tasks_dir,
+                         "--out", str(tmp_path / "o")]) == 1
+        err = one_error_line(capsys)
+        assert "'ode_shift'" in err and "'burgers'" in err
+
+    def test_problem_section_without_variant(self, ode_setup):
+        _, tasks_dir, tmp_path = ode_setup
+        cfg = write_config(tmp_path / "no_variant.json", problem={})
+        assert cli.main(["pretrain", "--config", cfg, "--tasks", tasks_dir,
+                         "--out", str(tmp_path / "o")]) == 0
+
+    def test_removed_network_key_rejected(self, ode_setup, capsys):
+        _, tasks_dir, tmp_path = ode_setup
+        bad = write_config(tmp_path / "tanh.json",
+                           network={"latent_dim": 1, "activation": "tanh"})
+        capsys.readouterr()
+        assert cli.main(["pretrain", "--config", bad, "--tasks", tasks_dir,
+                         "--out", str(tmp_path / "o")]) == 1
+        err = one_error_line(capsys)
+        assert "'activation'" in err and "latent_dim" in err
+
+
+class TestTaskFileErrors:
+    @pytest.mark.parametrize("entry, words", [
+        ({"id": 0, "task": {"variant": "ode_shift"}}, ["ode_shift", "'eta'"]),
+        ({"task": {"variant": "ode_shift", "eta": 0.5}}, ["tasks_s1.json", "'id'"]),
+    ], ids=["no_eta", "no_id"])
+    def test_missing_key_exits_without_traceback(self, tmp_path, capsys, entry,
+                                                 words):
+        cfg_path = write_config(tmp_path / "cfg.json")
+        tasks_dir = tmp_path / "tasks"
+        tasks_dir.mkdir()
+        (tasks_dir / "tasks_s1.json").write_text(json.dumps([entry]))
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks",
+                         str(tasks_dir), "--out", str(tmp_path / "o")]) == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in words)

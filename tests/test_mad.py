@@ -257,6 +257,22 @@ class TestCheckpointIO:
         with pytest.raises(mad.CheckpointError, match="version"):
             mad.load_checkpoint(p)
 
+    @pytest.mark.parametrize("key", ["arrays", "adam_step", "tasks"])
+    def test_header_without_key_rejected(self, small_checkpoint, tmp_path, key):
+        import json as _json
+        import struct as _struct
+        p = str(tmp_path / "model.ckpt")
+        mad.save_checkpoint(p, small_checkpoint)
+        blob = open(p, "rb").read()
+        n = _struct.unpack("<I", blob[8:12])[0]
+        header = _json.loads(blob[12:12 + n])
+        del header[key]
+        hb = _json.dumps(header, sort_keys=True).encode()
+        open(p, "wb").write(blob[:8] + _struct.pack("<I", len(hb)) + hb
+                            + blob[12 + n:])
+        with pytest.raises(mad.CheckpointError, match=f"model.ckpt.*'{key}'"):
+            mad.load_checkpoint(p)
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         tasks = ode_tasks(3)
         cfg = quick_cfg(total_iters=40, M_r=16)

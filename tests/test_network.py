@@ -218,7 +218,7 @@ class TestSineJets:
                     total = dc.add(total, dc.vsum(dc.mul(wk, part)))
             return total
 
-        fused = net._activation_jets(pre, "sine")
+        fused = net._sine_jets(pre)
         generic = [dc.jet_sin(j) for j in pre]
         for a, b in zip(fused, generic):
             for pa, pb in ((a.val, b.val), (a.d1, b.d1), (a.d2, b.d2)):

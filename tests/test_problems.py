@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from madpde import diffcore as dc
-from madpde import grf, oracles, problems
+from madpde import grf, network, oracles, problems
 from madpde.diffcore import Jet2
 from madpde.grf import BURGERS_GRF, LAPLACE_GRF, GrfSample
 from madpde.problems import (BurgersTask, LaplaceTriangleTask, OdeShiftTask,
@@ -20,6 +22,16 @@ def make_burgers_task(seed=0):
     return BurgersTask(grf.sample_grf(BURGERS_GRF, np.random.default_rng(seed)), 0.01)
 
 
+def residual(task, points, jets):
+    return task.residual(jets, task.residual_coefficients(points))
+
+
+def boundary_residual(task, u_value, point):
+    """u(point) minus the Dirichlet target; errors off the boundary set."""
+    target = task.boundary_targets(np.atleast_2d(point))
+    return float(np.asarray(u_value).ravel()[0] - target[0])
+
+
 def exact_ode_jets(eta, x):
     """Jets of sin((x-eta)^2) built with exact jet arithmetic."""
     jx = Jet2(x.reshape(-1, 1), np.ones((x.size, 1)), np.zeros((x.size, 1)))
@@ -32,7 +44,7 @@ class TestResidual:
         rng = np.random.default_rng(0)
         x = rng.uniform(-np.pi, np.pi, 100)
         task = OdeShiftTask(0.0)
-        r = problems.residual(task, x.reshape(-1, 1), exact_ode_jets(0.0, x))
+        r = residual(task, x.reshape(-1, 1), exact_ode_jets(0.0, x))
         assert np.max(np.abs(dc.value_of(r))) <= 1e-12
 
     def test_laplace_linear_harmonic(self):
@@ -43,7 +55,7 @@ class TestResidual:
             0: Jet2(pts[:, :1], np.ones((5, 1)), np.zeros((5, 1))),
             1: Jet2(pts[:, :1], np.zeros((5, 1)), np.zeros((5, 1))),
         }
-        r = problems.residual(task, pts, jets)
+        r = residual(task, pts, jets)
         np.testing.assert_array_equal(dc.value_of(r), 0.0)
 
     def test_burgers_constant_field(self):
@@ -52,7 +64,7 @@ class TestResidual:
         c = np.full((7, 1), 3.3)
         z = np.zeros((7, 1))
         jets = {0: Jet2(c, z, z), 1: Jet2(c, z, z)}
-        r = problems.residual(task, pts, jets)
+        r = residual(task, pts, jets)
         np.testing.assert_array_equal(dc.value_of(r), 0.0)
 
     def test_missing_direction_raises(self):
@@ -60,9 +72,9 @@ class TestResidual:
         pts = np.zeros((2, 2))
         z = np.zeros((2, 1))
         with pytest.raises(ProblemError):
-            problems.residual(task, pts, {0: Jet2(z, z, z)})
+            residual(task, pts, {0: Jet2(z, z, z)})
         with pytest.raises(ProblemError):
-            problems.residual(task, pts, {0: Jet2(z, z, None), 1: Jet2(z, z, None)})
+            residual(task, pts, {0: Jet2(z, z, None), 1: Jet2(z, z, None)})
 
     def test_residual_on_oracles_via_jets(self):
         # Laplace: harmonic polynomials Re/Im (x+iy)^k via exact jet algebra
@@ -91,7 +103,7 @@ class TestResidual:
         vals = dc.value_of(jets[0].val).ravel()
         np.testing.assert_allclose(
             vals, oracles.laplace_solution_xy(h, pts[:, 0], pts[:, 1]), atol=1e-12)
-        r = problems.residual(task, pts, jets)
+        r = residual(task, pts, jets)
         assert np.max(np.abs(dc.value_of(r))) <= 1e-3
 
     def test_burgers_residual_on_reference(self):
@@ -115,38 +127,38 @@ class TestResidual:
         jets = {0: Jet2(col(vals), col(d1x), col(d2x)),
                 1: Jet2(col(vals), col(d1t), None)}
         pts = np.stack([xgrid[cols], tgrid[rows]], axis=1)
-        r = problems.residual(task, pts, jets)
+        r = residual(task, pts, jets)
         assert np.max(np.abs(dc.value_of(r))) <= 1e-3
 
 
 class TestBoundary:
     def test_ode_endpoint(self):
         task = OdeShiftTask(0.0)
-        r = problems.boundary_residual(task, np.sin(np.pi ** 2), np.array([-np.pi]))
+        r = boundary_residual(task, np.sin(np.pi ** 2), np.array([-np.pi]))
         assert r == pytest.approx(0.0, abs=1e-12)
 
     def test_ode_off_boundary_rejected(self):
         with pytest.raises(ProblemError):
-            problems.boundary_residual(OdeShiftTask(0.0), 0.0, np.array([0.5]))
+            boundary_residual(OdeShiftTask(0.0), 0.0, np.array([0.5]))
 
     def test_burgers_initial_condition(self):
         task = make_burgers_task(2)
         x = 0.37
         u0x = grf.evaluate_grf(task.u0, np.array([x]))[0]
-        assert problems.boundary_residual(task, u0x, np.array([x, 0.0])) == \
+        assert boundary_residual(task, u0x, np.array([x, 0.0])) == \
             pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ProblemError):
-            problems.boundary_residual(task, 0.0, np.array([x, 0.5]))
+            boundary_residual(task, 0.0, np.array([x, 0.5]))
 
     def test_laplace_edge_trace(self):
         task = make_laplace_task(1)
         verts = task.vertices()
         p = 0.3 * verts[0] + 0.7 * verts[1]
         target = oracles.laplace_solution_xy(task.boundary_field, p[0], p[1])
-        assert problems.boundary_residual(task, float(target), p) == \
+        assert boundary_residual(task, float(target), p) == \
             pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ProblemError):
-            problems.boundary_residual(task, 0.0, verts.mean(axis=0))
+            boundary_residual(task, 0.0, verts.mean(axis=0))
 
 
 class TestSampler:
@@ -203,7 +215,7 @@ class TestSerialization:
     @pytest.mark.parametrize("task", [OdeShiftTask(1.25), make_burgers_task(11),
                                       make_laplace_task(12)])
     def test_roundtrip(self, task):
-        back = problems.task_from_json(problems.task_to_json(task))
+        back = problems.task_from_json(task.to_json())
         assert back.variant == task.variant
         if isinstance(task, OdeShiftTask):
             assert back.eta == task.eta
@@ -214,3 +226,56 @@ class TestSerialization:
             np.testing.assert_allclose(back.vertex_angles, task.vertex_angles)
             np.testing.assert_array_equal(back.boundary_field.sin_coeffs,
                                           task.boundary_field.sin_coeffs)
+
+
+@pytest.mark.parametrize("cls", list(problems.VARIANTS.values()),
+                         ids=list(problems.VARIANTS))
+class TestFamilyContract:
+    """What every registered family must honour; a new family registered in
+    ``problems.VARIANTS`` is covered without further tests."""
+
+    @pytest.fixture()
+    def task(self, cls):
+        return cls.build({}, 2, 0)[1]
+
+    def test_json_roundtrip(self, cls, task):
+        text = json.dumps(task.to_json(), sort_keys=True)
+        back = problems.task_from_json(json.loads(text))
+        assert type(back) is cls and back.variant == cls.variant
+        assert json.dumps(back.to_json(), sort_keys=True) == text
+
+    def test_batch_shapes_and_boundary_check(self, cls, task):
+        batch = problems.sample_batch(task, 9, 5, np.random.default_rng(1))
+        assert batch.interior.shape == (9, cls.input_dim)
+        assert batch.boundary.shape[1] == cls.input_dim
+        np.testing.assert_array_equal(task.boundary_targets(batch.boundary),
+                                      batch.boundary_values)
+
+    def test_directions_within_input(self, cls):
+        assert cls.directions
+        assert all(0 <= d < cls.input_dim and order in (1, 2)
+                   for d, order in cls.directions.items())
+
+    def test_residual_from_network_jets(self, cls, task):
+        cfg = network.NetworkConfig(input_dim=cls.input_dim, latent_dim=2,
+                                    hidden_layers=2, width=6, first_layer_omega=2.0,
+                                    input_encoding=cls.encoding)
+        params = network.init_siren(cfg, 0)
+        batch = problems.sample_batch(task, 7, 3, np.random.default_rng(2))
+        jets, _ = network.forward_jets(params, batch.interior, np.array([0.1, -0.2]),
+                                       list(cls.directions), cls.directions)
+        r = dc.value_of(cls.residual(jets, task.residual_coefficients(batch.interior)))
+        assert r.shape == (7, 1)
+        assert np.all(np.isfinite(r))
+
+
+class TestTaskJsonErrors:
+    def test_missing_parameter_names_variant_and_key(self):
+        with pytest.raises(ProblemError, match="ode_shift.*'eta'"):
+            problems.task_from_json({"variant": "ode_shift"})
+        with pytest.raises(ProblemError, match="burgers.*'u0'"):
+            problems.task_from_json({"variant": "burgers", "nu": 0.01})
+
+    def test_unknown_variant(self):
+        with pytest.raises(ProblemError, match="unknown task variant 'maxwell'"):
+            problems.task_from_json({"variant": "maxwell"})

@@ -25,9 +25,9 @@ def make_task(variant, seed=0):
 
 
 def net_for(task, latent_dim=4):
-    return problems.network_config_for(task, latent_dim=latent_dim,
-                                       hidden_layers=3, width=16,
-                                       first_layer_omega=6.0)
+    return network.NetworkConfig(input_dim=task.input_dim, latent_dim=latent_dim,
+                                 hidden_layers=3, width=16, first_layer_omega=6.0,
+                                 input_encoding=task.encoding)
 
 
 class TestLrSchedule:
