@@ -124,12 +124,10 @@ def inner_adapt(theta: np.ndarray, task: Task, steps: int, inner_lr: float,
     return w
 
 
-def run_reptile(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
-                meta: MetaConfig, fine_cfg: TrainConfig, eval_grid: EvalGrid,
-                task_label: str = "task"
-                ) -> tuple[ConvergenceRecord, list[float]]:
-    """Meta-train an initialization by moving it toward per-task adapted
-    weights (step size annealed eps0 -> 0), then fine-tune on the new task."""
+def reptile_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfig,
+                  fine_cfg: TrainConfig) -> tuple[np.ndarray, list[float]]:
+    """Reptile's meta-trained initialization and its meta losses: move it
+    toward per-task adapted weights (step size annealed eps0 -> 0)."""
     _require_latent_free(net_cfg)
     theta = init_siren(net_cfg, meta.seed).flat
     rng = np.random.default_rng([meta.seed, _META_STREAM])
@@ -144,18 +142,14 @@ def run_reptile(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
         theta = theta + eps * (adapted - theta)
         meta_losses.append(trainer.probe_loss(tasks[idx], ModelParams(theta, net_cfg),
                                               None, fine_cfg))
-    _, rec = pinn_train(task_new, net_cfg, fine_cfg, theta0=theta,
-                        eval_grid=eval_grid, method="reptile",
-                        task_label=task_label)
-    return rec, meta_losses
+    return theta, meta_losses
 
 
-def run_maml_fo(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
-                meta: MetaConfig, fine_cfg: TrainConfig, eval_grid: EvalGrid,
-                task_label: str = "task"
-                ) -> tuple[ConvergenceRecord, list[float]]:
-    """First-order MAML: the meta-gradient of a task is the plain gradient
-    at its inner-adapted weights (inner loop: SGD); meta-updates use Adam."""
+def maml_fo_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfig,
+                  fine_cfg: TrainConfig) -> tuple[np.ndarray, list[float]]:
+    """First-order MAML's meta-trained initialization and its meta losses:
+    the meta-gradient of a task is the plain gradient at its inner-adapted
+    weights (inner loop: SGD); meta-updates use Adam."""
     _require_latent_free(net_cfg)
     theta = init_siren(net_cfg, meta.seed).flat
     adam = AdamState.zeros(theta.size)
@@ -185,6 +179,29 @@ def run_maml_fo(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
         grads /= len(picks)
         adam, theta = trainer.adam_step(adam, theta, grads, meta.meta_lr)
         meta_losses.append(post_loss / len(picks))
+    return theta, meta_losses
+
+
+def run_reptile(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
+                meta: MetaConfig, fine_cfg: TrainConfig, eval_grid: EvalGrid,
+                task_label: str = "task"
+                ) -> tuple[ConvergenceRecord, list[float]]:
+    """Meta-train with Reptile (``reptile_theta``), then fine-tune on the
+    new task."""
+    theta, meta_losses = reptile_theta(tasks, net_cfg, meta, fine_cfg)
+    _, rec = pinn_train(task_new, net_cfg, fine_cfg, theta0=theta,
+                        eval_grid=eval_grid, method="reptile",
+                        task_label=task_label)
+    return rec, meta_losses
+
+
+def run_maml_fo(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
+                meta: MetaConfig, fine_cfg: TrainConfig, eval_grid: EvalGrid,
+                task_label: str = "task"
+                ) -> tuple[ConvergenceRecord, list[float]]:
+    """Meta-train with first-order MAML (``maml_fo_theta``), then fine-tune
+    on the new task."""
+    theta, meta_losses = maml_fo_theta(tasks, net_cfg, meta, fine_cfg)
     _, rec = pinn_train(task_new, net_cfg, fine_cfg, theta0=theta,
                         eval_grid=eval_grid, method="maml_fo",
                         task_label=task_label)

@@ -120,6 +120,15 @@ def train_config(cfg: dict, section: str) -> TrainConfig:
         raise CliError(f"bad {section} settings: {e}")
 
 
+def _task_count(cfg: dict, key: str) -> int:
+    try:
+        return int(cfg["tasks"][key])
+    except KeyError:
+        raise CliError(f"the 'tasks' section has no {key!r} entry")
+    except (TypeError, ValueError):
+        raise CliError(f"tasks.{key} must be an integer, got {cfg['tasks'][key]!r}")
+
+
 # ---------------------------------------------------------------------------
 # run directories and manifests
 # ---------------------------------------------------------------------------
@@ -242,10 +251,10 @@ def _eval_grid(task, tasks_dir: str, task_id: int, cfg: dict):
 def cmd_gen_tasks(cfg: dict, args) -> int:
     out = prepare_out_dir(default_out(cfg, "tasks", args.out), args.force)
     write_manifest(out, "gen-tasks", cfg, args)
-    prob, tcfg = cfg["problem"], cfg["tasks"]
-    n_tasks = int(tcfg["n_tasks"])
-    n_pre = int(tcfg["n_pretrain"])
-    seed = int(tcfg.get("seed", 0))
+    prob = cfg["problem"]
+    n_tasks = _task_count(cfg, "n_tasks")
+    n_pre = _task_count(cfg, "n_pretrain")
+    seed = int(cfg["tasks"].get("seed", 0))
     if not 1 <= n_pre < n_tasks:
         raise CliError("need 1 <= n_pretrain < n_tasks")
     family = problems.family(prob.get("variant"))
@@ -300,24 +309,35 @@ def cmd_finetune(cfg: dict, args) -> int:
         ids, tasks = [ids[keep]], [tasks[keep]]
     fine_cfg = train_config(cfg, "finetune")
     strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
-    tune = mad.finetune_L if args.mode == "L" else mad.finetune_LM
     # snapshots feed the manifold plot, which needs the exact family
     snapshots = tasks[0].exact_family is not None
+    grids = [_eval_grid(task, args.tasks, tid, cfg) for tid, task in zip(ids, tasks)]
+    Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
+    labels = [f"s2-{tid}" for tid in ids]
 
-    def run(pair):
-        tid, task = pair
-        grid = _eval_grid(task, args.tasks, tid, cfg)
-        z0 = mad.init_latent(task, ck, strategy)
-        *_, rec = tune(ck, task, z0, fine_cfg, grid, task_label=f"s2-{tid}",
-                       record_snapshots=snapshots)
-        return rec
-
-    pairs = list(zip(ids, tasks))
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(run, pairs))
+    if args.mode == "L":
+        # the frozen decoder solves several tasks in one stacked pass; batches
+        # of the pre-training size keep each tape no larger than pre-training's
+        size = len(ck.tasks)
+        records = []
+        for a in range(0, len(tasks), size):
+            _, recs = mad.finetune_L_batch(ck, tasks[a:a + size], Z0[a:a + size],
+                                           fine_cfg, grids[a:a + size],
+                                           labels[a:a + size],
+                                           record_snapshots=snapshots)
+            records += recs
     else:
-        records = [run(p) for p in pairs]
+        def run(i):
+            *_, rec = mad.finetune_LM(ck, tasks[i], Z0[i], fine_cfg, grids[i],
+                                      task_label=labels[i],
+                                      record_snapshots=snapshots)
+            return rec
+
+        if args.workers > 1:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                records = list(pool.map(run, range(len(tasks))))
+        else:
+            records = [run(i) for i in range(len(tasks))]
 
     benchviz.write_convergence_csv(os.path.join(out, "convergence.csv"), records)
     if snapshots:
@@ -348,24 +368,28 @@ def cmd_baseline(cfg: dict, args) -> int:
                                         **cfg.get("baseline", {}).get("meta", {}))
         except (TypeError, ValueError) as e:
             raise CliError(f"bad baseline.meta settings: {e}")
+    # every held-out task starts from the same weights, computed once
+    if args.method == "from-scratch":
+        theta0, method = None, "from_scratch"
+    elif args.method == "transfer":
+        pick = int(np.random.default_rng([fine_cfg.seed, 0x7AFE]).integers(len(s1)))
+        theta0, _ = baselines.pinn_train(s1[pick], net_cfg,
+                                         train_config(cfg, "pretrain"),
+                                         method="transfer_pre", task_label="pretrain")
+        method = "transfer"
+    elif args.method == "reptile":
+        theta0, _ = baselines.reptile_theta(s1, net_cfg, meta, fine_cfg)
+        method = "reptile"
+    elif args.method == "maml":
+        theta0, _ = baselines.maml_fo_theta(s1, net_cfg, meta, fine_cfg)
+        method = "maml_fo"
+    else:
+        raise CliError(f"unknown baseline {args.method!r}")
     records = []
     for tid, task in zip(s2_ids, s2):
-        grid = _eval_grid(task, args.tasks, tid, cfg)
-        label = f"s2-{tid}"
-        if args.method == "from-scratch":
-            rec = baselines.run_from_scratch(task, net_cfg, fine_cfg, grid, label)
-        elif args.method == "transfer":
-            pick = int(np.random.default_rng([fine_cfg.seed, 0x7AFE])
-                       .integers(len(s1)))
-            rec = baselines.run_transfer(s1[pick], task, net_cfg,
-                                         train_config(cfg, "pretrain"),
-                                         fine_cfg, grid, label)
-        elif args.method in ("reptile", "maml"):
-            runner = (baselines.run_reptile if args.method == "reptile"
-                      else baselines.run_maml_fo)
-            rec, _ = runner(s1, task, net_cfg, meta, fine_cfg, grid, label)
-        else:
-            raise CliError(f"unknown baseline {args.method!r}")
+        _, rec = baselines.pinn_train(task, net_cfg, fine_cfg, theta0=theta0,
+                                      eval_grid=_eval_grid(task, args.tasks, tid, cfg),
+                                      method=method, task_label=f"s2-{tid}")
         records.append(rec)
     benchviz.write_convergence_csv(os.path.join(out, "convergence.csv"), records)
     benchviz.write_summary_json(os.path.join(out, "summary.json"),
@@ -425,7 +449,7 @@ def cmd_viz(cfg: dict, args) -> int:
 
     family = problems.family(cfg["problem"].get("variant")) if args.snapshots else None
     if family is not None and family.exact_family is not None:
-        exact = family.exact_family(cfg["problem"], int(cfg["tasks"]["n_tasks"]))
+        exact = family.exact_family(cfg["problem"], _task_count(cfg, "n_tasks"))
         named = [(label, values[None, :]) for label, values in exact]
         for path in args.snapshots:
             with np.load(path) as data:
@@ -453,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override every seed in the config")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1,
+                        help="threads for finetune --mode LM, one held-out task "
+                             "each (MAD-L stacks its tasks in one pass instead)")
         sp.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",

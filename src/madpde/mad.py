@@ -2,6 +2,12 @@
 per-task latent codes, then solve new tasks by optimizing the latent alone
 (latent-only mode, frozen weights) or jointly with the weights
 (latent+model mode, warm-started from the pre-trained weights).
+
+With frozen weights every new task is only another latent, so latent-only
+fine-tuning can solve several tasks of one family at once
+(``finetune_L_batch``): like pre-training, it stacks their collocation
+points into one forward and one reverse sweep per step.  Latent+model mode
+tunes its own copy of the weights per task and runs one task at a time.
 """
 
 from __future__ import annotations
@@ -169,73 +175,104 @@ def init_latent(task_new: Task, checkpoint: Checkpoint, strategy: str) -> np.nda
 # fine-tuning
 # ---------------------------------------------------------------------------
 
-def _record_point(series, snapshots, it, grid, params, z, loss_total,
-                  want_snapshots):
-    err = evaluation.rel_l2(grid, params, z)
-    series.append((it, err, loss_total))
-    if want_snapshots:
-        snapshots.append((it, evaluation.predict(params, z, grid.points)))
+def _finetune(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarray,
+              train_cfg: TrainConfig, eval_grids: Sequence[EvalGrid],
+              tune_theta: bool, labels: Sequence[str], want_snapshots: bool):
+    """Fine-tune the latents of ``tasks`` (one family) from the rows of
+    ``Z0`` in one stacked loss per iteration; with ``tune_theta`` (one task
+    only) the weights are tuned too.
 
-
-def _finetune(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
-              train_cfg: TrainConfig, eval_grid: EvalGrid, tune_theta: bool,
-              task_label: str, want_snapshots: bool):
+    Each task keeps what it has when solved alone: its own sampling stream
+    [seed, _FINETUNE_STREAM], its own divergence guard, its gradient clipped
+    on its own, and its eval and probe at the same iterations.  Adam is
+    elementwise, so one Adam over the stacked latents is per-task Adam.
+    """
     net_cfg = checkpoint.net_config
     latent = net_cfg.latent_dim
-    z = np.asarray(z0, dtype=np.float64).copy()
-    if z.shape != (latent,):
-        raise ValueError(f"z0 must have shape ({latent},)")
+    N = len(tasks)
+    if N < 1 or len(eval_grids) != N or len(labels) != N:
+        raise TrainingError("one eval grid and one label per task required")
+    if tune_theta and N != 1:
+        raise TrainingError("latent+model fine-tuning takes one task at a time")
+    Z = np.asarray(Z0, dtype=np.float64)
+    if Z.size != N * latent:
+        raise ValueError(f"z0 must have shape ({latent},) per task")
+    Z = Z.reshape(N, latent).copy()
     theta = checkpoint.theta.copy() if tune_theta else checkpoint.theta
-    P = theta.size
-    w = np.concatenate([theta, z]) if tune_theta else z
+    P = theta.size if tune_theta else 0
+    w = np.concatenate([theta, Z.ravel()]) if tune_theta else Z.ravel()
     adam = AdamState.zeros(w.size)
-    stream = np.random.default_rng([train_cfg.seed, _FINETUNE_STREAM])
-    blocks = ([("theta", 0, P), ("latent", P, P + latent)] if tune_theta
-              else [("latent", 0, latent)])
+    streams = [np.random.default_rng([train_cfg.seed, _FINETUNE_STREAM])
+               for _ in tasks]
+    blocks = [("theta", 0, P)] if tune_theta else []
+    blocks += [(f"latent of {lab}", P + i * latent, P + (i + 1) * latent)
+               for i, lab in enumerate(labels)]
 
     def split(w):
-        if tune_theta:
-            return ModelParams(w[:P], net_cfg), w[P:]
-        return ModelParams(theta, net_cfg), w
+        return (ModelParams(w[:P] if tune_theta else theta, net_cfg),
+                w[P:].reshape(N, latent))
 
-    series: list[tuple[int, float, float]] = []
-    snapshots: list[tuple[int, np.ndarray]] = []
+    series = [[] for _ in tasks]
+    snapshots = [[] for _ in tasks]
 
-    params, zc = split(w)
-    _record_point(series, snapshots, 0, eval_grid, params, zc,
-                  trainer.probe_loss(task_new, params, zc, train_cfg), want_snapshots)
+    def record(it):
+        params, Zc = split(w)
+        for i, (task, grid) in enumerate(zip(tasks, eval_grids)):
+            series[i].append((it, evaluation.rel_l2(grid, params, Zc[i]),
+                              trainer.probe_loss(task, params, Zc[i], train_cfg)))
+            if want_snapshots:
+                snapshots[i].append((it, evaluation.predict(params, Zc[i],
+                                                            grid.points)))
 
-    batch = None
-    running_min = np.inf
+    def diverged(it, i, e):
+        where = labels[i] if i is not None else ", ".join(labels)
+        return TrainingError(f"fine-tuning diverged at iteration {it} on {where}: "
+                             f"{e}")
+
+    record(0)
+    batches = None
+    running_min = [np.inf] * N
     for it in range(train_cfg.total_iters):
-        if batch is None or it % train_cfg.resample_every == 0:
-            batch = problems.sample_batch(task_new, train_cfg.M_r, train_cfg.M_bc,
-                                          stream)
-        params, zc = split(w)
+        if batches is None or it % train_cfg.resample_every == 0:
+            batches = [problems.sample_batch(t, train_cfg.M_r, train_cfg.M_bc, g)
+                       for t, g in zip(tasks, streams)]
+        params, Zc = split(w)
         try:
-            loss = trainer.assemble_loss(task_new, params, zc, batch, train_cfg,
-                                         trainable_theta=tune_theta)
-            running_min = trainer.check_divergence(loss.breakdown.total, running_min)
+            loss = trainer.assemble_multitask_loss(
+                tasks, batches, params, Zc if latent > 0 else None, train_cfg,
+                trainable_theta=tune_theta)
         except TrainingError as e:
-            raise TrainingError(f"fine-tuning diverged at iteration {it}: {e}") from e
+            raise diverged(it, e.task, e) from e
+        for i, v in enumerate(loss.per_task_loss):
+            try:
+                running_min[i] = trainer.check_divergence(v, running_min[i])
+            except TrainingError as e:
+                raise diverged(it, i, e) from e
         g_theta, g_z = loss.gradients()
         del loss  # free this tape before the next one (or the probe's) is recorded
-        grad = np.concatenate([g_theta, g_z.ravel()]) if tune_theta else g_z.ravel()
-        grad = trainer.clip_gradient(grad, train_cfg.clip_grad_norm)
-        adam, w = trainer.adam_step(adam, w, grad, trainer.lr_at(train_cfg, it),
-                                    blocks)
+        if g_z is None:
+            g_z = np.zeros((N, 0))
+        if tune_theta:
+            grad = trainer.clip_gradient(np.concatenate([g_theta, g_z.ravel()]),
+                                         train_cfg.clip_grad_norm)
+        else:
+            grad = np.concatenate([trainer.clip_gradient(g, train_cfg.clip_grad_norm)
+                                   for g in g_z])
+        try:
+            adam, w = trainer.adam_step(adam, w, grad, trainer.lr_at(train_cfg, it),
+                                        blocks)
+        except TrainingError as e:
+            raise diverged(it, None, e) from e
         done = it + 1
         if done % train_cfg.eval_every == 0 or done == train_cfg.total_iters:
-            params, zc = split(w)
-            _record_point(series, snapshots, done, eval_grid, params, zc,
-                          trainer.probe_loss(task_new, params, zc, train_cfg),
-                          want_snapshots)
+            record(done)
 
-    params, zc = split(w)
-    record = ConvergenceRecord(task_label, "mad_lm" if tune_theta else "mad_l",
-                               train_cfg.seed, series,
-                               snapshots if want_snapshots else None)
-    return params, zc.copy(), record
+    params, Zc = split(w)
+    method = "mad_lm" if tune_theta else "mad_l"
+    records = [ConvergenceRecord(lab, method, train_cfg.seed, s,
+                                 snap if want_snapshots else None)
+               for lab, s, snap in zip(labels, series, snapshots)]
+    return params, Zc.copy(), records
 
 
 def finetune_L(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
@@ -243,10 +280,24 @@ def finetune_L(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
                task_label: str = "new", record_snapshots: bool = False
                ) -> tuple[np.ndarray, ConvergenceRecord]:
     """Latent-only fine-tuning: the pre-trained weights stay frozen."""
-    _, z, record = _finetune(checkpoint, task_new, z0, train_cfg, eval_grid,
-                             tune_theta=False, task_label=task_label,
-                             want_snapshots=record_snapshots)
-    return z, record
+    Z, (record,) = finetune_L_batch(checkpoint, [task_new], z0, train_cfg,
+                                    [eval_grid], [task_label], record_snapshots)
+    return Z[0], record
+
+
+def finetune_L_batch(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarray,
+                     train_cfg: TrainConfig, eval_grids: Sequence[EvalGrid],
+                     labels: Sequence[str], record_snapshots: bool = False
+                     ) -> tuple[np.ndarray, list[ConvergenceRecord]]:
+    """Latent-only fine-tuning of several tasks of one family at once: the
+    frozen decoder sees their collocation points stacked row-wise, so each
+    step is one forward and one reverse sweep.  Each task's latent, record
+    and errors are those of ``finetune_L`` on it alone, up to the rounding
+    of BLAS calls whose row count changes."""
+    _, Z, records = _finetune(checkpoint, tasks, Z0, train_cfg, eval_grids,
+                              tune_theta=False, labels=labels,
+                              want_snapshots=record_snapshots)
+    return Z, records
 
 
 def finetune_LM(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
@@ -254,10 +305,11 @@ def finetune_LM(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
                 task_label: str = "new", record_snapshots: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, ConvergenceRecord]:
     """Joint latent+weight fine-tuning from the pre-trained initialization."""
-    params, z, record = _finetune(checkpoint, task_new, z0, train_cfg, eval_grid,
-                                  tune_theta=True, task_label=task_label,
-                                  want_snapshots=record_snapshots)
-    return z, params.flat, record
+    params, Z, (record,) = _finetune(checkpoint, [task_new], z0, train_cfg,
+                                     [eval_grid], tune_theta=True,
+                                     labels=[task_label],
+                                     want_snapshots=record_snapshots)
+    return Z[0], params.flat, record
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ snapshots for the manifold plot).  A new family is one more such class in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -137,6 +137,20 @@ class OdeShiftTask:
                 for t in cls.build(problem, n_tasks, 0)]
 
 
+def _grf_spec(base: grf.GrfSpec, problem: dict) -> grf.GrfSpec:
+    """``base`` updated by the config's ``problem["grf"]`` entries."""
+    given = problem.get("grf", {})
+    allowed = [f.name for f in fields(grf.GrfSpec)]
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ProblemError(f"unknown problem.grf settings {unknown}; "
+                           f"allowed: {allowed}")
+    try:
+        return grf.GrfSpec(**{**base.__dict__, **given})
+    except (TypeError, ValueError) as e:
+        raise ProblemError(f"bad problem.grf settings: {e}")
+
+
 @dataclass(frozen=True)
 class BurgersTask:
     u0: GrfSample
@@ -163,7 +177,7 @@ class BurgersTask:
     def build(cls, problem: dict, n_tasks: int, seed: int) -> list:
         """Initial condition i drawn from stream [seed, i] of the GRF
         ``grf.BURGERS_GRF`` updated by ``problem["grf"]``."""
-        spec = grf.GrfSpec(**{**grf.BURGERS_GRF.__dict__, **problem.get("grf", {})})
+        spec = _grf_spec(grf.BURGERS_GRF, problem)
         nu = float(problem.get("nu", 0.01))
         return [cls(grf.sample_grf(spec, np.random.default_rng([seed, i])), nu)
                 for i in range(n_tasks)]
@@ -257,7 +271,7 @@ class LaplaceTriangleTask:
         """Task i draws sorted vertex angles and then its boundary data (the
         GRF ``grf.LAPLACE_GRF`` updated by ``problem["grf"]``) from stream
         [seed, i], drawing again while the triangle is near-degenerate."""
-        spec = grf.GrfSpec(**{**grf.LAPLACE_GRF.__dict__, **problem.get("grf", {})})
+        spec = _grf_spec(grf.LAPLACE_GRF, problem)
         tasks = []
         for i in range(n_tasks):
             rng = np.random.default_rng([seed, i])

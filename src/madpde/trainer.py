@@ -27,7 +27,12 @@ from .problems import SampleBatch, Task
 
 
 class TrainingError(RuntimeError):
-    pass
+    """A failed training step; ``task`` is the index, within the stacked
+    batch, of the task it concerns, when one is known."""
+
+    def __init__(self, message: str, task: Optional[int] = None):
+        super().__init__(message)
+        self.task = task
 
 
 @dataclass(frozen=True)
@@ -161,8 +166,11 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
     else:
         reg_val = 0.0
 
+    per_task = (dc.value_of(per_task_res)
+                + cfg.lambda_bc * dc.value_of(per_task_bc) + per_task_reg)
     if not np.isfinite(dc.value_of(total)):
-        raise TrainingError("non-finite loss")
+        bad = np.flatnonzero(~np.isfinite(per_task))
+        raise TrainingError("non-finite loss", int(bad[0]) if bad.size else None)
 
     breakdown = LossBreakdown(
         residual=float(dc.value_of(residual_sum)),
@@ -170,8 +178,6 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
         reg=reg_val,
         total=float(dc.value_of(total)),
     )
-    per_task = (dc.value_of(per_task_res)
-                + cfg.lambda_bc * dc.value_of(per_task_bc) + per_task_reg)
     return TapedLoss(tape, total, breakdown, staged, z_var, per_task)
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from madpde import cli
+from madpde import baselines, benchviz, cli, evaluation, mad, problems
 
 
 def write_config(path, **kw):
@@ -317,3 +318,136 @@ class TestTaskFileErrors:
                          str(tasks_dir), "--out", str(tmp_path / "o")]) == 1
         err = one_error_line(capsys)
         assert all(w in err for w in words)
+
+
+class TestGenTasksConfigErrors:
+    @pytest.mark.parametrize("problem", [
+        {"variant": "burgers", "nu": 0.01, "grf": {"n_mode": 8}},
+        {"variant": "laplace_triangle", "grf": {"n_mode": 8}},
+    ], ids=["burgers", "laplace"])
+    def test_misspelt_grf_key(self, tmp_path, capsys, problem):
+        cfg_path = write_config(tmp_path / "g.json", problem=problem)
+        assert cli.main(["gen-tasks", "--config", cfg_path,
+                         "--out", str(tmp_path / "t")]) == 1
+        err = one_error_line(capsys)
+        assert "'n_mode'" in err and "n_modes" in err and "scale" in err
+
+    @pytest.mark.parametrize("missing", ["n_tasks", "n_pretrain"])
+    def test_tasks_section_without_count(self, tmp_path, capsys, missing):
+        tasks = {"n_tasks": 6, "n_pretrain": 5, "seed": 7}
+        del tasks[missing]
+        cfg_path = write_config(tmp_path / "t.json", tasks=tasks)
+        assert cli.main(["gen-tasks", "--config", cfg_path,
+                         "--out", str(tmp_path / "t")]) == 1
+        err = one_error_line(capsys)
+        assert f"'{missing}'" in err
+
+
+def read_records(path):
+    return {r.task_id: r for r in benchviz.read_convergence_csv(path)}
+
+
+def read_split(tasks_dir, split):
+    with open(os.path.join(tasks_dir, f"tasks_{split}.json")) as f:
+        return [(e["id"], problems.task_from_json(e["task"])) for e in json.load(f)]
+
+
+class TestBatchedFinetune:
+    """MAD-L solves the held-out tasks in stacked batches of at most the
+    pre-training task count; records match one-task runs to 1e-12."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("batched")
+        cfg_path = write_config(
+            tmp / "cfg.json", tasks={"n_tasks": 5, "n_pretrain": 2, "seed": 7},
+            finetune={"lr0": 1e-2, "total_iters": 8, "M_r": 16, "M_bc": 2,
+                      "eval_every": 4, "seed": 0, "init_strategy": "nearest",
+                      "clip_grad_norm": 0.01})
+        tasks_dir, pre = str(tmp / "tasks"), str(tmp / "pre")
+        assert cli.main(["gen-tasks", "--config", cfg_path, "--out", tasks_dir]) == 0
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", pre]) == 0
+        return cfg_path, tasks_dir, os.path.join(pre, "checkpoint.ckpt"), tmp
+
+    @pytest.fixture()
+    def batch_sizes(self, monkeypatch):
+        sizes = []
+        batch = mad.finetune_L_batch
+
+        def counted(ck, tasks, *args, **kw):
+            sizes.append(len(tasks))
+            return batch(ck, tasks, *args, **kw)
+
+        monkeypatch.setattr(mad, "finetune_L_batch", counted)
+        return sizes
+
+    def finetune(self, trained, out, *extra):
+        cfg_path, tasks_dir, ck, tmp = trained
+        assert cli.main(["finetune", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--checkpoint", ck, "--mode", "L", "--force",
+                         "--out", str(tmp / out), *extra]) == 0
+        return read_records(str(tmp / out / "convergence.csv"))
+
+    @staticmethod
+    def assert_close(rec, ref):
+        np.testing.assert_array_equal(rec.iterations(), ref.iterations())
+        np.testing.assert_allclose(rec.errors(), ref.errors(), rtol=1e-12)
+        np.testing.assert_allclose(rec.losses(), ref.losses(), rtol=1e-12)
+
+    def test_two_batches_match_single_task_runs(self, trained, batch_sizes):
+        records = self.finetune(trained, "full")
+        assert batch_sizes == [2, 1]
+        cfg_path, tasks_dir, ck_path, _ = trained
+        ck = mad.load_checkpoint(ck_path)
+        fine = cli.train_config(json.load(open(cfg_path)), "finetune")
+        for tid, task in read_split(tasks_dir, "s2"):
+            _, alone = mad.finetune_L(ck, task, mad.init_latent(task, ck, "nearest"),
+                                      fine, evaluation.for_task(task, seed=tid))
+            self.assert_close(records[f"s2-{tid}"], alone)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_task_index_matches_full_run(self, trained, batch_sizes, k):
+        full = self.finetune(trained, "all")
+        tid = read_split(trained[1], "s2")[k][0]
+        one = self.finetune(trained, f"one_{k}", "--task-index", str(tid))
+        assert batch_sizes == [2, 1, 1]
+        assert list(one) == [f"s2-{tid}"]
+        self.assert_close(one[f"s2-{tid}"], full[f"s2-{tid}"])
+
+
+class TestBaselineMetaTrainsOnce:
+    def test_reptile_meta_trains_once_for_all_held_out_tasks(self, tmp_path,
+                                                             monkeypatch):
+        meta = {"meta_iters": 3, "inner_steps": 2}
+        cfg_path = write_config(tmp_path / "cfg.json", baseline={"meta": meta},
+                                tasks={"n_tasks": 6, "n_pretrain": 4, "seed": 7})
+        tasks_dir = str(tmp_path / "tasks")
+        assert cli.main(["gen-tasks", "--config", cfg_path, "--out", tasks_dir]) == 0
+        calls = []
+        adapt = baselines.inner_adapt
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return adapt(*args, **kw)
+
+        monkeypatch.setattr(baselines, "inner_adapt", counted)
+        out = tmp_path / "reptile"
+        assert cli.main(["baseline", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--method", "reptile", "--out", str(out)]) == 0
+        assert len(calls) == meta["meta_iters"]
+
+        # byte for byte what meta-training afresh for each task writes
+        cfg = json.load(open(cfg_path))
+        fine = cli.train_config(cfg, "finetune")
+        s1 = [t for _, t in read_split(tasks_dir, "s1")]
+        held = read_split(tasks_dir, "s2")
+        assert len(held) == 2
+        net = dataclasses.replace(cli.network_config(cfg, s1[0]), latent_dim=0)
+        records = [baselines.run_reptile(
+            s1, task, net, baselines.MetaConfig(seed=fine.seed, **meta), fine,
+            evaluation.for_task(task, seed=tid), f"s2-{tid}")[0]
+            for tid, task in held]
+        benchviz.write_convergence_csv(str(tmp_path / "alone.csv"), records)
+        assert (out / "convergence.csv").read_bytes() == \
+            (tmp_path / "alone.csv").read_bytes()

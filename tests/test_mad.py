@@ -203,6 +203,18 @@ class TestFinetune:
         _, rec = mad.finetune_L(ck, held, z0, quick_cfg(total_iters=150), grid)
         assert rec.series[-1][1] < rec.series[0][1]
 
+    def test_latent_free_checkpoint(self):
+        # latent_dim 0: MAD-L has nothing to tune, MAD-LM tunes the weights
+        tasks = ode_tasks(2)
+        cfg = quick_cfg(total_iters=3)
+        ck = mad.pretrain(tasks, ode_net(latent_dim=0), cfg)
+        grids = [evaluation.for_task(t) for t in tasks]
+        Z, _ = mad.finetune_L_batch(ck, tasks, np.zeros((2, 0)), cfg, grids,
+                                    ["a", "b"])
+        assert Z.shape == (2, 0)
+        _, theta, rec = mad.finetune_LM(ck, tasks[0], np.zeros(0), cfg, grids[0])
+        assert not np.array_equal(theta, ck.theta) and len(rec.series) == 2
+
     def test_snapshots_recorded(self, small_checkpoint):
         task = OdeShiftTask(0.4)
         grid = evaluation.for_task(task)
@@ -290,3 +302,69 @@ class TestCheckpointIO:
         with pytest.raises(mad.CheckpointError):
             mad.pretrain(ode_tasks(3), ode_net(), quick_cfg(total_iters=40),
                          resume_from=small_checkpoint)
+
+
+class TestFinetuneBatch:
+    """Several held-out tasks solved in one stacked pass through the frozen
+    decoder give what each gives alone, up to BLAS rounding."""
+
+    HELD = [OdeShiftTask(e) for e in (0.3, 0.9, 1.6)]
+    LABELS = ["a", "b", "c"]
+
+    def run_both(self, ck, cfg):
+        grids = [evaluation.for_task(t) for t in self.HELD]
+        Z0 = [mad.init_latent(t, ck, "nearest") for t in self.HELD]
+        Z, recs = mad.finetune_L_batch(ck, self.HELD, Z0, cfg, grids, self.LABELS,
+                                       record_snapshots=True)
+        alone = [mad.finetune_L(ck, t, z0, cfg, g, task_label=lab,
+                                record_snapshots=True)
+                 for t, z0, g, lab in zip(self.HELD, Z0, grids, self.LABELS)]
+        return Z, recs, alone
+
+    @pytest.mark.parametrize("clip", [None, 1e-3], ids=["no_clip", "clip"])
+    def test_matches_single_task_runs(self, small_checkpoint, clip):
+        cfg = quick_cfg(total_iters=20, eval_every=5, lr0=1e-2, clip_grad_norm=clip)
+        Z, recs, alone = self.run_both(small_checkpoint, cfg)
+        assert Z.shape == (3, small_checkpoint.net_config.latent_dim)
+        for z, rec, (z1, rec1), lab in zip(Z, recs, alone, self.LABELS):
+            assert rec.task_id == lab and rec.method == "mad_l"
+            np.testing.assert_array_equal(rec.iterations(), rec1.iterations())
+            np.testing.assert_allclose(z, z1, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(rec.errors(), rec1.errors(), rtol=1e-12)
+            np.testing.assert_allclose(rec.losses(), rec1.losses(), rtol=1e-12)
+            for (i, s), (i1, s1) in zip(rec.snapshots, rec1.snapshots):
+                assert i == i1
+                np.testing.assert_allclose(s, s1, rtol=1e-12, atol=1e-14)
+
+    def test_clip_acts_per_task(self, small_checkpoint):
+        # the clipped run must differ from the unclipped one, or the clip
+        # case above tests nothing
+        free = quick_cfg(total_iters=5, lr0=1e-2)
+        clipped = quick_cfg(total_iters=5, lr0=1e-2, clip_grad_norm=1e-3)
+        Z_free, _, _ = self.run_both(small_checkpoint, free)
+        Z_clip, _, _ = self.run_both(small_checkpoint, clipped)
+        assert np.all(np.any(Z_free != Z_clip, axis=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e30], ids=["non_finite", "blow_up"])
+    def test_divergence_names_task_and_iteration(self, small_checkpoint,
+                                                 monkeypatch, bad):
+        assemble = trainer.assemble_multitask_loss
+        stacked = []
+
+        def poisoned(tasks, batches, *args, **kw):
+            if len(tasks) == 3:
+                stacked.append(1)
+                if len(stacked) == 4:  # iteration 3: task "b" goes bad
+                    b = batches[1]
+                    batches = list(batches)
+                    batches[1] = problems.SampleBatch(
+                        b.interior, b.boundary, np.full_like(b.boundary_values, bad))
+            return assemble(tasks, batches, *args, **kw)
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", poisoned)
+        grids = [evaluation.for_task(t) for t in self.HELD]
+        with pytest.raises(trainer.TrainingError,
+                           match="fine-tuning diverged at iteration 3 on b:"):
+            mad.finetune_L_batch(small_checkpoint, self.HELD,
+                                 np.zeros((3, 1)), quick_cfg(total_iters=10),
+                                 grids, self.LABELS)
