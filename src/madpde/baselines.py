@@ -97,13 +97,22 @@ def run_from_scratch(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
     return rec
 
 
+def transfer_theta(pretrain_task: Task, net_cfg: NetworkConfig,
+                   pre_cfg: TrainConfig) -> np.ndarray:
+    """Transfer learning's initialization: weights PINN-trained on one
+    source task."""
+    theta, _ = pinn_train(pretrain_task, net_cfg, pre_cfg, method="transfer_pre",
+                          task_label="pretrain")
+    return theta
+
+
 def run_transfer(pretrain_task: Task, task_new: Task, net_cfg: NetworkConfig,
                  pre_cfg: TrainConfig, fine_cfg: TrainConfig,
                  eval_grid: EvalGrid, task_label: str = "task"
                  ) -> ConvergenceRecord:
-    """PINN-train on one source task, then fine-tune all weights on the new one."""
-    theta, _ = pinn_train(pretrain_task, net_cfg, pre_cfg, method="transfer_pre",
-                          task_label="pretrain")
+    """PINN-train on one source task (``transfer_theta``), then fine-tune all
+    weights on the new one."""
+    theta = transfer_theta(pretrain_task, net_cfg, pre_cfg)
     _, rec = pinn_train(task_new, net_cfg, fine_cfg, theta0=theta,
                         eval_grid=eval_grid, method="transfer",
                         task_label=task_label)

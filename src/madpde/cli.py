@@ -120,13 +120,20 @@ def train_config(cfg: dict, section: str) -> TrainConfig:
         raise CliError(f"bad {section} settings: {e}")
 
 
-def _task_count(cfg: dict, key: str) -> int:
-    try:
-        return int(cfg["tasks"][key])
-    except KeyError:
+def _tasks_int(cfg: dict, key: str, default: int | None = None) -> int:
+    """The integer ``tasks.<key>``; required when ``default`` is None."""
+    section = cfg.get("tasks")
+    if not isinstance(section, dict):
+        raise CliError(f"the 'tasks' section must be an object, got {section!r}")
+    if key not in section:
+        if default is not None:
+            return default
         raise CliError(f"the 'tasks' section has no {key!r} entry")
+    value = section[key]
+    try:
+        return int(value)
     except (TypeError, ValueError):
-        raise CliError(f"tasks.{key} must be an integer, got {cfg['tasks'][key]!r}")
+        raise CliError(f"tasks.{key} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +167,9 @@ def write_manifest(out: str, command: str, cfg: dict, args) -> None:
         "command": command,
         "config_path": os.path.abspath(args.config) if args.config else None,
         "output_dir": os.path.abspath(out),
-        "seeds": {
-            "tasks": cfg.get("tasks", {}).get("seed"),
-            "pretrain": cfg.get("pretrain", {}).get("seed"),
-            "finetune": cfg.get("finetune", {}).get("seed"),
-        },
+        "seeds": {section: (cfg[section].get("seed")
+                            if isinstance(cfg.get(section), dict) else None)
+                  for section in ("tasks", "pretrain", "finetune")},
         "source_revision": _source_revision(),
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -249,16 +254,17 @@ def _eval_grid(task, tasks_dir: str, task_id: int, cfg: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_tasks(cfg: dict, args) -> int:
-    out = prepare_out_dir(default_out(cfg, "tasks", args.out), args.force)
-    write_manifest(out, "gen-tasks", cfg, args)
+    # a config error leaves no output directory behind
     prob = cfg["problem"]
-    n_tasks = _task_count(cfg, "n_tasks")
-    n_pre = _task_count(cfg, "n_pretrain")
-    seed = int(cfg["tasks"].get("seed", 0))
+    n_tasks = _tasks_int(cfg, "n_tasks")
+    n_pre = _tasks_int(cfg, "n_pretrain")
+    seed = _tasks_int(cfg, "seed", default=0)
     if not 1 <= n_pre < n_tasks:
         raise CliError("need 1 <= n_pretrain < n_tasks")
     family = problems.family(prob.get("variant"))
     tasks = family.build(prob, n_tasks, seed)
+    out = prepare_out_dir(default_out(cfg, "tasks", args.out), args.force)
+    write_manifest(out, "gen-tasks", cfg, args)
     perm = np.random.default_rng([seed, 0x5917]).permutation(n_tasks)
     s1_ids = sorted(int(i) for i in perm[:n_pre])
     s2_ids = sorted(int(i) for i in perm[n_pre:])
@@ -316,9 +322,7 @@ def cmd_finetune(cfg: dict, args) -> int:
     labels = [f"s2-{tid}" for tid in ids]
 
     if args.mode == "L":
-        # the frozen decoder solves several tasks in one stacked pass; batches
-        # of the pre-training size keep each tape no larger than pre-training's
-        size = len(ck.tasks)
+        size = mad.stack_size(ck, tasks[0], fine_cfg)
         records = []
         for a in range(0, len(tasks), size):
             _, recs = mad.finetune_L_batch(ck, tasks[a:a + size], Z0[a:a + size],
@@ -373,9 +377,8 @@ def cmd_baseline(cfg: dict, args) -> int:
         theta0, method = None, "from_scratch"
     elif args.method == "transfer":
         pick = int(np.random.default_rng([fine_cfg.seed, 0x7AFE]).integers(len(s1)))
-        theta0, _ = baselines.pinn_train(s1[pick], net_cfg,
-                                         train_config(cfg, "pretrain"),
-                                         method="transfer_pre", task_label="pretrain")
+        theta0 = baselines.transfer_theta(s1[pick], net_cfg,
+                                          train_config(cfg, "pretrain"))
         method = "transfer"
     elif args.method == "reptile":
         theta0, _ = baselines.reptile_theta(s1, net_cfg, meta, fine_cfg)
@@ -449,7 +452,7 @@ def cmd_viz(cfg: dict, args) -> int:
 
     family = problems.family(cfg["problem"].get("variant")) if args.snapshots else None
     if family is not None and family.exact_family is not None:
-        exact = family.exact_family(cfg["problem"], _task_count(cfg, "n_tasks"))
+        exact = family.exact_family(cfg["problem"], _tasks_int(cfg, "n_tasks"))
         named = [(label, values[None, :]) for label, values in exact]
         for path in args.snapshots:
             with np.load(path) as data:
@@ -479,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every seed in the config")
         sp.add_argument("--workers", type=int, default=1,
                         help="threads for finetune --mode LM, one held-out task "
-                             "each (MAD-L stacks its tasks in one pass instead)")
+                             "each (--mode L runs on one thread and stacks "
+                             "small tasks in one pass)")
         sp.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",

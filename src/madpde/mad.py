@@ -6,8 +6,9 @@ per-task latent codes, then solve new tasks by optimizing the latent alone
 With frozen weights every new task is only another latent, so latent-only
 fine-tuning can solve several tasks of one family at once
 (``finetune_L_batch``): like pre-training, it stacks their collocation
-points into one forward and one reverse sweep per step.  Latent+model mode
-tunes its own copy of the weights per task and runs one task at a time.
+points into one forward and one reverse sweep per step, which pays while
+each task's arrays are small (``stack_size``).  Latent+model mode tunes its
+own copy of the weights per task and runs one task at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ _CKPT_MAGIC = b"MADCKPT1"
 LATENT_INIT_STD = 0.1
 _FINETUNE_STREAM = 0xF17E
 INIT_STRATEGIES = ("nearest", "mean", "zero")
+# Stacking held-out tasks saves the fixed cost of every tape node, which
+# matters only while a task's arrays are small.  Above this many elements in
+# one hidden layer of one task (512 KiB of float64) arithmetic dominates:
+# stacked Burgers tasks of 300 and 600 rows at width 64 ran no faster than
+# one task at a time.
+STACK_ELEMENTS = 1 << 16
 
 
 class CheckpointError(RuntimeError):
@@ -194,10 +201,13 @@ def _finetune(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarray,
         raise TrainingError("one eval grid and one label per task required")
     if tune_theta and N != 1:
         raise TrainingError("latent+model fine-tuning takes one task at a time")
-    Z = np.asarray(Z0, dtype=np.float64)
-    if Z.size != N * latent:
-        raise ValueError(f"z0 must have shape ({latent},) per task")
-    Z = Z.reshape(N, latent).copy()
+    Z = np.array(Z0, dtype=np.float64)
+    if N == 1 and Z.shape == (latent,):
+        Z = Z[None, :]
+    if Z.shape != (N, latent):
+        raise ValueError(f"initial latents must have shape ({N}, {latent})"
+                         + (f" or ({latent},)" if N == 1 else "")
+                         + f", got {Z.shape}")
     theta = checkpoint.theta.copy() if tune_theta else checkpoint.theta
     P = theta.size if tune_theta else 0
     w = np.concatenate([theta, Z.ravel()]) if tune_theta else Z.ravel()
@@ -298,6 +308,18 @@ def finetune_L_batch(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarr
                               tune_theta=False, labels=labels,
                               want_snapshots=record_snapshots)
     return Z, records
+
+
+def stack_size(checkpoint: Checkpoint, task: Task, train_cfg: TrainConfig) -> int:
+    """How many held-out tasks like ``task`` latent-only fine-tuning stacks
+    in one pass: the pre-training task count, so a fine-tune tape is never
+    larger than a pre-training tape, while one task's hidden layer (its
+    interior rows times the jet channels, its boundary rows and the width)
+    holds at most ``STACK_ELEMENTS`` values; else 1."""
+    channels = 1 + sum(task.directions.values())
+    per_layer = ((train_cfg.M_r * channels + train_cfg.M_bc)
+                 * checkpoint.net_config.width)
+    return len(checkpoint.tasks) if per_layer <= STACK_ELEMENTS else 1
 
 
 def finetune_LM(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,

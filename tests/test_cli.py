@@ -342,6 +342,20 @@ class TestGenTasksConfigErrors:
         err = one_error_line(capsys)
         assert f"'{missing}'" in err
 
+    @pytest.mark.parametrize("tasks, words", [
+        (None, ["'tasks'", "None"]),
+        ([6, 5], ["'tasks'", "[6, 5]"]),
+        ({"n_tasks": "six", "n_pretrain": 5}, ["tasks.n_tasks", "'six'"]),
+        ({"n_tasks": 6, "n_pretrain": 5, "seed": "seven"}, ["tasks.seed", "'seven'"]),
+    ], ids=["null", "list", "not_a_number", "bad_seed"])
+    def test_malformed_tasks_section(self, tmp_path, capsys, tasks, words):
+        cfg_path = write_config(tmp_path / "t.json", tasks=tasks)
+        assert cli.main(["gen-tasks", "--config", cfg_path,
+                         "--out", str(tmp_path / "t")]) == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in words)
+        assert not (tmp_path / "t").exists()  # nothing written before the check
+
 
 def read_records(path):
     return {r.task_id: r for r in benchviz.read_convergence_csv(path)}

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -368,3 +369,28 @@ class TestFinetuneBatch:
             mad.finetune_L_batch(small_checkpoint, self.HELD,
                                  np.zeros((3, 1)), quick_cfg(total_iters=10),
                                  grids, self.LABELS)
+
+    def test_stack_size(self, small_checkpoint):
+        # ode_net: width 16; an ODE task has 2 jet channels (value, u')
+        ck, task = small_checkpoint, self.HELD[0]
+        at_limit = quick_cfg(M_r=2047, M_bc=2)  # (2 * 2047 + 2) * 16 = 65536
+        assert mad.stack_size(ck, task, at_limit) == len(ck.tasks) > 1
+        assert mad.stack_size(ck, task, quick_cfg(M_r=2048, M_bc=2)) == 1
+        # the Burgers benchmark shape: 4 channels, 500 + 100 rows, width 64
+        burgers = problems.BurgersTask(
+            grf.sample_grf(grf.BURGERS_GRF, np.random.default_rng(0)), 0.01)
+        wide = dataclasses.replace(ck, net_config=dataclasses.replace(
+            ck.net_config, width=64))
+        assert mad.stack_size(wide, burgers, quick_cfg(M_r=500, M_bc=100)) == 1
+
+    def test_rejects_misshaped_latents(self, small_checkpoint):
+        # a transposed (latent, N) block would scramble latents across tasks
+        grids = [evaluation.for_task(t) for t in self.HELD]
+        latent = small_checkpoint.net_config.latent_dim
+        cfg = quick_cfg(total_iters=2)
+        with pytest.raises(ValueError, match=r"shape \(3, 1\)"):
+            mad.finetune_L_batch(small_checkpoint, self.HELD, np.zeros((latent, 3)),
+                                 cfg, grids, self.LABELS)
+        with pytest.raises(ValueError, match=r"or \(1,\)"):
+            mad.finetune_L(small_checkpoint, self.HELD[0], np.zeros(latent + 1),
+                           cfg, grids[0])
