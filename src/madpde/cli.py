@@ -4,7 +4,9 @@ baselines, evaluation and visualization data.
 One experiment = one config file (JSON); every hyperparameter lives there
 and can be overridden on the command line with ``--set key.path=value``.
 Outputs land under ``--out`` (default: $MADPDE_OUT or ./runs, plus the
-experiment name), with a manifest written before any heavy work.
+experiment name), with a manifest written before any heavy work.  A command
+checks its config sections and input files before it creates the output
+directory, so a config error leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -288,11 +290,11 @@ def cmd_gen_tasks(cfg: dict, args) -> int:
 
 
 def cmd_pretrain(cfg: dict, args) -> int:
-    out = prepare_out_dir(default_out(cfg, "pretrain", args.out), args.force)
-    write_manifest(out, "pretrain", cfg, args)
     ids, tasks = read_tasks(cfg, args.tasks, "s1")
     net_cfg = network_config(cfg, tasks[0])
     pre_cfg = train_config(cfg, "pretrain")
+    out = prepare_out_dir(default_out(cfg, "pretrain", args.out), args.force)
+    write_manifest(out, "pretrain", cfg, args)
     ck = mad.pretrain(tasks, net_cfg, pre_cfg, task_ids=ids)
     mad.save_checkpoint(os.path.join(out, "checkpoint.ckpt"), ck)
     with open(os.path.join(out, "pretrain_loss.csv"), "w") as f:
@@ -304,9 +306,6 @@ def cmd_pretrain(cfg: dict, args) -> int:
 
 
 def cmd_finetune(cfg: dict, args) -> int:
-    out = prepare_out_dir(default_out(cfg, f"finetune_{args.mode}", args.out),
-                          args.force)
-    write_manifest(out, "finetune", cfg, args)
     ids, tasks, ck = _held_out(cfg, args)
     if args.task_index is not None:
         if args.task_index not in ids:
@@ -320,6 +319,9 @@ def cmd_finetune(cfg: dict, args) -> int:
     grids = [_eval_grid(task, args.tasks, tid, cfg) for tid, task in zip(ids, tasks)]
     Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
     labels = [f"s2-{tid}" for tid in ids]
+    out = prepare_out_dir(default_out(cfg, f"finetune_{args.mode}", args.out),
+                          args.force)
+    write_manifest(out, "finetune", cfg, args)
 
     if args.mode == "L":
         size = mad.stack_size(ck, tasks[0], fine_cfg)
@@ -359,9 +361,6 @@ def cmd_finetune(cfg: dict, args) -> int:
 
 
 def cmd_baseline(cfg: dict, args) -> int:
-    out = prepare_out_dir(default_out(cfg, f"baseline_{args.method}", args.out),
-                          args.force)
-    write_manifest(out, "baseline", cfg, args)
     s1_ids, s1 = read_tasks(cfg, args.tasks, "s1")
     s2_ids, s2 = read_tasks(cfg, args.tasks, "s2")
     net_cfg = dataclasses.replace(network_config(cfg, s2[0]), latent_dim=0)
@@ -372,13 +371,17 @@ def cmd_baseline(cfg: dict, args) -> int:
                                         **cfg.get("baseline", {}).get("meta", {}))
         except (TypeError, ValueError) as e:
             raise CliError(f"bad baseline.meta settings: {e}")
+    pre_cfg = train_config(cfg, "pretrain") if args.method == "transfer" else None
+    grids = [_eval_grid(task, args.tasks, tid, cfg) for tid, task in zip(s2_ids, s2)]
+    out = prepare_out_dir(default_out(cfg, f"baseline_{args.method}", args.out),
+                          args.force)
+    write_manifest(out, "baseline", cfg, args)
     # every held-out task starts from the same weights, computed once
     if args.method == "from-scratch":
         theta0, method = None, "from_scratch"
     elif args.method == "transfer":
         pick = int(np.random.default_rng([fine_cfg.seed, 0x7AFE]).integers(len(s1)))
-        theta0 = baselines.transfer_theta(s1[pick], net_cfg,
-                                          train_config(cfg, "pretrain"))
+        theta0 = baselines.transfer_theta(s1[pick], net_cfg, pre_cfg)
         method = "transfer"
     elif args.method == "reptile":
         theta0, _ = baselines.reptile_theta(s1, net_cfg, meta, fine_cfg)
@@ -389,10 +392,10 @@ def cmd_baseline(cfg: dict, args) -> int:
     else:
         raise CliError(f"unknown baseline {args.method!r}")
     records = []
-    for tid, task in zip(s2_ids, s2):
+    for tid, task, grid in zip(s2_ids, s2, grids):
         _, rec = baselines.pinn_train(task, net_cfg, fine_cfg, theta0=theta0,
-                                      eval_grid=_eval_grid(task, args.tasks, tid, cfg),
-                                      method=method, task_label=f"s2-{tid}")
+                                      eval_grid=grid, method=method,
+                                      task_label=f"s2-{tid}")
         records.append(rec)
     benchviz.write_convergence_csv(os.path.join(out, "convergence.csv"), records)
     benchviz.write_summary_json(os.path.join(out, "summary.json"),
@@ -403,15 +406,13 @@ def cmd_baseline(cfg: dict, args) -> int:
 
 def cmd_eval(cfg: dict, args) -> int:
     """Error of the pre-trained model on held-out tasks, no fine-tuning."""
-    out = prepare_out_dir(default_out(cfg, "eval", args.out), args.force)
-    write_manifest(out, "eval", cfg, args)
     ids, tasks, ck = _held_out(cfg, args)
     strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
-    errors = []
-    for tid, task in zip(ids, tasks):
-        grid = _eval_grid(task, args.tasks, tid, cfg)
-        z0 = mad.init_latent(task, ck, strategy)
-        errors.append(evaluation.rel_l2(grid, ck.params(), z0))
+    grids = [_eval_grid(task, args.tasks, tid, cfg) for tid, task in zip(ids, tasks)]
+    Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
+    out = prepare_out_dir(default_out(cfg, "eval", args.out), args.force)
+    write_manifest(out, "eval", cfg, args)
+    errors = [evaluation.rel_l2(grid, ck.params(), z0) for grid, z0 in zip(grids, Z0)]
     summary = {"n_tasks": len(errors), "mean": float(np.mean(errors))}
     if len(errors) >= 2:
         ci = oracles.mean_ci(errors)
@@ -426,13 +427,13 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_viz(cfg: dict, args) -> int:
-    out = prepare_out_dir(default_out(cfg, "viz", args.out), args.force)
-    write_manifest(out, "viz", cfg, args)
     records = []
     for path in args.records:
         records.extend(benchviz.read_convergence_csv(path))
     if not records:
         raise CliError("no convergence records found")
+    out = prepare_out_dir(default_out(cfg, "viz", args.out), args.force)
+    write_manifest(out, "viz", cfg, args)
     by_method: dict[str, list] = {}
     for r in records:
         by_method.setdefault(r.method, []).append(r)
@@ -482,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every seed in the config")
         sp.add_argument("--workers", type=int, default=1,
                         help="threads for finetune --mode LM, one held-out task "
-                             "each (--mode L runs on one thread and stacks "
-                             "small tasks in one pass)")
+                             "each; every other command runs on one thread "
+                             "and accepts only 1 (--mode L stacks small "
+                             "tasks in one pass)")
         sp.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",
@@ -526,9 +528,19 @@ _COMMANDS = {
 }
 
 
+def check_workers(args) -> None:
+    """``--workers`` is at least 1, and above 1 only where threads are used."""
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
+    if args.workers > 1 and not (args.command == "finetune" and args.mode == "LM"):
+        raise CliError(f"--workers {args.workers} applies only to finetune "
+                       f"--mode LM; {args.command} runs on one thread")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_workers(args)
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args.overrides)
         if args.seed is not None:

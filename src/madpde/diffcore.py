@@ -19,9 +19,19 @@ back to a ``Var`` or to the tape.  There are no reference cycles, so a tape
 and every array on it are freed as soon as its last handle is dropped,
 without waiting for the garbage collector.
 
-Freed tape memory stays in the process heap.  A Burgers pre-training tape
-holds about 135 MB of node values and reverse-sweep temporaries, in arrays of
-2.5 MB or less.  By default glibc's malloc serves blocks above a dynamic
+A tape keeps only what its reverse sweep reads.  A ``Node`` holds its value
+through a weak reference (numpy scalars, which cannot be weakly referenced
+and take a few bytes, are held as they are); the arrays stay alive only
+while a backward closure or a caller's ``Var`` holds them.  An intermediate
+that no closure reads, such as the output of a matmul feeding a bias add,
+is freed as soon as the caller drops its handle, and ``Node.value`` then
+reads as an empty array.  A releasing sweep (``Tape.gradient(...,
+release=True)``) goes further: it drops each node's closures once it has
+used them, so the arrays they hold are freed while the sweep runs.
+
+Freed tape memory stays in the process heap.  A Burgers pre-training step
+peaks at about 105 MB of node values and reverse-sweep temporaries, in arrays
+of 2.5 MB or less.  By default glibc's malloc serves blocks above a dynamic
 threshold with their own ``mmap``, and gives the free top of its heap back to
 the OS once it exceeds twice that threshold, so every training step would
 page-fault its tape back in (17k–47k minor faults per step at that shape).
@@ -36,6 +46,7 @@ nothing is changed.  The arithmetic is unaffected.
 from __future__ import annotations
 
 import ctypes
+import weakref
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -78,21 +89,35 @@ class DomainError(DiffError):
     """An op was evaluated outside its domain (e.g. division by zero)."""
 
 
+_GONE = np.empty(0)
+_GONE.flags.writeable = False
+
+
 class Node:
     """One tape record: op kind, numpy value, parent ids and local partials.
 
     The local partials are stored as vector-Jacobian closures, one per
     parent; the reverse sweep calls them with the adjoint of this node.  A
-    record refers to no ``Var`` and to no tape.
+    record refers to no ``Var`` and to no tape, and does not keep its value
+    alive: ``value`` is the array while something else holds it, else an
+    empty array.
     """
 
-    __slots__ = ("op", "value", "parents", "vjps")
+    __slots__ = ("op", "_value", "parents", "vjps")
 
     def __init__(self, op, value, parents, vjps):
         self.op = op
-        self.value = value
+        self._value = weakref.ref(value) if isinstance(value, np.ndarray) else value
         self.parents = parents
         self.vjps = vjps
+
+    @property
+    def value(self):
+        v = self._value
+        if type(v) is weakref.ref:
+            v = v()
+            return _GONE if v is None else v
+        return v
 
 
 class Var:
@@ -149,15 +174,18 @@ class Var:
 class Tape:
     """Append-only list of ``Node`` records in topological order.
 
-    Single-writer: nodes are only appended, never mutated, so a built tape
-    can be swept by ``gradient`` any number of times.  The tape lives as
-    long as a ``Var`` on it (or the tape object itself) is referenced.
+    Single-writer: nodes are only appended, and a default sweep leaves them
+    unchanged, so a built tape can be swept by ``gradient`` any number of
+    times until a releasing sweep (``release=True``) empties it; after that
+    every sweep raises ``DiffError``.  The tape lives as long as a ``Var``
+    on it (or the tape object itself) is referenced.
     """
 
-    __slots__ = ("nodes", "__weakref__")
+    __slots__ = ("nodes", "released", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.released = False
 
     def __len__(self):
         return len(self.nodes)
@@ -170,12 +198,18 @@ class Tape:
         self.nodes.append(Node(op, value, parents, vjps))
         return Var(self, len(self.nodes) - 1, op, value)
 
-    def gradient(self, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
+    def gradient(self, output: Var, wrt: Sequence[Var],
+                 release: bool = False) -> list[np.ndarray]:
         """Reverse-mode gradient of a scalar output w.r.t. the given nodes.
 
-        The tape is left unchanged, so repeated calls (with different
-        outputs or wrt sets) are allowed.
+        By default the tape is left unchanged, so repeated calls (with
+        different outputs or wrt sets) are allowed.  With ``release=True``
+        each node's closures are dropped as soon as the sweep has used them,
+        which frees the arrays they hold while the sweep runs; the tape is
+        then spent, and any later sweep of it raises ``DiffError``.
         """
+        if self.released:
+            raise DiffError("tape was released by an earlier sweep")
         if not isinstance(output, Var) or output.tape is not self:
             raise DiffError("output is not a node of this tape")
         if output.value.size != 1:
@@ -186,14 +220,19 @@ class Tape:
                 raise DiffError("wrt node is not on this tape")
         keep = {w.idx for w in wrt}
 
+        self.released = release
+
         adjoint: list = [None] * (output.idx + 1)
         adjoint[output.idx] = np.ones_like(output.value)
         for i in range(output.idx, -1, -1):
+            node = self.nodes[i]
+            vjps = node.vjps
+            if release:
+                node.vjps = ()  # frees what the closures hold once used
             g = adjoint[i]
             if g is None:
                 continue
-            node = self.nodes[i]
-            for pid, vjp in zip(node.parents, node.vjps):
+            for pid, vjp in zip(node.parents, vjps):
                 contrib = vjp(g)
                 if adjoint[pid] is None:
                     adjoint[pid] = contrib

@@ -90,13 +90,18 @@ class TapedLoss:
     per_task_loss: np.ndarray   # (N,) physics loss + reg per task
 
     def gradients(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """(d total / d theta_flat, d total / d Z); None for frozen blocks."""
+        """(d total / d theta_flat, d total / d Z); None for frozen blocks.
+
+        The sweep releases the tape (``Tape.gradient(..., release=True)``),
+        freeing each node's backward closures once used, so a step's memory
+        falls while the sweep runs.  A second call raises ``DiffError``.
+        """
         wrt = list(self.staged.theta_vars())
         if self.z_var is not None:
             wrt.append(self.z_var)
         if not wrt:
             return None, None
-        grads = self.tape.gradient(self.total, wrt)
+        grads = self.tape.gradient(self.total, wrt, release=True)
         z_grad = None
         if self.z_var is not None:
             z_grad = grads.pop()

@@ -465,3 +465,108 @@ class TestBaselineMetaTrainsOnce:
         benchviz.write_convergence_csv(str(tmp_path / "alone.csv"), records)
         assert (out / "convergence.csv").read_bytes() == \
             (tmp_path / "alone.csv").read_bytes()
+
+
+class TestConfigErrorsLeaveNoDirectory:
+    """pretrain, finetune and baseline check their config sections and input
+    files before they create the output directory, so the corrected rerun
+    needs no --force."""
+
+    GOOD_TRAIN = {"lr0": 1e-2, "total_iters": 2, "M_r": 8, "M_bc": 2,
+                  "eval_every": 1, "seed": 0}
+
+    @pytest.fixture()
+    def checkpoint(self, ode_setup):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        pre = str(tmp_path / "pre")
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", pre]) == 0
+        return os.path.join(pre, "checkpoint.ckpt")
+
+    @pytest.mark.parametrize("command, fault", [
+        ("pretrain", "section"), ("pretrain", "tasks"),
+        ("finetune", "section"), ("finetune", "tasks"),
+        ("baseline", "section"), ("baseline", "tasks"),
+    ])
+    def test_rerun_after_fix_needs_no_force(self, ode_setup, checkpoint, capsys,
+                                            command, fault):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        section = "pretrain" if command == "pretrain" else "finetune"
+        bad_cfg = cfg_path
+        if fault == "section":
+            bad_cfg = write_config(tmp_path / "bad.json",
+                                   **{section: dict(self.GOOD_TRAIN, lr0=-1.0)})
+        out = tmp_path / "out"
+
+        def run(cfg, tasks):
+            argv = [command, "--config", cfg, "--tasks", tasks, "--out", str(out)]
+            if command == "finetune":
+                argv += ["--checkpoint", checkpoint, "--mode", "L"]
+            if command == "baseline":
+                argv += ["--method", "from-scratch"]
+            return cli.main(argv)
+
+        capsys.readouterr()
+        bad_tasks = str(tmp_path / "no_tasks") if fault == "tasks" else tasks_dir
+        assert run(bad_cfg, bad_tasks) == 1
+        err = one_error_line(capsys)
+        assert (f"bad {section} settings" if fault == "section"
+                else "cannot read task file") in err
+        assert not out.exists()
+        assert run(cfg_path, tasks_dir) == 0
+        assert (out / "manifest.json").exists()
+
+
+class TestWorkers:
+    """--workers is at least 1 everywhere, and above 1 only for finetune
+    --mode LM, the one command that runs held-out tasks on threads."""
+
+    @pytest.fixture()
+    def argvs(self, ode_setup):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        pre = str(tmp_path / "pre")
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", pre]) == 0
+        ck = os.path.join(pre, "checkpoint.ckpt")
+        common = ["--config", cfg_path]
+        held = common + ["--tasks", tasks_dir, "--checkpoint", ck]
+        return {
+            "gen-tasks": ["gen-tasks"] + common,
+            "pretrain": ["pretrain"] + common + ["--tasks", tasks_dir],
+            "finetune L": ["finetune"] + held + ["--mode", "L"],
+            "finetune LM": ["finetune"] + held + ["--mode", "LM"],
+            "baseline": ["baseline"] + common + ["--tasks", tasks_dir,
+                                                 "--method", "from-scratch"],
+            "eval": ["eval"] + held,
+        }, tmp_path
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_below_one_rejected_everywhere(self, argvs, capsys, workers):
+        commands, tmp_path = argvs
+        for name, argv in commands.items():
+            out = tmp_path / f"w{workers}_{name.replace(' ', '_')}"
+            capsys.readouterr()
+            assert cli.main(argv + ["--workers", workers, "--out", str(out)]) == 1
+            err = one_error_line(capsys)
+            assert f"--workers must be at least 1, got {workers}" in err
+            assert not out.exists()
+
+    def test_above_one_only_where_read(self, argvs, capsys):
+        commands, tmp_path = argvs
+        for name, argv in commands.items():
+            out = tmp_path / f"w2_{name.replace(' ', '_')}"
+            capsys.readouterr()
+            rc = cli.main(argv + ["--workers", "2", "--out", str(out)])
+            if name == "finetune LM":
+                assert rc == 0
+                continue
+            assert rc == 1
+            err = one_error_line(capsys)
+            assert "applies only to finetune --mode LM" in err
+            assert not out.exists()
+
+    def test_one_accepted_everywhere(self, argvs):
+        commands, tmp_path = argvs
+        for name, argv in commands.items():
+            out = tmp_path / f"w1_{name.replace(' ', '_')}"
+            assert cli.main(argv + ["--workers", "1", "--out", str(out)]) == 0, name
