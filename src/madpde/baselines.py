@@ -56,6 +56,7 @@ def pinn_train(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
     theta = (init_siren(net_cfg, cfg.seed).flat if theta0 is None
              else np.asarray(theta0, dtype=np.float64).copy())
     adam = AdamState.zeros(theta.size)
+    blocks = [("theta", 0, theta.size)]
     stream = np.random.default_rng([cfg.seed, _PINN_STREAM])
     series = []
 
@@ -74,13 +75,13 @@ def pinn_train(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
         try:
             loss = trainer.assemble_loss(task, ModelParams(theta, net_cfg), None,
                                          batch, cfg)
+            g_theta, _ = loss.gradients()
+            del loss  # free this tape before the next one (or the probe's) is recorded
+            g_theta = trainer.clip_gradient(g_theta, cfg.clip_grad_norm)
+            adam, theta = trainer.adam_step(adam, theta, g_theta,
+                                            trainer.lr_at(cfg, it), blocks)
         except TrainingError as e:
             raise TrainingError(f"{method} diverged at iteration {it}: {e}") from e
-        g_theta, _ = loss.gradients()
-        g_theta = trainer.clip_gradient(g_theta, cfg.clip_grad_norm)
-        adam, theta = trainer.adam_step(adam, theta, g_theta,
-                                        trainer.lr_at(cfg, it))
-        del loss  # free this tape before the next one (or the probe's) is recorded
         done = it + 1
         if done % cfg.eval_every == 0 or done == cfg.total_iters:
             record(done)
@@ -129,7 +130,7 @@ def inner_adapt(theta: np.ndarray, task: Task, steps: int, inner_lr: float,
         batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc, rng)
         g, _ = trainer.assemble_loss(task, ModelParams(w, net_cfg), None, batch,
                                      cfg).gradients()
-        adam, w = trainer.adam_step(adam, w, g, inner_lr)
+        adam, w = trainer.adam_step(adam, w, g, inner_lr, [("theta", 0, w.size)])
     return w
 
 
@@ -143,14 +144,18 @@ def reptile_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfi
     meta_losses = []
     for m in range(meta.meta_iters):
         idx = int(rng.integers(len(tasks)))
-        adapted = inner_adapt(theta, tasks[idx], meta.inner_steps, meta.inner_lr,
-                              fine_cfg, net_cfg, rng)
-        eps = meta.eps0
-        if meta.anneal_eps:
-            eps *= 1.0 - m / max(meta.meta_iters, 1)
-        theta = theta + eps * (adapted - theta)
-        meta_losses.append(trainer.probe_loss(tasks[idx], ModelParams(theta, net_cfg),
-                                              None, fine_cfg))
+        try:
+            adapted = inner_adapt(theta, tasks[idx], meta.inner_steps,
+                                  meta.inner_lr, fine_cfg, net_cfg, rng)
+            eps = meta.eps0
+            if meta.anneal_eps:
+                eps *= 1.0 - m / max(meta.meta_iters, 1)
+            theta = theta + eps * (adapted - theta)
+            meta_losses.append(trainer.probe_loss(
+                tasks[idx], ModelParams(theta, net_cfg), None, fine_cfg))
+        except TrainingError as e:
+            raise TrainingError(f"reptile diverged at meta-iteration {m} on task "
+                                f"{idx}: {e}") from e
     return theta, meta_losses
 
 
@@ -162,6 +167,7 @@ def maml_fo_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfi
     _require_latent_free(net_cfg)
     theta = init_siren(net_cfg, meta.seed).flat
     adam = AdamState.zeros(theta.size)
+    blocks = [("theta", 0, theta.size)]
     rng = np.random.default_rng([meta.seed, _META_STREAM])
     meta_losses = []
     for m in range(meta.meta_iters):
@@ -170,23 +176,31 @@ def maml_fo_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfi
         grads = np.zeros_like(theta)
         post_loss = 0.0
         for i in picks:
-            w = theta.copy()
-            for _ in range(meta.inner_steps):
-                batch = problems.sample_batch(tasks[i], fine_cfg.M_r,
-                                              fine_cfg.M_bc, rng)
-                g, _ = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg),
-                                             None, batch, fine_cfg).gradients()
-                w = w - meta.inner_lr * g
-            batch = problems.sample_batch(tasks[i], fine_cfg.M_r, fine_cfg.M_bc,
-                                          rng)
-            loss = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg), None,
-                                         batch, fine_cfg)
+            try:
+                w = theta.copy()
+                for k in range(meta.inner_steps):
+                    batch = problems.sample_batch(tasks[i], fine_cfg.M_r,
+                                                  fine_cfg.M_bc, rng)
+                    g, _ = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg),
+                                                 None, batch, fine_cfg).gradients()
+                    trainer.require_finite_gradient(g, k + 1, blocks)
+                    w = w - meta.inner_lr * g
+                batch = problems.sample_batch(tasks[i], fine_cfg.M_r, fine_cfg.M_bc,
+                                              rng)
+                loss = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg), None,
+                                             batch, fine_cfg)
+            except TrainingError as e:
+                raise TrainingError(f"maml_fo diverged at meta-iteration {m} in the "
+                                    f"inner loop on task {i}: {e}") from e
             g, _ = loss.gradients()
             grads += g
             post_loss += loss.breakdown.total
             del loss  # free this tape before the next one is recorded
         grads /= len(picks)
-        adam, theta = trainer.adam_step(adam, theta, grads, meta.meta_lr)
+        try:
+            adam, theta = trainer.adam_step(adam, theta, grads, meta.meta_lr, blocks)
+        except TrainingError as e:
+            raise TrainingError(f"maml_fo diverged at meta-iteration {m}: {e}") from e
         meta_losses.append(post_loss / len(picks))
     return theta, meta_losses
 

@@ -154,16 +154,26 @@ def encode_jets(config: NetworkConfig, x: np.ndarray, direction: int):
     return d1, 0.0
 
 
-def forward(params: ModelParams, x, z=None) -> np.ndarray:
-    """Plain numpy evaluation; returns (B, output_dim)."""
+def forward(params: ModelParams, x, z=None, dtype=np.float64) -> np.ndarray:
+    """Plain numpy evaluation; returns float64 (B, output_dim).
+
+    Every layer is computed in ``dtype``: the encoded inputs, the latent and
+    each layer's weights are cast once per call (a no-op for float64), and
+    the bias add and the sine run in place in the layer's GEMM output, which
+    is the only array written.  ``params``, ``x`` and ``z`` are never
+    written.  With float64 the values are those of ``sin(h @ W + b)`` bit
+    for bit.
+    """
     cfg = params.config
     x, z = _check_dims(cfg, x, z)
-    h = np.concatenate([encode(cfg, x), z], axis=1)
+    h = np.concatenate([encode(cfg, x), z], axis=1, dtype=dtype)
     layers = params.layers()
-    for W, b in layers[:-1]:
-        h = np.sin(h @ W + b)
-    W, b = layers[-1]
-    return h @ W + b
+    for li, (W, b) in enumerate(layers):
+        h = h @ W.astype(dtype, copy=False)
+        h += b.astype(dtype, copy=False)
+        if li < len(layers) - 1:
+            np.sin(h, out=h)
+    return h.astype(np.float64, copy=False)
 
 
 @dataclass

@@ -113,6 +113,13 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
                             params: ModelParams, Z: Optional[np.ndarray],
                             cfg: TrainConfig, trainable_theta: bool = True) -> TapedLoss:
     """Sum of per-task physics losses (plus latent regularizers) on one tape."""
+    return _assemble(tasks, batches, params, Z, cfg, trainable_theta, True)
+
+
+def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
+              trainable_z: bool) -> TapedLoss:
+    """``assemble_multitask_loss``; with ``trainable_z`` False the latents
+    are plain arrays, so a loss that trains nothing records no tape node."""
     if len(tasks) == 0:
         raise TrainingError("empty task list")
     if len(tasks) != len(batches):
@@ -132,15 +139,16 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
     tape = Tape()
     staged = stage_network(tape, params, trainable=trainable_theta)
 
-    z_var = None
+    z_in = None
     if latent > 0:
         if Z is None or np.asarray(Z).shape != (N, latent):
             raise TrainingError(f"latent matrix must have shape ({N}, {latent})")
-        z_var = tape.constant(np.asarray(Z, dtype=np.float64), "Z")
+        Z = np.asarray(Z, dtype=np.float64)
+        z_in = tape.constant(Z, "Z") if trainable_z else Z
 
     # interior: stacked residual pass
     X = np.concatenate([b.interior for b in batches], axis=0)
-    z_rows = dc.repeat_rows(z_var, M_r) if z_var is not None else None
+    z_rows = dc.repeat_rows(z_in, M_r) if z_in is not None else None
     orders = tasks[0].directions
     jets = jet_forward(staged, X, z_rows, list(orders), orders)
     # each task's per-row residual coefficients, stacked like its rows
@@ -154,7 +162,7 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
     # boundary: value-only pass
     Xb = np.concatenate([b.boundary for b in batches], axis=0)
     targets = np.concatenate([b.boundary_values for b in batches])
-    zb_rows = dc.repeat_rows(z_var, M_bc) if z_var is not None else None
+    zb_rows = dc.repeat_rows(z_in, M_bc) if z_in is not None else None
     ub = jet_forward(staged, Xb, zb_rows, [], None)[None].val
     mismatch = dc.sub(dc.reshape(ub, (N * M_bc,)), targets)
     per_task_bc = dc.vmean(dc.reshape(dc.mul(mismatch, mismatch), (N, M_bc)), axis=1)
@@ -162,9 +170,9 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
 
     total = dc.add(residual_sum, dc.mul(cfg.lambda_bc, boundary_sum))
     per_task_reg = np.zeros(N)
-    if cfg.inv_sigma2 > 0 and z_var is not None:
+    if cfg.inv_sigma2 > 0 and z_in is not None:
         per_task_reg_var = dc.mul(cfg.inv_sigma2,
-                                  dc.vsum(dc.mul(z_var, z_var), axis=1))
+                                  dc.vsum(dc.mul(z_in, z_in), axis=1))
         per_task_reg = dc.value_of(per_task_reg_var)
         total = dc.add(total, dc.vsum(per_task_reg_var))
         reg_val = float(per_task_reg.sum())
@@ -183,7 +191,8 @@ def assemble_multitask_loss(tasks: Sequence[Task], batches: Sequence[SampleBatch
         reg=reg_val,
         total=float(dc.value_of(total)),
     )
-    return TapedLoss(tape, total, breakdown, staged, z_var, per_task)
+    return TapedLoss(tape, total, breakdown, staged,
+                     z_in if trainable_z else None, per_task)
 
 
 def assemble_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
@@ -213,11 +222,16 @@ def probe_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
                cfg: TrainConfig) -> float:
     """Total loss on one fixed batch, drawn afresh from stream
     [cfg.seed, PROBE_STREAM], so that losses logged at different iterations
-    compare like with like."""
+    compare like with like.
+
+    Nothing is differentiated, so the weights and the latent stay plain
+    arrays and the loss is computed without recording a tape; the total is
+    that of ``assemble_loss(..., trainable_theta=False)`` bit for bit.
+    """
     batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc,
                                   np.random.default_rng([cfg.seed, PROBE_STREAM]))
-    return assemble_loss(task, params, z, batch, cfg,
-                         trainable_theta=False).breakdown.total
+    Z = None if params.config.latent_dim == 0 else np.asarray(z).reshape(1, -1)
+    return _assemble([task], [batch], params, Z, cfg, False, False).breakdown.total
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +257,30 @@ class AdamState:
         return AdamState(self.m.copy(), self.v.copy(), self.step)
 
 
+def require_finite_gradient(grads: np.ndarray, step: int,
+                            blocks: Optional[Sequence[tuple[str, int, int]]] = None
+                            ) -> None:
+    """Raises TrainingError naming the step and the first non-finite entry,
+    as ``block[i]`` when one of the (name, start, stop) ``blocks`` holds it."""
+    if np.all(np.isfinite(grads)):
+        return
+    bad = int(np.flatnonzero(~np.isfinite(grads))[0])
+    where = f"index {bad}"
+    for name, a, b in blocks or []:
+        if a <= bad < b:
+            where = f"{name}[{bad - a}]"
+            break
+    raise TrainingError(f"non-finite gradient at step {step} in {where}")
+
+
 def adam_step(state: AdamState, variables: np.ndarray, grads: np.ndarray,
               lr: float, blocks: Optional[Sequence[tuple[str, int, int]]] = None
               ) -> tuple[AdamState, np.ndarray]:
     """One Adam update with bias correction; returns fresh (state, variables)."""
     if variables.shape != grads.shape:
         raise TrainingError("variable/gradient length mismatch")
-    if not np.all(np.isfinite(grads)):
-        bad = int(np.flatnonzero(~np.isfinite(grads))[0])
-        where = f"index {bad}"
-        for name, a, b in blocks or []:
-            if a <= bad < b:
-                where = f"{name}[{bad - a}]"
-                break
-        raise TrainingError(
-            f"non-finite gradient at step {state.step + 1} in {where}")
     t = state.step + 1
+    require_finite_gradient(grads, t, blocks)
     m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
     v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads * grads
     m_hat = m / (1 - ADAM_BETA1 ** t)

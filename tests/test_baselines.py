@@ -152,3 +152,45 @@ class TestSharedCodePaths:
         single = trainer.assemble_loss(task, params, None, batch, c)
         multi = trainer.assemble_multitask_loss([task], [batch], params, None, c)
         assert single.breakdown.total == multi.breakdown.total
+
+
+@pytest.fixture
+def nan_gradient(monkeypatch):
+    """Every loss's theta gradient gets a NaN in entry 3."""
+    real = trainer.TapedLoss.gradients
+
+    def poisoned(self):
+        g_theta, g_z = real(self)
+        g_theta = g_theta.copy()
+        g_theta[3] = np.nan
+        return g_theta, g_z
+
+    monkeypatch.setattr(trainer.TapedLoss, "gradients", poisoned)
+
+
+class TestNonFiniteGradients:
+    def test_pinn_names_method_iteration_and_entry(self, nan_gradient):
+        with pytest.raises(trainer.TrainingError,
+                           match=r"^from_scratch diverged at iteration 0: non-finite "
+                                 r"gradient at step 1 in theta\[3\]$"):
+            baselines.pinn_train(NEW, net_cfg(), cfg())
+
+    def test_reptile_names_meta_iteration_and_entry(self, nan_gradient):
+        with pytest.raises(trainer.TrainingError,
+                           match=r"^reptile diverged at meta-iteration 0 on task \d: "
+                                 r"non-finite gradient at step 1 in theta\[3\]$"):
+            baselines.reptile_theta(TASKS, net_cfg(), MetaConfig(meta_iters=2), cfg())
+
+    def test_maml_inner_sgd_step_checked(self, nan_gradient):
+        with pytest.raises(trainer.TrainingError,
+                           match=r"^maml_fo diverged at meta-iteration 0 in the inner "
+                                 r"loop on task \d: non-finite gradient at step 1 in "
+                                 r"theta\[3\]$"):
+            baselines.maml_fo_theta(TASKS, net_cfg(), MetaConfig(meta_iters=2), cfg())
+
+    def test_maml_meta_step_names_entry(self, nan_gradient):
+        with pytest.raises(trainer.TrainingError,
+                           match=r"^maml_fo diverged at meta-iteration 0: non-finite "
+                                 r"gradient at step 1 in theta\[3\]$"):
+            baselines.maml_fo_theta(TASKS, net_cfg(),
+                                    MetaConfig(meta_iters=2, inner_steps=0), cfg())

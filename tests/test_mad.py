@@ -204,6 +204,23 @@ class TestFinetune:
         _, rec = mad.finetune_L(ck, held, z0, quick_cfg(total_iters=150), grid)
         assert rec.series[-1][1] < rec.series[0][1]
 
+    def test_eval_precision_leaves_training_unchanged(self, small_checkpoint,
+                                                      monkeypatch):
+        task = OdeShiftTask(0.85)
+        grid = evaluation.for_task(task)
+        cfg = quick_cfg(total_iters=20, eval_every=5)
+
+        def run():
+            return mad.finetune_L(small_checkpoint, task, np.array([0.1]), cfg, grid)
+
+        z32, rec32 = run()
+        monkeypatch.setattr(evaluation, "predict", lambda params, z, points:
+                            network.forward(params, points, z)[:, 0])
+        z64, rec64 = run()
+        assert np.array_equal(z32, z64)
+        assert np.array_equal(rec32.losses(), rec64.losses())
+        np.testing.assert_allclose(rec32.errors(), rec64.errors(), rtol=1e-5)
+
     def test_latent_free_checkpoint(self):
         # latent_dim 0: MAD-L has nothing to tune, MAD-LM tunes the weights
         tasks = ode_tasks(2)

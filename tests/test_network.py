@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,58 @@ class TestForward:
             net.forward(params, np.array([[0.1, 0.2]]), np.array([0.0]))
         with pytest.raises(ValueError):
             net.forward(params, np.array([[0.1]]), np.array([0.0, 1.0]))
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestForwardDtype:
+    @staticmethod
+    def out_of_place(params, x, z):
+        cfg = params.config
+        x, z = net._check_dims(cfg, x, z)
+        h = np.concatenate([net.encode(cfg, x), z], axis=1)
+        layers = params.layers()
+        for W, b in layers[:-1]:
+            h = np.sin(h @ W + b)
+        W, b = layers[-1]
+        return h @ W + b
+
+    @staticmethod
+    def build(encoding, latent_dim, seed=0):
+        cfg = NetworkConfig(input_dim=2, latent_dim=latent_dim, hidden_layers=3,
+                            width=32, input_encoding=encoding)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, (300, 2))
+        z = rng.normal(size=latent_dim) if latent_dim else None
+        return net.init_siren(cfg, seed), x, z
+
+    @pytest.mark.parametrize("encoding", ["identity", "periodic_x"])
+    @pytest.mark.parametrize("latent_dim", [0, 5])
+    def test_default_dtype_is_the_out_of_place_formula(self, encoding, latent_dim):
+        params, x, z = self.build(encoding, latent_dim)
+        out = net.forward(params, x, z)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, self.out_of_place(params, x, z))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("encoding", ["identity", "periodic_x"])
+    def test_writes_no_input(self, dtype, encoding):
+        params, x, z = self.build(encoding, 5, seed=1)
+        z_rows = np.tile(z, (x.shape[0], 1))
+        before = [_sha(a) for a in (params.flat, x, z, z_rows)]
+        for zz in (z, z_rows):
+            out = net.forward(params, x, zz, dtype)
+            assert out.dtype == np.float64 and out.shape == (x.shape[0], 1)
+        assert [_sha(a) for a in (params.flat, x, z, z_rows)] == before
+
+    def test_float32_close_to_float64(self):
+        params, x, z = self.build("periodic_x", 5, seed=2)
+        a = net.forward(params, x, z)
+        b = net.forward(params, x, z, np.float32)
+        assert not np.array_equal(a, b)
+        assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(a))
 
 
 class TestForwardJets:

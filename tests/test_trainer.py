@@ -213,3 +213,27 @@ class TestAssembleLoss:
         g_theta, g_z = out.gradients()
         assert g_theta is None
         assert g_z is not None
+
+
+class TestProbeLoss:
+    @pytest.mark.parametrize("variant", ["ode_shift", "burgers", "laplace_triangle"])
+    def test_records_no_tape_and_matches_frozen_assembly(self, variant, monkeypatch):
+        task = make_task(variant)
+        cfg = cfg_with(inv_sigma2=1e-2)
+        params = network.init_siren(net_for(task), 0)
+        z = np.random.default_rng(1).normal(size=4)
+        batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc, np.random.default_rng(
+            [cfg.seed, trainer.PROBE_STREAM]))
+        frozen = trainer.assemble_loss(task, params, z, batch, cfg,
+                                       trainable_theta=False).breakdown.total
+        tapes = []
+
+        class WatchedTape(trainer.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(trainer, "Tape", WatchedTape)
+        probe = trainer.probe_loss(task, params, z, cfg)
+        assert probe == frozen
+        assert tapes and all(len(t) == 0 for t in tapes)
