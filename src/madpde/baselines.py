@@ -53,41 +53,18 @@ def pinn_train(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
                ) -> tuple[np.ndarray, ConvergenceRecord]:
     """Adam on the physics loss of a single task; the shared workhorse."""
     _require_latent_free(net_cfg)
-    theta = (init_siren(net_cfg, cfg.seed).flat if theta0 is None
-             else np.asarray(theta0, dtype=np.float64).copy())
-    adam = AdamState.zeros(theta.size)
-    blocks = [("theta", 0, theta.size)]
-    stream = np.random.default_rng([cfg.seed, _PINN_STREAM])
+    params = (init_siren(net_cfg, cfg.seed) if theta0 is None
+              else ModelParams(np.asarray(theta0, dtype=np.float64), net_cfg))
     series = []
 
-    def record(it):
-        if eval_grid is None:
-            return
-        params = ModelParams(theta, net_cfg)
+    def record(it, params, _):
         series.append((it, evaluation.rel_l2(eval_grid, params, None),
                        trainer.probe_loss(task, params, None, cfg)))
 
-    record(0)
-    batch = None
-    for it in range(cfg.total_iters):
-        if batch is None or it % cfg.resample_every == 0:
-            batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc, stream)
-        try:
-            loss = trainer.assemble_loss(task, ModelParams(theta, net_cfg), None,
-                                         batch, cfg)
-            g_theta, _ = loss.gradients()
-            del loss  # free this tape before the next one (or the probe's) is recorded
-            g_theta = trainer.clip_gradient(g_theta, cfg.clip_grad_norm)
-            adam, theta = trainer.adam_step(adam, theta, g_theta,
-                                            trainer.lr_at(cfg, it), blocks)
-        except TrainingError as e:
-            raise TrainingError(f"{method} diverged at iteration {it}: {e}") from e
-        done = it + 1
-        if done % cfg.eval_every == 0 or done == cfg.total_iters:
-            record(done)
-
-    rec = ConvergenceRecord(task_label, method, cfg.seed, series)
-    return theta, rec
+    stream = np.random.default_rng([cfg.seed, _PINN_STREAM])
+    run = trainer.optimize(method, [task], [stream], params, np.zeros((1, 0)), cfg,
+                           record=record if eval_grid is not None else None)
+    return run.params.flat, ConvergenceRecord(task_label, method, cfg.seed, series)
 
 
 def run_from_scratch(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,

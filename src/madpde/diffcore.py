@@ -646,31 +646,3 @@ def jet_pow(a, p: float) -> Jet2:
     f2 = (mul(p * (p - 1), power(a.val, p - 2)) if is_var(a.val)
           else p * (p - 1) * value_of(a.val) ** (p - 2))
     return _jet_chain(a, f0, f1, f2)
-
-
-_JET_UNARY = {
-    "neg": jet_neg,
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "exp": jet_exp,
-}
-_JET_BINARY = {
-    "add": jet_add,
-    "sub": jet_sub,
-    "mul": jet_mul,
-    "div": jet_div,
-}
-
-
-def jet2_apply(op: str, *args):
-    """Apply a named primitive to jets (propagating both derivative orders)."""
-    if op in _JET_UNARY:
-        (a,) = args
-        return _JET_UNARY[op](a)
-    if op in _JET_BINARY:
-        a, b = args
-        return _JET_BINARY[op](a, b)
-    if op == "pow":
-        a, p = args
-        return jet_pow(a, p)
-    raise DiffError(f"unknown jet primitive {op!r}")

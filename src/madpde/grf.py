@@ -105,11 +105,3 @@ def evaluate_grf(sample: GrfSample, points) -> np.ndarray:
            + np.sin(phase) @ sample.sin_coeffs
            + sample.cos_coeffs[0])
     return out
-
-
-def pointwise_std(spec: GrfSpec) -> float:
-    """Stddev of the field value at any fixed point (stationarity: cos^2 +
-    sin^2 = 1 makes it location-independent)."""
-    var = mode_variances(spec)
-    total = var[0] + var[1:].sum() if spec.include_constant else var[1:].sum()
-    return float(np.sqrt(total))

@@ -3,12 +3,12 @@ per-task latent codes, then solve new tasks by optimizing the latent alone
 (latent-only mode, frozen weights) or jointly with the weights
 (latent+model mode, warm-started from the pre-trained weights).
 
-With frozen weights every new task is only another latent, so latent-only
-fine-tuning can solve several tasks of one family at once
-(``finetune_L_batch``): like pre-training, it stacks their collocation
-points into one forward and one reverse sweep per step, which pays while
-each task's arrays are small (``stack_size``).  Latent+model mode tunes its
-own copy of the weights per task and runs one task at a time.
+All three run ``trainer.optimize``.  When the weights train (pre-training;
+latent+model mode, one task at a time on its own copy), the tasks form one
+problem.  Over frozen weights each task is its own problem and only another
+latent, so latent-only fine-tuning solves several tasks of one family at
+once (``finetune_L_batch``), one forward and one reverse sweep per step,
+which pays while each task's arrays are small (``stack_size``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import container, evaluation, problems, trainer
 from .benchviz import ConvergenceRecord
 from .evaluation import EvalGrid
 from .grf import evaluate_grf  # noqa: F401  (perfbench/spans.py traces it here)
-from .network import ModelParams, NetworkConfig, init_siren, param_count
+from .network import ModelParams, NetworkConfig, init_siren
 from .problems import ProblemError, Task
 from .trainer import AdamState, TrainConfig, TrainingError
 
@@ -91,71 +91,46 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
     task_ids = list(task_ids) if task_ids is not None else list(range(len(tasks)))
     if len(task_ids) != len(tasks):
         raise TrainingError("one id per task required")
-    N = len(tasks)
-    latent = net_cfg.latent_dim
-    P = param_count(net_cfg)
     stop_at = train_cfg.total_iters if stop_at is None else stop_at
     if stop_at > train_cfg.total_iters:
         raise TrainingError("stop_at exceeds the configured budget")
+    if stop_at % train_cfg.resample_every and stop_at != train_cfg.total_iters:
+        raise TrainingError(f"stop_at {stop_at} is not a multiple of resample_every "
+                            f"{train_cfg.resample_every}: a resumed run would not "
+                            f"reuse the last batch")
 
     if resume_from is not None:
         ck = resume_from
         if ck.task_ids != task_ids or ck.net_config != net_cfg \
                 or ck.train_config != train_cfg:
             raise CheckpointError("checkpoint does not match this run's setup")
-        w = np.concatenate([ck.theta, ck.latents.ravel()])
-        adam = ck.adam.copy()
+        params, Z, adam = ck.params(), ck.latents, ck.adam
         streams = [_restore_stream(s) for s in ck.rng_states]
-        loss_series = list(ck.loss_series)
-        start = ck.iteration
+        loss_series, start = list(ck.loss_series), ck.iteration
     else:
-        theta0 = init_siren(net_cfg, train_cfg.seed).flat
+        params = init_siren(net_cfg, train_cfg.seed)
+        adam, loss_series, start = None, [], 0
         streams = [task_stream(train_cfg.seed, tid) for tid in task_ids]
-        Z0 = np.stack([g.normal(0.0, z_init_std, size=latent) for g in streams]) \
-            if latent > 0 else np.zeros((N, 0))
-        w = np.concatenate([theta0, Z0.ravel()])
-        adam = AdamState.zeros(w.size)
-        loss_series = []
-        start = 0
+        Z = np.stack([g.normal(0.0, z_init_std, size=net_cfg.latent_dim)
+                      for g in streams])
 
-    blocks = [("theta", 0, P), ("latents", P, w.size)]
-    batches = None
-    per_task_loss = None
-    running_min = min((v for _, v in loss_series), default=np.inf)
-    for it in range(start, stop_at):
-        if batches is None or it % train_cfg.resample_every == 0:
-            batches = [problems.sample_batch(t, train_cfg.M_r, train_cfg.M_bc, g)
-                       for t, g in zip(tasks, streams)]
-        params = ModelParams(w[:P], net_cfg)
-        Z = w[P:].reshape(N, latent) if latent > 0 else None
-        try:
-            loss = trainer.assemble_multitask_loss(tasks, batches, params, Z,
-                                                   train_cfg)
-            running_min = trainer.check_divergence(loss.breakdown.total, running_min)
-        except TrainingError as e:
-            raise TrainingError(f"pre-training diverged at iteration {it}: {e}") from e
-        g_theta, g_z = loss.gradients()
-        grad = g_theta if g_z is None else np.concatenate([g_theta, g_z.ravel()])
-        grad = trainer.clip_gradient(grad, train_cfg.clip_grad_norm)
-        lr = trainer.lr_at(train_cfg, it)
-        adam, w = trainer.adam_step(adam, w, grad, lr, blocks)
-        loss_series.append((it, loss.breakdown.total))
-        per_task_loss = loss.per_task_loss
-        del loss  # free this tape before the next one is recorded
-
+    run = trainer.optimize("pre-training", tasks, streams, params, Z, train_cfg,
+                           labels=[f"task {tid}" for tid in task_ids], adam=adam,
+                           start=start, stop=stop_at,
+                           running_min=min((v for _, v in loss_series), default=np.inf))
     return Checkpoint(
         version=CHECKPOINT_VERSION,
         net_config=net_cfg,
         train_config=train_cfg,
         task_ids=task_ids,
         tasks=tasks,
-        theta=w[:P].copy(),
-        latents=w[P:].reshape(N, latent).copy() if latent > 0 else np.zeros((N, 0)),
+        theta=run.params.flat,
+        latents=run.Z,
         rng_states=[g.bit_generator.state for g in streams],
-        adam=adam,
+        adam=run.adam,
         iteration=stop_at,
-        loss_series=loss_series,
-        final_per_task_loss=per_task_loss,
+        loss_series=loss_series + run.losses,
+        final_per_task_loss=run.per_task_loss,
     )
 
 
@@ -189,10 +164,10 @@ def _finetune(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarray,
     ``Z0`` in one stacked loss per iteration; with ``tune_theta`` (one task
     only) the weights are tuned too.
 
-    Each task keeps what it has when solved alone: its own sampling stream
-    [seed, _FINETUNE_STREAM], its own divergence guard, its gradient clipped
-    on its own, and its eval and probe at the same iterations.  Adam is
-    elementwise, so one Adam over the stacked latents is per-task Adam.
+    Over frozen weights each task is its own problem, so it keeps what it has
+    when solved alone: its sampling stream [seed, _FINETUNE_STREAM], guard,
+    clip, and eval and probe iterations.  Adam is elementwise, so one Adam
+    over the stacked latents is per-task Adam.
     """
     net_cfg = checkpoint.net_config
     latent = net_cfg.latent_dim
@@ -208,25 +183,11 @@ def _finetune(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarray,
         raise ValueError(f"initial latents must have shape ({N}, {latent})"
                          + (f" or ({latent},)" if N == 1 else "")
                          + f", got {Z.shape}")
-    theta = checkpoint.theta.copy() if tune_theta else checkpoint.theta
-    P = theta.size if tune_theta else 0
-    w = np.concatenate([theta, Z.ravel()]) if tune_theta else Z.ravel()
-    adam = AdamState.zeros(w.size)
     streams = [np.random.default_rng([train_cfg.seed, _FINETUNE_STREAM])
                for _ in tasks]
-    blocks = [("theta", 0, P)] if tune_theta else []
-    blocks += [(f"latent of {lab}", P + i * latent, P + (i + 1) * latent)
-               for i, lab in enumerate(labels)]
+    series, snapshots = [[] for _ in tasks], [[] for _ in tasks]
 
-    def split(w):
-        return (ModelParams(w[:P] if tune_theta else theta, net_cfg),
-                w[P:].reshape(N, latent))
-
-    series = [[] for _ in tasks]
-    snapshots = [[] for _ in tasks]
-
-    def record(it):
-        params, Zc = split(w)
+    def record(it, params, Zc):
         for i, (task, grid) in enumerate(zip(tasks, eval_grids)):
             series[i].append((it, evaluation.rel_l2(grid, params, Zc[i]),
                               trainer.probe_loss(task, params, Zc[i], train_cfg)))
@@ -234,55 +195,14 @@ def _finetune(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarray,
                 snapshots[i].append((it, evaluation.predict(params, Zc[i],
                                                             grid.points)))
 
-    def diverged(it, i, e):
-        where = labels[i] if i is not None else ", ".join(labels)
-        return TrainingError(f"fine-tuning diverged at iteration {it} on {where}: "
-                             f"{e}")
-
-    record(0)
-    batches = None
-    running_min = [np.inf] * N
-    for it in range(train_cfg.total_iters):
-        if batches is None or it % train_cfg.resample_every == 0:
-            batches = [problems.sample_batch(t, train_cfg.M_r, train_cfg.M_bc, g)
-                       for t, g in zip(tasks, streams)]
-        params, Zc = split(w)
-        try:
-            loss = trainer.assemble_multitask_loss(
-                tasks, batches, params, Zc if latent > 0 else None, train_cfg,
-                trainable_theta=tune_theta)
-        except TrainingError as e:
-            raise diverged(it, e.task, e) from e
-        for i, v in enumerate(loss.per_task_loss):
-            try:
-                running_min[i] = trainer.check_divergence(v, running_min[i])
-            except TrainingError as e:
-                raise diverged(it, i, e) from e
-        g_theta, g_z = loss.gradients()
-        del loss  # free this tape before the next one (or the probe's) is recorded
-        if g_z is None:
-            g_z = np.zeros((N, 0))
-        if tune_theta:
-            grad = trainer.clip_gradient(np.concatenate([g_theta, g_z.ravel()]),
-                                         train_cfg.clip_grad_norm)
-        else:
-            grad = np.concatenate([trainer.clip_gradient(g, train_cfg.clip_grad_norm)
-                                   for g in g_z])
-        try:
-            adam, w = trainer.adam_step(adam, w, grad, trainer.lr_at(train_cfg, it),
-                                        blocks)
-        except TrainingError as e:
-            raise diverged(it, None, e) from e
-        done = it + 1
-        if done % train_cfg.eval_every == 0 or done == train_cfg.total_iters:
-            record(done)
-
-    params, Zc = split(w)
+    run = trainer.optimize("fine-tuning", tasks, streams, checkpoint.params(), Z,
+                           train_cfg, tune_theta=tune_theta, labels=labels,
+                           record=record)
     method = "mad_lm" if tune_theta else "mad_l"
     records = [ConvergenceRecord(lab, method, train_cfg.seed, s,
                                  snap if want_snapshots else None)
                for lab, s, snap in zip(labels, series, snapshots)]
-    return params, Zc.copy(), records
+    return run.params, run.Z, records
 
 
 def finetune_L(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,

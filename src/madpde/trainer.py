@@ -1,4 +1,4 @@
-"""Loss assembly, Adam, and the step-decay learning-rate schedule.
+"""Loss assembly, Adam, the step-decay learning rate, and the training loop.
 
 The physics loss of one task is
 
@@ -10,19 +10,23 @@ and a multi-task loss is the sum of per-task losses.  All tasks of a batch
 share one network forward pass: their collocation points are stacked row-wise
 and each task's latent vector is repeated across its rows, which keeps the
 reductions deterministic and the BLAS calls large.
+
+``optimize`` is the one loop of pre-training, fine-tuning and PINN training.
+When the weights train, the stacked tasks are one problem, with one divergence
+guard and one gradient clip; over frozen weights each task is its own problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import diffcore as dc
 from . import problems
 from .diffcore import Tape, Var
-from .network import ModelParams, jet_forward, stage_network
+from .network import ModelParams, NetworkConfig, jet_forward, stage_network
 from .problems import SampleBatch, Task
 
 
@@ -206,12 +210,14 @@ def assemble_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
 DIVERGENCE_FACTOR = 1e8  # loss / running minimum at which a run has diverged
 
 
-def check_divergence(total: float, running_min: float) -> float:
-    """The new running minimum; raises TrainingError once ``total`` exceeds
-    DIVERGENCE_FACTOR times the smallest loss seen before it."""
+def check_divergence(total: float, running_min: float,
+                     task: Optional[int] = None) -> float:
+    """The new running minimum; raises TrainingError (concerning ``task``)
+    once ``total`` exceeds DIVERGENCE_FACTOR times the smallest loss seen
+    before it."""
     if 0.0 < running_min and total > DIVERGENCE_FACTOR * running_min:
         raise TrainingError(f"loss {total:.3e} exceeds {DIVERGENCE_FACTOR:.0e} times "
-                            f"its running minimum {running_min:.3e}")
+                            f"its running minimum {running_min:.3e}", task)
     return min(running_min, total)
 
 
@@ -296,3 +302,85 @@ def clip_gradient(grads: np.ndarray, max_norm: Optional[float]) -> np.ndarray:
     if norm > max_norm:
         return grads * (max_norm / norm)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# the training loop
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Optimized:
+    params: ModelParams
+    Z: np.ndarray                         # (N, latent)
+    adam: AdamState
+    losses: list[tuple[int, float]]       # (iteration, total loss) of each step
+    per_task_loss: Optional[np.ndarray]   # of the last step; None if none ran
+
+
+def optimize(what: str, tasks: Sequence[Task],
+             streams: Sequence[np.random.Generator], params: ModelParams,
+             Z: np.ndarray, cfg: TrainConfig, *, tune_theta: bool = True,
+             labels: Optional[Sequence[str]] = None,
+             adam: Optional[AdamState] = None, start: int = 0,
+             stop: Optional[int] = None, running_min: float = np.inf,
+             record: Optional[Callable[[int, ModelParams, np.ndarray], None]] = None
+             ) -> Optimized:
+    """Adam on the stacked loss of ``tasks`` over their (N, latent) latents
+    ``Z`` and, with ``tune_theta``, the weights ``params``.
+
+    Iterations ``start`` to ``stop`` (default: the budget) draw each task's
+    batch from its stream every ``resample_every`` iterations, release the
+    tape in one reverse sweep and take a clipped Adam step at ``lr_at``.
+    ``record(it, params, Z)`` runs at 0, every ``eval_every`` and at the end.
+
+    When the weights train, the stacked tasks are one problem: one
+    divergence guard on the total, seeded with ``running_min``, and one clip
+    over the whole gradient.  Over frozen weights each task is its own
+    problem, with its own guard and its own clip.  Errors read ``"{what}
+    diverged at iteration {it}[ on {label}]: {cause}"``, the label only when
+    ``labels`` name the tasks and the error concerns one; the labels also
+    name the latent blocks of a non-finite gradient.
+    """
+    N, latent = Z.shape
+    P = params.flat.size if tune_theta else 0
+    w = np.concatenate([params.flat, Z.ravel()]) if tune_theta else Z.ravel()
+    adam = AdamState.zeros(w.size) if adam is None else adam
+    blocks = [("theta", 0, P)] if tune_theta else []
+    blocks += [(f"latent of {lab}", P + i * latent, P + (i + 1) * latent)
+               for i, lab in enumerate(labels or [])]
+    guards = [running_min] if tune_theta else [np.inf] * N
+
+    def split(w):
+        return (ModelParams(w[:P], params.config) if tune_theta else params,
+                w[P:].reshape(N, latent))
+
+    if record is not None and start == 0:
+        record(0, *split(w))
+    losses, per_task, batches = [], None, None
+    for it in range(start, cfg.total_iters if stop is None else stop):
+        if batches is None or it % cfg.resample_every == 0:
+            batches = [problems.sample_batch(t, cfg.M_r, cfg.M_bc, g)
+                       for t, g in zip(tasks, streams)]
+        p, Zc = split(w)
+        try:
+            loss = assemble_multitask_loss(tasks, batches, p,
+                                           Zc if latent > 0 else None, cfg,
+                                           trainable_theta=tune_theta)
+            total, per_task = loss.breakdown.total, loss.per_task_loss
+            watched = [total] if tune_theta else per_task  # one guard per problem
+            guards = [check_divergence(v, m, i if len(watched) == N else None)
+                      for i, (v, m) in enumerate(zip(watched, guards))]
+            g_theta, g_z = loss.gradients()
+            del loss  # free this tape before the next one (or a probe's) is recorded
+            g_z = np.zeros((N, 0)) if g_z is None else g_z
+            parts = [np.concatenate([g_theta, g_z.ravel()])] if tune_theta else g_z
+            grad = np.concatenate([clip_gradient(g, cfg.clip_grad_norm) for g in parts])
+            adam, w = adam_step(adam, w, grad, lr_at(cfg, it), blocks)
+        except TrainingError as e:
+            on = f" on {labels[e.task]}" if labels and e.task is not None else ""
+            raise TrainingError(f"{what} diverged at iteration {it}{on}: {e}") from e
+        losses.append((it, total))
+        if record is not None and ((it + 1) % cfg.eval_every == 0
+                                   or it + 1 == cfg.total_iters):
+            record(it + 1, *split(w))
+    return Optimized(*split(w), adam, losses, per_task)

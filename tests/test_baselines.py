@@ -175,6 +175,14 @@ class TestNonFiniteGradients:
                                  r"gradient at step 1 in theta\[3\]$"):
             baselines.pinn_train(NEW, net_cfg(), cfg())
 
+    def test_pinn_relative_guard_stops_blow_up(self):
+        # at lr0=1e6 the loss explodes after one step, long before it turns
+        # non-finite; the guard of the one training loop catches it there
+        with pytest.raises(trainer.TrainingError,
+                           match=r"^from_scratch diverged at iteration 1: loss .* "
+                                 r"exceeds"):
+            baselines.pinn_train(NEW, net_cfg(), cfg(lr0=1e6, total_iters=50))
+
     def test_reptile_names_meta_iteration_and_entry(self, nan_gradient):
         with pytest.raises(trainer.TrainingError,
                            match=r"^reptile diverged at meta-iteration 0 on task \d: "

@@ -79,14 +79,6 @@ class TestJetRules:
         j = dc.jet_const(np.asarray(4.2))
         assert j.d1 == 0.0 and j.d2 == 0.0
 
-    def test_jet2_apply_dispatch(self):
-        x = Jet2(np.asarray(0.4), np.asarray(1.0), np.asarray(0.0))
-        assert dc.value_of(dc.jet2_apply("sin", x).val) == pytest.approx(np.sin(0.4))
-        j = dc.jet2_apply("mul", x, x)
-        assert dc.value_of(j.d1) == pytest.approx(2 * 0.4)
-        with pytest.raises(dc.DiffError):
-            dc.jet2_apply("nope", x)
-
     def test_division_by_zero_raises(self):
         with pytest.raises(dc.DomainError):
             dc.jet_div(jetify(1.0), jetify(0.0))

@@ -58,6 +58,26 @@ class TestPretrain:
             mad.pretrain(ode_tasks(3), ode_net(), quick_cfg(lr0=1e6,
                                                             total_iters=200))
 
+    @pytest.mark.parametrize("block, entry, where",
+                             [(0, 3, r"theta\[3\]"),
+                              (1, (1, 0), r"latent of task 7\[0\]")],
+                             ids=["theta", "latent"])
+    def test_non_finite_gradient_names_iteration_and_block(self, monkeypatch, block,
+                                                           entry, where):
+        real = trainer.TapedLoss.gradients
+
+        def poisoned(self):
+            grads = [g.copy() for g in real(self)]
+            grads[block][entry] = np.nan
+            return tuple(grads)
+
+        monkeypatch.setattr(trainer.TapedLoss, "gradients", poisoned)
+        with pytest.raises(trainer.TrainingError,
+                           match=r"^pre-training diverged at iteration 0: non-finite "
+                                 rf"gradient at step 1 in {where}$"):
+            mad.pretrain(ode_tasks(3), ode_net(), quick_cfg(total_iters=5),
+                         task_ids=[4, 7, 9])
+
     def test_finetune_divergence_reports_iteration(self, small_checkpoint):
         task = OdeShiftTask(0.5)
         with pytest.raises(trainer.TrainingError, match="fine-tuning diverged at "
@@ -312,6 +332,30 @@ class TestCheckpointIO:
         mad.save_checkpoint(p, half)
         resumed = mad.pretrain(tasks, ode_net(), cfg,
                                resume_from=mad.load_checkpoint(p))
+        assert np.array_equal(full.theta, resumed.theta)
+        assert np.array_equal(full.latents, resumed.latents)
+        assert full.loss_series == resumed.loss_series
+
+    def test_resume_off_the_resample_cadence_rejected(self):
+        # resuming starts on a fresh batch, where the uninterrupted run would
+        # still use the batch it drew at iteration 3
+        with pytest.raises(trainer.TrainingError,
+                           match="stop_at 5 .* resample_every 3"):
+            mad.pretrain(ode_tasks(2), ode_net(), quick_cfg(resample_every=3),
+                         stop_at=5)
+
+    def test_resume_on_the_resample_cadence_matches_uninterrupted(self, tmp_path):
+        # Burgers, because the ODE sampler ignores its stream
+        rng = np.random.default_rng(3)
+        tasks = [problems.BurgersTask(grf.sample_grf(grf.BURGERS_GRF, rng), 0.01)
+                 for _ in range(2)]
+        net = network.NetworkConfig(input_dim=2, latent_dim=2, hidden_layers=2,
+                                    width=8)
+        cfg = quick_cfg(total_iters=9, M_r=16, M_bc=8, resample_every=3)
+        full = mad.pretrain(tasks, net, cfg)
+        p = str(tmp_path / "six.ckpt")
+        mad.save_checkpoint(p, mad.pretrain(tasks, net, cfg, stop_at=6))
+        resumed = mad.pretrain(tasks, net, cfg, resume_from=mad.load_checkpoint(p))
         assert np.array_equal(full.theta, resumed.theta)
         assert np.array_equal(full.latents, resumed.latents)
         assert full.loss_series == resumed.loss_series
