@@ -41,13 +41,17 @@ threshold, and ``M_TRIM_THRESHOLD`` at -1, which turns trimming off.  The
 cost: the heap is never trimmed, so resident memory stays at its peak until
 the process exits.  Outside glibc, where the C library has no ``mallopt``,
 nothing is changed.  The arithmetic is unaffected.
+
+Importing this module also looks up, without calling it, the thread-count
+setter of the OpenBLAS that numpy has loaded (``BLAS_THREADS``), so that
+``trainer`` can run two task groups at once with one BLAS thread each.
 """
 
 from __future__ import annotations
 
 import ctypes
 import weakref
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,6 +83,52 @@ def _process_libc():
 
 
 pin_heap(_process_libc())
+
+# (get, set) symbol names of the BLAS thread count: numpy's bundled
+# scipy-openblas, an ILP64 OpenBLAS, a plain OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def blas_threads(libraries) -> Optional[tuple[Callable[[], int],
+                                              Callable[[int], None]]]:
+    """The (get, set) functions of the BLAS thread count exported by the
+    first of ``libraries`` (ctypes handles) that has both; None if none
+    does."""
+    for lib in libraries:
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+def _loaded_openblas() -> list:
+    """ctypes handles of the OpenBLAS libraries this process has loaded
+    (numpy's among them), as /proc/self/maps lists them; none where that
+    file cannot be read."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split(None, 5)[5].strip() for line in f
+                     if "openblas" in line.lower()}
+    except (OSError, IndexError):
+        return []
+    libs = []
+    for path in sorted(paths):
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            pass
+    return libs
+
+
+BLAS_THREADS = blas_threads(_loaded_openblas())
 
 
 class DiffError(ValueError):

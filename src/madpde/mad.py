@@ -94,6 +94,10 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
     stop_at = train_cfg.total_iters if stop_at is None else stop_at
     if stop_at > train_cfg.total_iters:
         raise TrainingError("stop_at exceeds the configured budget")
+    first = 0 if resume_from is None else resume_from.iteration
+    if stop_at < first:
+        raise TrainingError(f"stop_at {stop_at} is below iteration {first}, "
+                            f"where this run starts")
     if stop_at % train_cfg.resample_every and stop_at != train_cfg.total_iters:
         raise TrainingError(f"stop_at {stop_at} is not a multiple of resample_every "
                             f"{train_cfg.resample_every}: a resumed run would not "
@@ -233,12 +237,10 @@ def finetune_L_batch(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarr
 def stack_size(checkpoint: Checkpoint, task: Task, train_cfg: TrainConfig) -> int:
     """How many held-out tasks like ``task`` latent-only fine-tuning stacks
     in one pass: the pre-training task count, so a fine-tune tape is never
-    larger than a pre-training tape, while one task's hidden layer (its
-    interior rows times the jet channels, its boundary rows and the width)
-    holds at most ``STACK_ELEMENTS`` values; else 1."""
-    channels = 1 + sum(task.directions.values())
-    per_layer = ((train_cfg.M_r * channels + train_cfg.M_bc)
-                 * checkpoint.net_config.width)
+    larger than a pre-training tape, while one task's hidden layer
+    (``trainer.hidden_values``) holds at most ``STACK_ELEMENTS`` values;
+    else 1."""
+    per_layer = trainer.hidden_values([task], train_cfg, checkpoint.net_config.width)
     return len(checkpoint.tasks) if per_layer <= STACK_ELEMENTS else 1
 
 

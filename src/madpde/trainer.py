@@ -6,7 +6,7 @@ The physics loss of one task is
     + lambda_bc * mean (u - g)^2 over the boundary batch
     + inv_sigma2 * ||z||^2
 
-and a multi-task loss is the sum of per-task losses.  All tasks of a batch
+and a multi-task loss is the sum of per-task losses.  The tasks of one group
 share one network forward pass: their collocation points are stacked row-wise
 and each task's latent vector is repeated across its rows, which keeps the
 reductions deterministic and the BLAS calls large.
@@ -14,10 +14,28 @@ reductions deterministic and the BLAS calls large.
 ``optimize`` is the one loop of pre-training, fine-tuning and PINN training.
 When the weights train, the stacked tasks are one problem, with one divergence
 guard and one gradient clip; over frozen weights each task is its own problem.
+
+A pre-training step whose tasks are large (each half's hidden layer holds
+more than ``GROUP_ELEMENTS`` values, ``hidden_values``) is computed as two
+groups, ``tasks[:N//2]`` and ``tasks[N//2:]``, each on its own tape; the
+weight gradients are summed first group then second, and the latent
+gradients and per-task losses concatenated.  The groups run at once, one on
+a persistent worker thread and one on the caller, while BLAS is pinned to
+one thread: float64 ``sin``/``cos`` are scalar library calls that leave the
+second CPU idle outside GEMMs, and two groups with BLAS on two threads ran
+slower than one after the other.  BLAS's GEMMs round differently on one
+thread than on two, so where one CPU is usable the groups run in turn on
+the caller, still pinned, and give the same outputs.  Where the BLAS thread
+count cannot be set (``diffcore.BLAS_THREADS``), smaller steps, and over
+frozen weights, a step is one group.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -199,6 +217,22 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
                      z_in if trainable_z else None, per_task)
 
 
+# A pre-training step runs as two task groups when each half's hidden layer
+# holds more than this many values.  On 2 CPUs ("crossover" in
+# BENCH_hotpath.json, 3 processes) two groups took 0.61-0.97 of one tape's
+# step time at every Burgers and ODE shape from 132k values per half up, and
+# 0.89-1.29 at 32k-83k, where some shapes were slower in every process; an
+# earlier set of 3 processes read up to 1.14 at 83k.
+GROUP_ELEMENTS = 1 << 17
+
+
+def hidden_values(tasks: Sequence[Task], cfg: TrainConfig, width: int) -> int:
+    """Values in one hidden layer of ``tasks`` stacked: their interior rows
+    times the jet channels, plus their boundary rows, times the width."""
+    return sum(cfg.M_r * (1 + sum(t.directions.values())) + cfg.M_bc
+               for t in tasks) * width
+
+
 def assemble_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
                   batch: SampleBatch, cfg: TrainConfig,
                   trainable_theta: bool = True) -> TapedLoss:
@@ -308,6 +342,104 @@ def clip_gradient(grads: np.ndarray, max_norm: Optional[float]) -> np.ndarray:
 # the training loop
 # ---------------------------------------------------------------------------
 
+_worker: Optional[ThreadPoolExecutor] = None
+_worker_lock = threading.Lock()
+
+
+def _group_worker() -> ThreadPoolExecutor:
+    """The one worker thread of grouped steps, started on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="madpde-group")
+        return _worker
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # grouped steps inside _one_blas_thread
+_pin_before = 0  # the BLAS thread count when the first of them entered
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS on one thread inside the block, on its former count once the
+    last of the blocks that overlap in time has left.  The count is
+    process-wide: GEMMs of other threads in that time run on one thread too."""
+    global _pin_depth, _pin_before
+    get, put = dc.BLAS_THREADS
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_before = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_before)
+
+
+def _each(fn, n: int, together: bool) -> list:
+    """``[fn(i) for i in range(n)]``; ``together`` (n == 2), fn(0) runs on
+    the worker thread while the caller runs fn(1)."""
+    if not together:
+        return [fn(i) for i in range(n)]
+    pending = _group_worker().submit(fn, 0)
+    try:
+        second = fn(1)
+    finally:
+        # the worker is done before the caller goes on, and its error (the
+        # first group's) wins, as when the groups run in turn
+        first = pending.result()
+    return [first, second]
+
+
+def _step(tasks, batches, params, Z, cfg, tune_theta: bool, half: int,
+          guard: Callable[[float, np.ndarray], None]):
+    """(total, per-task losses, d/d theta_flat, d/d Z) of one step, None for
+    a frozen block.  With ``half`` > 0, ``tasks[:half]`` and ``tasks[half:]``
+    are two groups, each assembled and swept on its own tape with BLAS pinned
+    to one thread (``diffcore.BLAS_THREADS`` must be set), and at once where
+    two CPUs are usable; else one group.  ``guard(total, per_task)`` runs
+    before any tape is swept."""
+    groups = [slice(0, half), slice(half, None)] if half else [slice(None)]
+    together = bool(half) and _usable_cpus() > 1
+
+    def assemble(i):
+        g = groups[i]
+        try:
+            return assemble_multitask_loss(tasks[g], batches[g], params,
+                                           None if Z is None else Z[g], cfg,
+                                           trainable_theta=tune_theta)
+        except TrainingError as e:
+            if e.task is not None:
+                e.task += g.start or 0  # index in all of ``tasks``
+            raise
+
+    with _one_blas_thread() if half else contextlib.nullcontext():
+        losses = _each(assemble, len(groups), together)
+        totals = [loss.breakdown.total for loss in losses]
+        total = sum(totals[1:], totals[0])  # one group's total as it is
+        per_task = np.concatenate([loss.per_task_loss for loss in losses])
+        guard(total, per_task)
+        grads = _each(lambda i: losses[i].gradients(), len(groups), together)
+        # free the tapes now: the worker may still hold this list for a moment
+        losses.clear()
+    g_theta, g_z = zip(*grads)
+    return (total, per_task,
+            None if g_theta[0] is None else sum(g_theta[1:], g_theta[0]),
+            None if g_z[0] is None else np.concatenate(g_z))
+
+
 @dataclass
 class Optimized:
     params: ModelParams
@@ -354,6 +486,18 @@ def optimize(what: str, tasks: Sequence[Task],
         return (ModelParams(w[:P], params.config) if tune_theta else params,
                 w[P:].reshape(N, latent))
 
+    def guard(total, per_task):
+        nonlocal guards
+        watched = [total] if tune_theta else per_task  # one guard per problem
+        guards = [check_divergence(v, m, i if len(watched) == N else None)
+                  for i, (v, m) in enumerate(zip(watched, guards))]
+
+    # two task groups when the weights train, BLAS can be pinned and each
+    # half's hidden layer is large, else one
+    half = N // 2
+    if not (tune_theta and dc.BLAS_THREADS is not None
+            and hidden_values(tasks[:half], cfg, params.config.width) > GROUP_ELEMENTS):
+        half = 0
     if record is not None and start == 0:
         record(0, *split(w))
     losses, per_task, batches = [], None, None
@@ -363,15 +507,9 @@ def optimize(what: str, tasks: Sequence[Task],
                        for t, g in zip(tasks, streams)]
         p, Zc = split(w)
         try:
-            loss = assemble_multitask_loss(tasks, batches, p,
-                                           Zc if latent > 0 else None, cfg,
-                                           trainable_theta=tune_theta)
-            total, per_task = loss.breakdown.total, loss.per_task_loss
-            watched = [total] if tune_theta else per_task  # one guard per problem
-            guards = [check_divergence(v, m, i if len(watched) == N else None)
-                      for i, (v, m) in enumerate(zip(watched, guards))]
-            g_theta, g_z = loss.gradients()
-            del loss  # free this tape before the next one (or a probe's) is recorded
+            total, per_task, g_theta, g_z = _step(
+                tasks, batches, p, Zc if latent > 0 else None, cfg, tune_theta,
+                half, guard)
             g_z = np.zeros((N, 0)) if g_z is None else g_z
             parts = [np.concatenate([g_theta, g_z.ravel()])] if tune_theta else g_z
             grad = np.concatenate([clip_gradient(g, cfg.clip_grad_norm) for g in parts])

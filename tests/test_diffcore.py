@@ -3,6 +3,7 @@ import platform
 import resource
 import sys
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -412,6 +413,38 @@ class TestSteadyHeap:
 
     def test_libc_without_mallopt_is_left_alone(self):
         assert dc.pin_heap(object()) is False
+
+
+class TestBlasThreads:
+    """Importing diffcore finds, without calling it, the BLAS thread-count
+    setter that grouped training steps pin."""
+
+    def test_library_without_setter_gives_none(self):
+        assert dc.blas_threads([]) is None
+        assert dc.blas_threads([object()]) is None
+
+    def test_first_library_with_both_functions_wins(self):
+        def get():
+            return 3
+
+        def put(n):
+            pass
+
+        only_get = types.SimpleNamespace(openblas_get_num_threads=get)
+        both = types.SimpleNamespace(openblas_get_num_threads=get,
+                                     openblas_set_num_threads=put)
+        assert dc.blas_threads([only_get, both]) == (get, put)
+
+    @pytest.mark.skipif(dc.BLAS_THREADS is None, reason="no BLAS thread setter found")
+    def test_found_setter_sets_the_count(self):
+        get, put = dc.BLAS_THREADS
+        before = get()
+        put(1)
+        try:
+            assert get() == 1
+        finally:
+            put(before)
+        assert get() == before
 
 
 class TestForwardOverReverse:

@@ -1,11 +1,13 @@
 import dataclasses
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from madpde import baselines, evaluation, grf, mad, network, problems, trainer
+from madpde import baselines, diffcore, evaluation, grf, mad, network, problems, trainer
 from madpde.grf import LAPLACE_GRF, GrfSample
 from madpde.mad import Checkpoint
 from madpde.problems import LaplaceTriangleTask, OdeShiftTask
@@ -360,6 +362,15 @@ class TestCheckpointIO:
         assert np.array_equal(full.latents, resumed.latents)
         assert full.loss_series == resumed.loss_series
 
+    @pytest.mark.parametrize("resume_at, stop_at", [(6, 2), (0, -3)])
+    def test_stop_before_the_start_rejected(self, resume_at, stop_at):
+        # a checkpoint labelled with stop_at would hold a later iteration's state
+        tasks, cfg = ode_tasks(2), quick_cfg(total_iters=10)
+        ck = mad.pretrain(tasks, ode_net(), cfg, stop_at=resume_at) if resume_at else None
+        with pytest.raises(trainer.TrainingError,
+                           match=rf"stop_at {stop_at} is below iteration {resume_at}"):
+            mad.pretrain(tasks, ode_net(), cfg, stop_at=stop_at, resume_from=ck)
+
     def test_resume_rejects_mismatched_setup(self, small_checkpoint):
         with pytest.raises(mad.CheckpointError):
             mad.pretrain(ode_tasks(3), ode_net(), quick_cfg(total_iters=40),
@@ -455,3 +466,212 @@ class TestFinetuneBatch:
         with pytest.raises(ValueError, match=r"or \(1,\)"):
             mad.finetune_L(small_checkpoint, self.HELD[0], np.zeros(latent + 1),
                            cfg, grids[0])
+
+
+def _grouped_setup(n=2):
+    """Burgers tasks whose every half is just over ``GROUP_ELEMENTS``, so
+    that each pre-training step runs as two task groups."""
+    rng = np.random.default_rng(11)
+    tasks = [problems.BurgersTask(grf.sample_grf(grf.BURGERS_GRF, rng), 0.01)
+             for _ in range(n)]
+    net = network.NetworkConfig(input_dim=2, latent_dim=4, hidden_layers=2,
+                                width=64, input_encoding="periodic_x")
+    cfg = quick_cfg(total_iters=6, M_r=488, M_bc=100, inv_sigma2=1e-4)
+    assert trainer.hidden_values(tasks[:1], cfg, net.width) > trainer.GROUP_ELEMENTS
+    assert trainer.hidden_values(tasks[:1], quick_cfg(M_r=487, M_bc=100),
+                                 net.width) == trainer.GROUP_ELEMENTS
+    return tasks, net, cfg
+
+
+def _group_sizes(monkeypatch) -> list:
+    """The task count of every ``assemble_multitask_loss`` call from now on."""
+    assemble = trainer.assemble_multitask_loss
+    sizes = []
+
+    def watched(tasks, *args, **kw):
+        sizes.append(len(tasks))
+        return assemble(tasks, *args, **kw)
+
+    monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
+    return sizes
+
+
+needs_blas_setter = pytest.mark.skipif(diffcore.BLAS_THREADS is None,
+                                       reason="no BLAS thread setter found")
+
+
+class TestGroupedPretrain:
+    """Large pre-training steps run as two task groups, each on its own
+    tape with BLAS pinned to one thread, at once on two threads where two
+    CPUs are usable."""
+
+    @needs_blas_setter
+    def test_gradients_match_one_tape(self):
+        tasks, net, cfg = _grouped_setup(3)
+        params = network.init_siren(net, 0)
+        rng = np.random.default_rng(5)
+        Z = rng.normal(scale=0.1, size=(3, net.latent_dim))
+        batches = [problems.sample_batch(t, cfg.M_r, cfg.M_bc, rng) for t in tasks]
+        one = trainer.assemble_multitask_loss(tasks, batches, params, Z, cfg)
+        seen = []
+        total, per_task, g_theta, g_z = trainer._step(
+            tasks, batches, params, Z, cfg, True, 1,
+            lambda t, p: seen.append((t, p.copy())))
+        want_total, want_per_task = one.breakdown.total, one.per_task_loss
+        want_theta, want_z = one.gradients()
+        assert seen[0][0] == pytest.approx(want_total, rel=1e-12)
+        np.testing.assert_allclose(seen[0][1], want_per_task, rtol=1e-12)
+        assert total == seen[0][0]
+        np.testing.assert_allclose(per_task, want_per_task, rtol=1e-12)
+        scale = np.abs(want_theta).max()
+        np.testing.assert_allclose(g_theta, want_theta, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(g_z, want_z, rtol=0,
+                                   atol=1e-12 * np.abs(want_z).max())
+
+    @needs_blas_setter
+    def test_deterministic_and_resumes_bit_exactly(self, tmp_path):
+        tasks, net, cfg = _grouped_setup()
+        cfg = dataclasses.replace(cfg, resample_every=3)
+        full = mad.pretrain(tasks, net, cfg)
+        again = mad.pretrain(tasks, net, cfg)
+        p = str(tmp_path / "three.ckpt")
+        mad.save_checkpoint(p, mad.pretrain(tasks, net, cfg, stop_at=3))
+        resumed = mad.pretrain(tasks, net, cfg, resume_from=mad.load_checkpoint(p))
+        for other in (again, resumed):
+            assert np.array_equal(full.theta, other.theta)
+            assert np.array_equal(full.latents, other.latents)
+            assert full.loss_series == other.loss_series
+
+    @needs_blas_setter
+    def test_one_cpu_runs_the_groups_in_turn_bit_identically(self, monkeypatch):
+        tasks, net, cfg = _grouped_setup()
+        together = mad.pretrain(tasks, net, cfg)
+
+        def no_worker():
+            raise AssertionError("the groups must run in turn on the caller")
+
+        monkeypatch.setattr(trainer, "_group_worker", no_worker)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+        sizes = _group_sizes(monkeypatch)
+        in_turn = mad.pretrain(tasks, net, cfg)
+        assert sizes == [1, 1] * cfg.total_iters
+        assert np.array_equal(together.theta, in_turn.theta)
+        assert np.array_equal(together.latents, in_turn.latents)
+        assert together.loss_series == in_turn.loss_series
+
+    @pytest.mark.parametrize("cause", ["at_threshold", "no_blas_setter",
+                                       "frozen_weights"])
+    def test_stays_one_group(self, monkeypatch, cause):
+        # without a setter, two unpinned groups would round unlike pinned ones
+        tasks, net, cfg = _grouped_setup()
+        if cause == "at_threshold":
+            cfg = dataclasses.replace(cfg, M_r=487)
+        if cause == "no_blas_setter":
+            monkeypatch.setattr(diffcore, "BLAS_THREADS", None)
+        sizes = _group_sizes(monkeypatch)
+        streams = [np.random.default_rng(i) for i in range(len(tasks))]
+        trainer.optimize("training", tasks, streams, network.init_siren(net, 0),
+                         np.zeros((len(tasks), net.latent_dim)), cfg,
+                         tune_theta=cause != "frozen_weights")
+        assert sizes == [2] * cfg.total_iters
+
+    @needs_blas_setter
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_non_finite_loss_names_task_and_restores_blas(self, monkeypatch, bad):
+        tasks, net, cfg = _grouped_setup(3)  # groups [0] and [1, 2]
+        sample = problems.sample_batch
+
+        def poisoned(task, *args):
+            batch = sample(task, *args)
+            if task is tasks[bad]:
+                batch.boundary_values[0] = np.nan
+            return batch
+
+        monkeypatch.setattr(problems, "sample_batch", poisoned)
+        before = diffcore.BLAS_THREADS[0]()
+        with pytest.raises(trainer.TrainingError,
+                           match=rf"^pre-training diverged at iteration 0 on "
+                                 rf"task {bad + 10}: non-finite loss$"):
+            mad.pretrain(tasks, net, cfg, task_ids=[10, 11, 12])
+        assert diffcore.BLAS_THREADS[0]() == before
+
+    @needs_blas_setter
+    def test_blas_pinned_to_one_thread_inside_and_restored_after(self, monkeypatch):
+        tasks, net, cfg = _grouped_setup()
+        assemble = trainer.assemble_multitask_loss
+        inside = []
+
+        def watched(*args, **kw):
+            inside.append(diffcore.BLAS_THREADS[0]())
+            return assemble(*args, **kw)
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
+        before = diffcore.BLAS_THREADS[0]()
+        mad.pretrain(tasks, net, cfg)
+        assert diffcore.BLAS_THREADS[0]() == before
+        assert inside == [1] * (2 * cfg.total_iters)
+
+    @needs_blas_setter
+    def test_overlapping_pins_restore_after_the_last(self):
+        # as two grouped steps on two threads would pin: enter, enter, exit, exit
+        get = diffcore.BLAS_THREADS[0]
+        before = get()
+        first, second = trainer._one_blas_thread(), trainer._one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert get() == 1
+        second.__exit__(None, None, None)
+        assert get() == before
+
+    @needs_blas_setter
+    def test_pins_from_many_threads_keep_one_thread_inside(self):
+        get = diffcore.BLAS_THREADS[0]
+        before, seen = get(), []
+
+        def pin_often():
+            for _ in range(300):
+                with trainer._one_blas_thread():
+                    seen.append(get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin_often) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 1200
+        assert get() == before
+
+    @needs_blas_setter
+    def test_previous_step_tapes_dead_when_the_next_starts(self, monkeypatch):
+        # the grouped counterpart of TestOneTapeAlive
+        tasks, net, cfg = _grouped_setup()
+        assemble, adam_step = trainer.assemble_multitask_loss, trainer.adam_step
+        tapes, done, checks = [], [0], []
+
+        def watched(*args, **kw):
+            checks.append(all(t() is None for t in tapes[:done[0]]))
+            loss = assemble(*args, **kw)
+            tapes.append(weakref.ref(loss.tape))
+            return loss
+
+        def stepped(*args, **kw):
+            checks.append(all(t() is None for t in tapes))
+            done[0] = len(tapes)
+            return adam_step(*args, **kw)
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
+        monkeypatch.setattr(trainer, "adam_step", stepped)
+        gc.disable()
+        try:
+            mad.pretrain(tasks, net, cfg)
+        finally:
+            gc.enable()
+        assert len(tapes) == 2 * cfg.total_iters
+        assert all(checks), checks
