@@ -67,14 +67,6 @@ def pinn_train(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
     return run.params.flat, ConvergenceRecord(task_label, method, cfg.seed, series)
 
 
-def run_from_scratch(task: Task, net_cfg: NetworkConfig, cfg: TrainConfig,
-                     eval_grid: EvalGrid, task_label: str = "task"
-                     ) -> ConvergenceRecord:
-    _, rec = pinn_train(task, net_cfg, cfg, eval_grid=eval_grid,
-                        method="from_scratch", task_label=task_label)
-    return rec
-
-
 def transfer_theta(pretrain_task: Task, net_cfg: NetworkConfig,
                    pre_cfg: TrainConfig) -> np.ndarray:
     """Transfer learning's initialization: weights PINN-trained on one
@@ -82,19 +74,6 @@ def transfer_theta(pretrain_task: Task, net_cfg: NetworkConfig,
     theta, _ = pinn_train(pretrain_task, net_cfg, pre_cfg, method="transfer_pre",
                           task_label="pretrain")
     return theta
-
-
-def run_transfer(pretrain_task: Task, task_new: Task, net_cfg: NetworkConfig,
-                 pre_cfg: TrainConfig, fine_cfg: TrainConfig,
-                 eval_grid: EvalGrid, task_label: str = "task"
-                 ) -> ConvergenceRecord:
-    """PINN-train on one source task (``transfer_theta``), then fine-tune all
-    weights on the new one."""
-    theta = transfer_theta(pretrain_task, net_cfg, pre_cfg)
-    _, rec = pinn_train(task_new, net_cfg, fine_cfg, theta0=theta,
-                        eval_grid=eval_grid, method="transfer",
-                        task_label=task_label)
-    return rec
 
 
 def inner_adapt(theta: np.ndarray, task: Task, steps: int, inner_lr: float,
@@ -180,29 +159,3 @@ def maml_fo_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfi
             raise TrainingError(f"maml_fo diverged at meta-iteration {m}: {e}") from e
         meta_losses.append(post_loss / len(picks))
     return theta, meta_losses
-
-
-def run_reptile(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
-                meta: MetaConfig, fine_cfg: TrainConfig, eval_grid: EvalGrid,
-                task_label: str = "task"
-                ) -> tuple[ConvergenceRecord, list[float]]:
-    """Meta-train with Reptile (``reptile_theta``), then fine-tune on the
-    new task."""
-    theta, meta_losses = reptile_theta(tasks, net_cfg, meta, fine_cfg)
-    _, rec = pinn_train(task_new, net_cfg, fine_cfg, theta0=theta,
-                        eval_grid=eval_grid, method="reptile",
-                        task_label=task_label)
-    return rec, meta_losses
-
-
-def run_maml_fo(tasks: Sequence[Task], task_new: Task, net_cfg: NetworkConfig,
-                meta: MetaConfig, fine_cfg: TrainConfig, eval_grid: EvalGrid,
-                task_label: str = "task"
-                ) -> tuple[ConvergenceRecord, list[float]]:
-    """Meta-train with first-order MAML (``maml_fo_theta``), then fine-tune
-    on the new task."""
-    theta, meta_losses = maml_fo_theta(tasks, net_cfg, meta, fine_cfg)
-    _, rec = pinn_train(task_new, net_cfg, fine_cfg, theta0=theta,
-                        eval_grid=eval_grid, method="maml_fo",
-                        task_label=task_label)
-    return rec, meta_losses

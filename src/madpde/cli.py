@@ -23,7 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import baselines, benchviz, evaluation, mad, oracles, problems
+from . import (baselines, benchviz, diffcore, evaluation, mad, oracles, problems,
+               trainer)
 from .diffcore import DiffError
 from .network import NetworkConfig
 from .trainer import TrainConfig, TrainingError
@@ -173,6 +174,11 @@ def write_manifest(out: str, command: str, cfg: dict, args) -> None:
                             if isinstance(cfg.get(section), dict) else None)
                   for section in ("tasks", "pretrain", "finetune")},
         "source_revision": _source_revision(),
+        # outputs repeat bit for bit only under the same numpy and BLAS thread count
+        "numpy_version": np.__version__,
+        "blas_threads": (None if diffcore.BLAS_THREADS is None
+                         else diffcore.BLAS_THREADS[0]()),
+        "usable_cpus": trainer.usable_cpus(),
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     with open(os.path.join(out, "manifest.json"), "w") as f:
@@ -324,14 +330,8 @@ def cmd_finetune(cfg: dict, args) -> int:
     write_manifest(out, "finetune", cfg, args)
 
     if args.mode == "L":
-        size = mad.stack_size(ck, tasks[0], fine_cfg)
-        records = []
-        for a in range(0, len(tasks), size):
-            _, recs = mad.finetune_L_batch(ck, tasks[a:a + size], Z0[a:a + size],
-                                           fine_cfg, grids[a:a + size],
-                                           labels[a:a + size],
-                                           record_snapshots=snapshots)
-            records += recs
+        _, records = mad.finetune_L_batch(ck, tasks, Z0, fine_cfg, grids, labels,
+                                          record_snapshots=snapshots)
     else:
         def run(i):
             *_, rec = mad.finetune_LM(ck, tasks[i], Z0[i], fine_cfg, grids[i],
@@ -484,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=1,
                         help="threads for finetune --mode LM, one held-out task "
                              "each; every other command runs on one thread "
-                             "and accepts only 1 (--mode L stacks small "
-                             "tasks in one pass)")
+                             "and accepts only 1 (--mode L stacks the tasks "
+                             "of each step in groups on one thread)")
         sp.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",

@@ -135,10 +135,6 @@ class DiffError(ValueError):
     """Misuse of the tape (wrong tape, non-scalar output, ...)."""
 
 
-class DomainError(DiffError):
-    """An op was evaluated outside its domain (e.g. division by zero)."""
-
-
 _GONE = np.empty(0)
 _GONE.flags.writeable = False
 
@@ -208,17 +204,8 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
 
 class Tape:
@@ -388,37 +375,6 @@ def mul(a: Arraylike, b: Arraylike):
     return tape._record("mul", out, tuple(parents), tuple(vjps))
 
 
-def div(a: Arraylike, b: Arraylike):
-    av, bv = value_of(a), value_of(b)
-    if np.any(bv == 0.0):
-        where = "div" if not isinstance(b, Var) else f"div(denominator {b!r})"
-        raise DomainError(f"division by zero in node {where}")
-    out = av / bv
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return out
-    tape = _tape_of(a, b)
-    parents, vjps = [], []
-    if isinstance(a, Var):
-        parents.append(a.idx)
-        vjps.append(lambda g, o=bv, sh=av.shape: _unbroadcast(g / o, sh))
-    if isinstance(b, Var):
-        parents.append(b.idx)
-        vjps.append(lambda g, num=av, den=bv, sh=bv.shape:
-                    _unbroadcast(-g * num / (den * den), sh))
-    return tape._record("div", out, tuple(parents), tuple(vjps))
-
-
-def power(a: Arraylike, p: float):
-    if isinstance(p, Var):
-        raise DiffError("power exponent must be a constant scalar")
-    av = value_of(a)
-    out = av ** p
-    if not isinstance(a, Var):
-        return out
-    der = p * av ** (p - 1)
-    return a.tape._record("pow", out, (a.idx,), (lambda g, d=der: g * d,))
-
-
 def sin(a: Arraylike):
     if not isinstance(a, Var):
         return np.sin(value_of(a))
@@ -445,13 +401,6 @@ def sincos(a: Arraylike):
         return s, c
     return (a.tape._record("sin", s, (a.idx,), (lambda g, c=c: g * c,)),
             a.tape._record("cos", c, (a.idx,), (lambda g, s=s: -g * s,)))
-
-
-def exp(a: Arraylike):
-    if not isinstance(a, Var):
-        return np.exp(value_of(a))
-    out = np.exp(a.value)
-    return a.tape._record("exp", out, (a.idx,), (lambda g, e=out: g * e,))
 
 
 def matmul(a: Arraylike, b: Arraylike):
@@ -540,20 +489,6 @@ def concat_cols(parts: Iterable[Arraylike]):
     return tape._record("concat_cols", out, tuple(parents), tuple(vjps))
 
 
-def take_rows(a: Arraylike, start: int, stop: int):
-    av = value_of(a)
-    out = av[start:stop]
-    if not isinstance(a, Var):
-        return out
-
-    def vjp(g, sh=av.shape, start=start, stop=stop):
-        full = np.zeros(sh)
-        full[start:stop] = g
-        return full
-
-    return a.tape._record("take_rows", out, (a.idx,), (vjp,))
-
-
 # ---------------------------------------------------------------------------
 # order-2 Taylor jets
 # ---------------------------------------------------------------------------
@@ -626,12 +561,6 @@ def jet_sub(a, b) -> Jet2:
                 _jsub(a.d2, b.d2) if track2 else None)
 
 
-def jet_neg(a: Jet2) -> Jet2:
-    return Jet2(neg(a.val),
-                0.0 if _is_zero(a.d1) else neg(a.d1),
-                None if a.d2 is None else (0.0 if _is_zero(a.d2) else neg(a.d2)))
-
-
 def jet_mul(a, b) -> Jet2:
     # Leibniz: (ab)'' = a''b + 2a'b' + ab''
     a, b, track2 = _pair(a, b)
@@ -643,20 +572,6 @@ def jet_mul(a, b) -> Jet2:
             cross = mul(2.0, cross)
         d2 = _jadd(_jadd(_jmul(a.d2, b.val), cross), _jmul(a.val, b.d2))
     return Jet2(mul(a.val, b.val), d1, d2)
-
-
-def jet_div(a, b) -> Jet2:
-    # From a = q*b: q' = (a' - q b')/b, q'' = (a'' - 2q'b' - q b'')/b
-    a, b, track2 = _pair(a, b)
-    q0 = div(a.val, b.val)
-    q1 = div(_jsub(a.d1, _jmul(q0, b.d1)), b.val)
-    q2 = None
-    if track2:
-        two_q1b1 = _jmul(q1, b.d1)
-        if not _is_zero(two_q1b1):
-            two_q1b1 = mul(2.0, two_q1b1)
-        q2 = div(_jsub(_jsub(a.d2, two_q1b1), _jmul(q0, b.d2)), b.val)
-    return Jet2(q0, q1, q2)
 
 
 def _jet_chain(a: Jet2, f0, f1, f2) -> Jet2:
@@ -674,25 +589,3 @@ def jet_sin(a) -> Jet2:
     s = sin(a.val)
     c = cos(a.val)
     return _jet_chain(a, s, c, neg(s) if is_var(s) else -s)
-
-
-def jet_cos(a) -> Jet2:
-    a = a if isinstance(a, Jet2) else jet_const(a)
-    s = sin(a.val)
-    c = cos(a.val)
-    return _jet_chain(a, c, neg(s) if is_var(s) else -s, neg(c) if is_var(c) else -c)
-
-
-def jet_exp(a) -> Jet2:
-    a = a if isinstance(a, Jet2) else jet_const(a)
-    e = exp(a.val)
-    return _jet_chain(a, e, e, e)
-
-
-def jet_pow(a, p: float) -> Jet2:
-    a = a if isinstance(a, Jet2) else jet_const(a)
-    f0 = power(a.val, p)
-    f1 = mul(p, power(a.val, p - 1)) if is_var(a.val) else p * value_of(a.val) ** (p - 1)
-    f2 = (mul(p * (p - 1), power(a.val, p - 2)) if is_var(a.val)
-          else p * (p - 1) * value_of(a.val) ** (p - 2))
-    return _jet_chain(a, f0, f1, f2)

@@ -6,9 +6,9 @@ per-task latent codes, then solve new tasks by optimizing the latent alone
 All three run ``trainer.optimize``.  When the weights train (pre-training;
 latent+model mode, one task at a time on its own copy), the tasks form one
 problem.  Over frozen weights each task is its own problem and only another
-latent, so latent-only fine-tuning solves several tasks of one family at
-once (``finetune_L_batch``), one forward and one reverse sweep per step,
-which pays while each task's arrays are small (``stack_size``).
+latent, so latent-only fine-tuning takes all the tasks of one family at once
+(``finetune_L_batch``), and ``trainer.task_groups`` decides which of them
+share a tape.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ _CKPT_MAGIC = b"MADCKPT1"
 LATENT_INIT_STD = 0.1
 _FINETUNE_STREAM = 0xF17E
 INIT_STRATEGIES = ("nearest", "mean", "zero")
-# Stacking held-out tasks saves the fixed cost of every tape node, which
-# matters only while a task's arrays are small.  Above this many elements in
-# one hidden layer of one task (512 KiB of float64) arithmetic dominates:
-# stacked Burgers tasks of 300 and 600 rows at width 64 ran no faster than
-# one task at a time.
-STACK_ELEMENTS = 1 << 16
 
 
 class CheckpointError(RuntimeError):
@@ -165,7 +159,7 @@ def _finetune(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarray,
               train_cfg: TrainConfig, eval_grids: Sequence[EvalGrid],
               tune_theta: bool, labels: Sequence[str], want_snapshots: bool):
     """Fine-tune the latents of ``tasks`` (one family) from the rows of
-    ``Z0`` in one stacked loss per iteration; with ``tune_theta`` (one task
+    ``Z0`` in one ``trainer.optimize`` run; with ``tune_theta`` (one task
     only) the weights are tuned too.
 
     Over frozen weights each task is its own problem, so it keeps what it has
@@ -223,25 +217,16 @@ def finetune_L_batch(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarr
                      train_cfg: TrainConfig, eval_grids: Sequence[EvalGrid],
                      labels: Sequence[str], record_snapshots: bool = False
                      ) -> tuple[np.ndarray, list[ConvergenceRecord]]:
-    """Latent-only fine-tuning of several tasks of one family at once: the
-    frozen decoder sees their collocation points stacked row-wise, so each
-    step is one forward and one reverse sweep.  Each task's latent, record
-    and errors are those of ``finetune_L`` on it alone, up to the rounding
-    of BLAS calls whose row count changes."""
+    """Latent-only fine-tuning of several tasks of one family at once.  A
+    step stacks the collocation points of each group of tasks
+    (``trainer.task_groups``) row-wise, one forward and one reverse sweep
+    per group, so each task's latent, record and errors are bit for bit
+    those of a run over its group alone, and those of ``finetune_L`` on it
+    alone up to the rounding of BLAS calls whose row count changes."""
     _, Z, records = _finetune(checkpoint, tasks, Z0, train_cfg, eval_grids,
                               tune_theta=False, labels=labels,
                               want_snapshots=record_snapshots)
     return Z, records
-
-
-def stack_size(checkpoint: Checkpoint, task: Task, train_cfg: TrainConfig) -> int:
-    """How many held-out tasks like ``task`` latent-only fine-tuning stacks
-    in one pass: the pre-training task count, so a fine-tune tape is never
-    larger than a pre-training tape, while one task's hidden layer
-    (``trainer.hidden_values``) holds at most ``STACK_ELEMENTS`` values;
-    else 1."""
-    per_layer = trainer.hidden_values([task], train_cfg, checkpoint.net_config.width)
-    return len(checkpoint.tasks) if per_layer <= STACK_ELEMENTS else 1
 
 
 def finetune_LM(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,

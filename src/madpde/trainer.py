@@ -11,23 +11,31 @@ share one network forward pass: their collocation points are stacked row-wise
 and each task's latent vector is repeated across its rows, which keeps the
 reductions deterministic and the BLAS calls large.
 
-``optimize`` is the one loop of pre-training, fine-tuning and PINN training.
-When the weights train, the stacked tasks are one problem, with one divergence
-guard and one gradient clip; over frozen weights each task is its own problem.
+``optimize`` is the one loop of pre-training, fine-tuning and PINN training,
+and one rule, ``task_groups``, decides how the tasks of its steps share
+tapes, from one constant: ``GROUP_ELEMENTS`` values in one hidden layer
+(``hidden_values``).  Each group is assembled and swept on its own tape; the
+weight gradients are summed in group order, and the latent gradients and
+per-task losses concatenated.
 
-A pre-training step whose tasks are large (each half's hidden layer holds
-more than ``GROUP_ELEMENTS`` values, ``hidden_values``) is computed as two
-groups, ``tasks[:N//2]`` and ``tasks[N//2:]``, each on its own tape; the
-weight gradients are summed first group then second, and the latent
-gradients and per-task losses concatenated.  The groups run at once, one on
-a persistent worker thread and one on the caller, while BLAS is pinned to
-one thread: float64 ``sin``/``cos`` are scalar library calls that leave the
-second CPU idle outside GEMMs, and two groups with BLAS on two threads ran
-slower than one after the other.  BLAS's GEMMs round differently on one
-thread than on two, so where one CPU is usable the groups run in turn on
-the caller, still pinned, and give the same outputs.  Where the BLAS thread
-count cannot be set (``diffcore.BLAS_THREADS``), smaller steps, and over
-frozen weights, a step is one group.
+When the weights train, the stacked tasks are one problem, with one
+divergence guard and one gradient clip.  A step whose every half holds more
+than ``GROUP_ELEMENTS`` values is computed as two groups, ``tasks[:N//2]``
+and ``tasks[N//2:]``, which run at once, one on a persistent worker thread
+and one on the caller, while BLAS is pinned to one thread: float64
+``sin``/``cos`` are scalar library calls that leave the second CPU idle
+outside GEMMs, and two groups with BLAS on two threads ran slower than one
+after the other.  BLAS's GEMMs round differently on one thread than on two,
+so where one CPU is usable the groups run in turn on the caller, still
+pinned, and give the same outputs.  Where the BLAS thread count cannot be
+set (``diffcore.BLAS_THREADS``), and for smaller steps, a step is one group.
+
+Over frozen weights each task is its own problem, with its own guard and
+clip, and only another latent, so a step stacks consecutive groups of
+k = max(1, GROUP_ELEMENTS // hidden_values([task])) tasks.  They run in turn
+on the caller with BLAS as it is: each group is assembled, checked by its
+tasks' guards and swept before the next is assembled, so a step holds one
+tape at a time.  A task's outputs are those of its group run alone.
 """
 
 from __future__ import annotations
@@ -217,12 +225,16 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
                      z_in if trainable_z else None, per_task)
 
 
-# A pre-training step runs as two task groups when each half's hidden layer
-# holds more than this many values.  On 2 CPUs ("crossover" in
-# BENCH_hotpath.json, 3 processes) two groups took 0.61-0.97 of one tape's
-# step time at every Burgers and ODE shape from 132k values per half up, and
-# 0.89-1.29 at 32k-83k, where some shapes were slower in every process; an
-# earlier set of 3 processes read up to 1.14 at 83k.
+# The one batching constant, in values of one hidden layer.  A pre-training
+# step runs as two task groups when each half holds more: on 2 CPUs
+# ("crossover" in BENCH_hotpath.json, 3 processes) two groups took 0.61-0.97
+# of one tape's step time at every Burgers and ODE shape from 132k values per
+# half up, and 0.89-1.29 at 32k-83k, where some shapes were slower in every
+# process.  A frozen-weight group stacks at most this many, unless one task
+# alone holds more: stacked held-out tasks took 0.63-0.87 of the per-task
+# step time of one at a time up to 107,520 values (ODE, width 32, 128-512
+# rows; Burgers, width 64, 4 x 120 rows), and 0.999-1.02 from 134,400 up
+# (Burgers, 2 x 300 and 600 rows).
 GROUP_ELEMENTS = 1 << 17
 
 
@@ -355,7 +367,8 @@ def _group_worker() -> ThreadPoolExecutor:
         return _worker
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity outside Linux
@@ -388,14 +401,14 @@ def _one_blas_thread():
                 put(_pin_before)
 
 
-def _each(fn, n: int, together: bool) -> list:
-    """``[fn(i) for i in range(n)]``; ``together`` (n == 2), fn(0) runs on
-    the worker thread while the caller runs fn(1)."""
+def _each(fn, items: list, together: bool) -> list:
+    """``[fn(x) for x in items]``; ``together`` (two items), fn(items[0])
+    runs on the worker thread while the caller runs fn(items[1])."""
     if not together:
-        return [fn(i) for i in range(n)]
-    pending = _group_worker().submit(fn, 0)
+        return [fn(x) for x in items]
+    pending = _group_worker().submit(fn, items[0])
     try:
-        second = fn(1)
+        second = fn(items[1])
     finally:
         # the worker is done before the caller goes on, and its error (the
         # first group's) wins, as when the groups run in turn
@@ -403,39 +416,61 @@ def _each(fn, n: int, together: bool) -> list:
     return [first, second]
 
 
-def _step(tasks, batches, params, Z, cfg, tune_theta: bool, half: int,
-          guard: Callable[[float, np.ndarray], None]):
-    """(total, per-task losses, d/d theta_flat, d/d Z) of one step, None for
-    a frozen block.  With ``half`` > 0, ``tasks[:half]`` and ``tasks[half:]``
-    are two groups, each assembled and swept on its own tape with BLAS pinned
-    to one thread (``diffcore.BLAS_THREADS`` must be set), and at once where
-    two CPUs are usable; else one group.  ``guard(total, per_task)`` runs
-    before any tape is swept."""
-    groups = [slice(0, half), slice(half, None)] if half else [slice(None)]
-    together = bool(half) and _usable_cpus() > 1
+def task_groups(tasks: Sequence[Task], cfg: TrainConfig, width: int,
+                tune_theta: bool) -> list[slice]:
+    """The task groups of every step of ``optimize`` (module docstring)."""
+    N = len(tasks)
+    if not tune_theta:
+        k = max(1, GROUP_ELEMENTS // hidden_values(tasks[:1], cfg, width))
+        return [slice(a, a + k) for a in range(0, N, k)]
+    half = N // 2
+    if (dc.BLAS_THREADS is not None
+            and hidden_values(tasks[:half], cfg, width) > GROUP_ELEMENTS):
+        return [slice(0, half), slice(half, N)]
+    return [slice(0, N)]
 
-    def assemble(i):
-        g = groups[i]
+
+def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice],
+          guard: Callable[[int, float, np.ndarray], None]):
+    """(total, per-task losses, d/d theta_flat, d/d Z) of one step over the
+    task ``groups``, None for a frozen block; each group is assembled and
+    swept on its own tape.  When the weights train, the groups are one
+    problem: all are assembled, ``guard(0, total, per_task)`` runs, then all
+    are swept; two groups run with BLAS pinned to one thread
+    (``diffcore.BLAS_THREADS`` must be set), at once where two CPUs are
+    usable.  Over frozen weights each group in turn is assembled, guarded
+    (``guard(index of its first task, total, per_task)``) and swept."""
+
+    def assemble(g):
         try:
             return assemble_multitask_loss(tasks[g], batches[g], params,
                                            None if Z is None else Z[g], cfg,
                                            trainable_theta=tune_theta)
         except TrainingError as e:
             if e.task is not None:
-                e.task += g.start or 0  # index in all of ``tasks``
+                e.task += g.start  # index in all of ``tasks``
             raise
 
-    with _one_blas_thread() if half else contextlib.nullcontext():
-        losses = _each(assemble, len(groups), together)
+    def run(gs, together):
+        losses = _each(assemble, gs, together)
         totals = [loss.breakdown.total for loss in losses]
         total = sum(totals[1:], totals[0])  # one group's total as it is
         per_task = np.concatenate([loss.per_task_loss for loss in losses])
-        guard(total, per_task)
-        grads = _each(lambda i: losses[i].gradients(), len(groups), together)
+        guard(gs[0].start, total, per_task)
+        grads = _each(lambda loss: loss.gradients(), losses, together)
         # free the tapes now: the worker may still hold this list for a moment
         losses.clear()
-    g_theta, g_z = zip(*grads)
-    return (total, per_task,
+        return total, per_task, grads
+
+    if tune_theta:
+        pinned = len(groups) > 1
+        with _one_blas_thread() if pinned else contextlib.nullcontext():
+            parts = [run(groups, pinned and usable_cpus() > 1)]
+    else:
+        parts = [run([g], False) for g in groups]
+    totals, per_task, grads = zip(*parts)
+    g_theta, g_z = zip(*(g for gs in grads for g in gs))
+    return (sum(totals[1:], totals[0]), np.concatenate(per_task),
             None if g_theta[0] is None else sum(g_theta[1:], g_theta[0]),
             None if g_z[0] is None else np.concatenate(g_z))
 
@@ -464,6 +499,7 @@ def optimize(what: str, tasks: Sequence[Task],
     batch from its stream every ``resample_every`` iterations, release the
     tape in one reverse sweep and take a clipped Adam step at ``lr_at``.
     ``record(it, params, Z)`` runs at 0, every ``eval_every`` and at the end.
+    Every step runs over the task groups of ``task_groups``.
 
     When the weights train, the stacked tasks are one problem: one
     divergence guard on the total, seeded with ``running_min``, and one clip
@@ -486,18 +522,12 @@ def optimize(what: str, tasks: Sequence[Task],
         return (ModelParams(w[:P], params.config) if tune_theta else params,
                 w[P:].reshape(N, latent))
 
-    def guard(total, per_task):
-        nonlocal guards
+    def guard(first, total, per_task):
         watched = [total] if tune_theta else per_task  # one guard per problem
-        guards = [check_divergence(v, m, i if len(watched) == N else None)
-                  for i, (v, m) in enumerate(zip(watched, guards))]
+        for i, v in enumerate(watched, first):
+            guards[i] = check_divergence(v, guards[i], i if len(guards) == N else None)
 
-    # two task groups when the weights train, BLAS can be pinned and each
-    # half's hidden layer is large, else one
-    half = N // 2
-    if not (tune_theta and dc.BLAS_THREADS is not None
-            and hidden_values(tasks[:half], cfg, params.config.width) > GROUP_ELEMENTS):
-        half = 0
+    groups = task_groups(tasks, cfg, params.config.width, tune_theta)
     if record is not None and start == 0:
         record(0, *split(w))
     losses, per_task, batches = [], None, None
@@ -509,7 +539,7 @@ def optimize(what: str, tasks: Sequence[Task],
         try:
             total, per_task, g_theta, g_z = _step(
                 tasks, batches, p, Zc if latent > 0 else None, cfg, tune_theta,
-                half, guard)
+                groups, guard)
             g_z = np.zeros((N, 0)) if g_z is None else g_z
             parts = [np.concatenate([g_theta, g_z.ravel()])] if tune_theta else g_z
             grad = np.concatenate([clip_gradient(g, cfg.clip_grad_norm) for g in parts])

@@ -25,41 +25,44 @@ TASKS = [OdeShiftTask(e) for e in np.linspace(0, 2, 5)]
 NEW = OdeShiftTask(0.85)
 
 
+def record(theta0, fine, grid):
+    """The convergence record of PINN training on NEW from ``theta0``."""
+    return baselines.pinn_train(NEW, net_cfg(), fine, theta0=theta0, eval_grid=grid)[1]
+
+
 class TestFromScratch:
     def test_zero_iterations_gives_finite_initial_error(self):
         grid = evaluation.for_task(NEW)
-        rec = baselines.run_from_scratch(NEW, net_cfg(), cfg(total_iters=0), grid)
+        rec = record(None, cfg(total_iters=0), grid)
         assert len(rec.series) == 1
         assert np.isfinite(rec.series[0][1])
 
     def test_deterministic(self):
         grid = evaluation.for_task(NEW)
-        a = baselines.run_from_scratch(NEW, net_cfg(), cfg(), grid)
-        b = baselines.run_from_scratch(NEW, net_cfg(), cfg(), grid)
+        a = record(None, cfg(), grid)
+        b = record(None, cfg(), grid)
         assert a.series == b.series
 
     def test_rejects_latent_network(self):
         grid = evaluation.for_task(NEW)
         with pytest.raises(ValueError):
-            baselines.run_from_scratch(NEW, net_cfg(latent_dim=2), cfg(), grid)
+            baselines.pinn_train(NEW, net_cfg(latent_dim=2), cfg(), eval_grid=grid)
 
 
 class TestTransfer:
     def test_starts_from_pretrained_weights(self):
         grid = evaluation.for_task(NEW)
-        scratch = baselines.run_from_scratch(NEW, net_cfg(), cfg(total_iters=0), grid)
-        transferred = baselines.run_transfer(TASKS[0], NEW, net_cfg(),
-                                             cfg(total_iters=30), cfg(total_iters=0),
-                                             grid)
+        scratch = record(None, cfg(total_iters=0), grid)
+        theta = baselines.transfer_theta(TASKS[0], net_cfg(), cfg(total_iters=30))
+        transferred = record(theta, cfg(total_iters=0), grid)
         # same seed, but the warm start changes the initial loss
         assert transferred.series[0][2] != scratch.series[0][2]
 
     def test_same_task_pretraining_starts_low(self):
         grid = evaluation.for_task(NEW)
-        warm = baselines.run_transfer(NEW, NEW, net_cfg(),
-                                      cfg(total_iters=400, lr0=3e-3),
-                                      cfg(total_iters=0), grid)
-        cold = baselines.run_from_scratch(NEW, net_cfg(), cfg(total_iters=0), grid)
+        theta = baselines.transfer_theta(NEW, net_cfg(), cfg(total_iters=400, lr0=3e-3))
+        warm = record(theta, cfg(total_iters=0), grid)
+        cold = record(None, cfg(total_iters=0), grid)
         assert warm.series[0][2] < 0.05 * cold.series[0][2]
 
 
@@ -68,10 +71,9 @@ class TestReptile:
         grid = evaluation.for_task(NEW)
         meta = MetaConfig(meta_iters=4, inner_steps=3, inner_lr=1e-3,
                           eps0=0.0, seed=3)
-        rec, _ = baselines.run_reptile(TASKS, NEW, net_cfg(), meta,
-                                       cfg(total_iters=0), grid)
-        cold = baselines.run_from_scratch(NEW, net_cfg(), cfg(total_iters=0, seed=3),
-                                          grid)
+        theta, _ = baselines.reptile_theta(TASKS, net_cfg(), meta, cfg(total_iters=0))
+        rec = record(theta, cfg(total_iters=0), grid)
+        cold = record(None, cfg(total_iters=0, seed=3), grid)
         assert rec.series[0][2] == pytest.approx(cold.series[0][2], rel=1e-15)
 
     def test_eps_one_single_task_telescopes(self):
@@ -80,9 +82,7 @@ class TestReptile:
         meta = MetaConfig(meta_iters=3, inner_steps=4, inner_lr=1e-3, eps0=1.0,
                           anneal_eps=False, seed=5)
         fine = cfg(total_iters=0, seed=5)
-        grid = evaluation.for_task(NEW)
-        _, losses = baselines.run_reptile([TASKS[1]], NEW, net_cfg(), meta,
-                                          fine, grid)
+        _, losses = baselines.reptile_theta([TASKS[1]], net_cfg(), meta, fine)
 
         theta = network.init_siren(net_cfg(), meta.seed).flat
         rng = np.random.default_rng([meta.seed, baselines._META_STREAM])
@@ -97,8 +97,7 @@ class TestReptile:
     def test_meta_training_reduces_family_loss(self):
         meta = MetaConfig(meta_iters=40, inner_steps=5, inner_lr=3e-3, seed=0)
         fine = cfg(total_iters=0, M_r=64)
-        grid = evaluation.for_task(NEW)
-        _, losses = baselines.run_reptile(TASKS, NEW, net_cfg(), meta, fine, grid)
+        _, losses = baselines.reptile_theta(TASKS, net_cfg(), meta, fine)
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
 
@@ -125,17 +124,18 @@ class TestMamlFirstOrder:
         state, expected = trainer.adam_step(trainer.AdamState.zeros(theta0.size),
                                             theta0, grads, meta.meta_lr)
 
-        rec, _ = baselines.run_maml_fo(TASKS, NEW, net_cfg(), meta, fine, grid)
-        warm = baselines.pinn_train(NEW, net_cfg(), fine, theta0=expected,
-                                    eval_grid=grid)[1]
+        theta, _ = baselines.maml_fo_theta(TASKS, net_cfg(), meta, fine)
+        rec = record(theta, fine, grid)
+        warm = record(expected, fine, grid)
         assert rec.series[0][2] == pytest.approx(warm.series[0][2], rel=1e-12)
 
     def test_deterministic(self):
         meta = MetaConfig(meta_iters=3, inner_steps=2, seed=1)
         fine = cfg(total_iters=5)
         grid = evaluation.for_task(NEW)
-        a, la = baselines.run_maml_fo(TASKS, NEW, net_cfg(), meta, fine, grid)
-        b, lb = baselines.run_maml_fo(TASKS, NEW, net_cfg(), meta, fine, grid)
+        (ta, la), (tb, lb) = [baselines.maml_fo_theta(TASKS, net_cfg(), meta, fine)
+                              for _ in range(2)]
+        a, b = record(ta, fine, grid), record(tb, fine, grid)
         assert a.series == b.series and la == lb
 
 

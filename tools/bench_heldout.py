@@ -1,5 +1,6 @@
 """Held-out MAD-L benchmark: per-task fine-tune step time when N held-out
-tasks are solved one after another or stacked in one pass, the wall time of
+tasks are solved one after another or in one ``mad.finetune_L_batch`` run
+(whose steps stack them in ``trainer.task_groups``), the wall time of
 ``madpde finetune --mode L`` on a Burgers task set, and alternating perfbench
 pairs of two source trees.  Writes ``BENCH_heldout.json``.
 

@@ -97,7 +97,7 @@ def measure_crossover() -> list[dict]:
                 time.sleep(0.1)  # BLAS's threads stop spinning after the step before
                 t = time.perf_counter()
                 trainer._step(tasks, batches, params, Z, cfg, True,
-                              0 if mode == "one_tape" else n // 2, lambda *a: None)
+                              _groups(n, mode), lambda *a: None)
                 if rep:
                     ms[mode].append(1e3 * (time.perf_counter() - t))
         one, two = (statistics.median(ms[m]) for m in ms)
@@ -108,6 +108,13 @@ def measure_crossover() -> list[dict]:
     return rows
 
 
+def _groups(n: int, mode: str) -> list[slice]:
+    """The task groups of ``trainer._step`` in ``mode``."""
+    if mode == "one_tape":
+        return [slice(0, n)]
+    return [slice(0, n // 2), slice(n // 2, n)]
+
+
 def measure_table() -> dict:
     """Per mode: step wall time and per-group phase times at the
     ``burgers_pretrain`` shape (this tree, this process), medians over
@@ -116,7 +123,6 @@ def measure_table() -> dict:
     from madpde import diffcore, trainer
 
     tasks, params, Z, batches, cfg = _problem("burgers", 10, 500, 100)
-    half = len(tasks) // 2
     setter = diffcore.BLAS_THREADS
 
     phases = []  # (thread name, first task, phase, ms) of the running step
@@ -138,15 +144,15 @@ def measure_table() -> dict:
                        "sweep", 1e3 * (time.perf_counter() - t)))
         return out
 
-    cpus = trainer._usable_cpus
+    cpus = trainer.usable_cpus
 
     def step(mode):
-        trainer._usable_cpus = (lambda: 1) if mode == "in_turn" else cpus
+        trainer.usable_cpus = (lambda: 1) if mode == "in_turn" else cpus
         phases.clear()
         time.sleep(0.1)  # BLAS's threads stop spinning after the step before
         t = time.perf_counter()
         out = trainer._step(tasks, batches, params, Z, cfg, True,
-                            0 if mode == "one_tape" else half, lambda *a: None)
+                            _groups(len(tasks), mode), lambda *a: None)
         ms = 1e3 * (time.perf_counter() - t)
         return ms, list(phases), out
 
@@ -164,7 +170,7 @@ def measure_table() -> dict:
                     samples[mode].append((ms, ph))
     finally:
         trainer.assemble_multitask_loss, trainer.TapedLoss.gradients = assemble, sweep
-        trainer._usable_cpus = cpus
+        trainer.usable_cpus = cpus
 
     table = {}
     for mode, runs in samples.items():
@@ -186,7 +192,7 @@ def measure_table() -> dict:
     return {
         "blas_thread_setter": setter is not None,
         "blas_threads": setter[0]() if setter else None,
-        "usable_cpus": trainer._usable_cpus(),
+        "usable_cpus": trainer.usable_cpus(),
         "reps": REPS,
         "table": table,
         # largest difference from the one-tape step, relative to its largest value
