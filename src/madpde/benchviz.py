@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,10 +82,9 @@ def aggregate(records: Sequence[ConvergenceRecord]) -> AggregatedCurve:
 class PcaProjection:
     basis: np.ndarray   # (2, D), orthonormal rows
     center: np.ndarray  # (D,)
-    points: list[tuple[str, np.ndarray]] = field(default_factory=list)
 
 
-def pca_fit(functions: np.ndarray, labels: Optional[Sequence[str]] = None) -> PcaProjection:
+def pca_fit(functions: np.ndarray) -> PcaProjection:
     """Top-2 principal directions of a stack of function discretizations.
 
     Sign convention: each basis row has its largest-magnitude entry positive.
@@ -104,11 +103,7 @@ def pca_fit(functions: np.ndarray, labels: Optional[Sequence[str]] = None) -> Pc
     for row in basis:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    proj = PcaProjection(basis, center)
-    if labels is not None:
-        coords = project_trajectory(proj, X)
-        proj.points = [(lab, xy) for lab, xy in zip(labels, coords)]
-    return proj
+    return PcaProjection(basis, center)
 
 
 def project_trajectory(proj: PcaProjection, snapshots) -> np.ndarray:

@@ -19,7 +19,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,7 +41,10 @@ _TOP_KEYS = {"experiment", "problem", "tasks", "network", "pretrain",
              "finetune", "baseline", "reference", "eval"}
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, assignments: list[str]) -> dict:
+    """The config at ``path`` with the ``--set`` ``assignments`` applied,
+    once its top level is what every command reads: known sections, the
+    required ones present, the experiment a name and every other an object."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -50,12 +52,20 @@ def load_config(path: str) -> dict:
         raise CliError(f"cannot read config: {e}")
     except ValueError as e:
         raise CliError(f"config is not valid JSON: {e}")
+    if not isinstance(cfg, dict):
+        raise CliError(f"config must be a JSON object, got {cfg!r}")
+    cfg = apply_overrides(cfg, assignments)
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise CliError(f"unknown config sections: {sorted(unknown)}")
     for key in ("experiment", "problem", "tasks"):
         if key not in cfg:
             raise CliError(f"config is missing the {key!r} section")
+    for key, value in cfg.items():
+        if not isinstance(value, str if key == "experiment" else dict):
+            raise CliError(f"the {key!r} section must be "
+                           f"{'a name' if key == 'experiment' else 'an object'}, "
+                           f"got {value!r}")
     return cfg
 
 
@@ -73,6 +83,8 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
         parts = path.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise CliError(f"--set {item}: {p!r} holds {node!r}, not a section")
         node[parts[-1]] = value
     return cfg
 
@@ -123,20 +135,19 @@ def train_config(cfg: dict, section: str) -> TrainConfig:
         raise CliError(f"bad {section} settings: {e}")
 
 
-def _tasks_int(cfg: dict, key: str, default: int | None = None) -> int:
-    """The integer ``tasks.<key>``; required when ``default`` is None."""
-    section = cfg.get("tasks")
-    if not isinstance(section, dict):
-        raise CliError(f"the 'tasks' section must be an object, got {section!r}")
-    if key not in section:
+def _int_setting(cfg: dict, section: str, key: str,
+                 default: int | None = None) -> int:
+    """The integer ``<section>.<key>``; required when ``default`` is None."""
+    entries = cfg.get(section, {})
+    if key not in entries:
         if default is not None:
             return default
-        raise CliError(f"the 'tasks' section has no {key!r} entry")
-    value = section[key]
+        raise CliError(f"the {section!r} section has no {key!r} entry")
+    value = entries[key]
     try:
         return int(value)
     except (TypeError, ValueError):
-        raise CliError(f"tasks.{key} must be an integer, got {value!r}")
+        raise CliError(f"{section}.{key} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +181,7 @@ def write_manifest(out: str, command: str, cfg: dict, args) -> None:
         "command": command,
         "config_path": os.path.abspath(args.config) if args.config else None,
         "output_dir": os.path.abspath(out),
-        "seeds": {section: (cfg[section].get("seed")
-                            if isinstance(cfg.get(section), dict) else None)
+        "seeds": {section: cfg.get(section, {}).get("seed")
                   for section in ("tasks", "pretrain", "finetune")},
         "source_revision": _source_revision(),
         # outputs repeat bit for bit only under the same numpy and BLAS thread count
@@ -252,8 +262,8 @@ def _eval_grid(task, tasks_dir: str, task_id: int, cfg: dict):
         if not os.path.exists(path):
             raise CliError(f"missing reference field {path}; run gen-tasks first")
         reference = oracles.load_reference(path)
-    n_pts = int(cfg.get("eval", {}).get("n_laplace_points",
-                                        evaluation.LAPLACE_EVAL_POINTS))
+    n_pts = _int_setting(cfg, "eval", "n_laplace_points",
+                         evaluation.LAPLACE_EVAL_POINTS)
     return evaluation.for_task(task, reference, seed=task_id, n_laplace=n_pts)
 
 
@@ -264,13 +274,26 @@ def _eval_grid(task, tasks_dir: str, task_id: int, cfg: dict):
 def cmd_gen_tasks(cfg: dict, args) -> int:
     # a config error leaves no output directory behind
     prob = cfg["problem"]
-    n_tasks = _tasks_int(cfg, "n_tasks")
-    n_pre = _tasks_int(cfg, "n_pretrain")
-    seed = _tasks_int(cfg, "seed", default=0)
+    n_tasks = _int_setting(cfg, "tasks", "n_tasks")
+    n_pre = _int_setting(cfg, "tasks", "n_pretrain")
+    seed = _int_setting(cfg, "tasks", "seed", default=0)
     if not 1 <= n_pre < n_tasks:
         raise CliError("need 1 <= n_pretrain < n_tasks")
-    family = problems.family(prob.get("variant"))
-    tasks = family.build(prob, n_tasks, seed)
+    try:
+        family = problems.family(prob.get("variant"))
+        tasks = family.build(prob, n_tasks, seed)
+    except (TypeError, ValueError) as e:
+        raise CliError(f"bad problem settings: {e}")
+    if family.solve_reference is not None:
+        nx = _int_setting(cfg, "reference", "nx", 256)
+        nt = _int_setting(cfg, "reference", "nt", 50)
+        which = cfg.get("reference", {}).get("which", "s2")
+        if nx < 2 or nx & (nx - 1):
+            raise CliError(f"reference.nx must be a power of two, got {nx}")
+        if nt < 1:
+            raise CliError(f"reference.nt must be at least 1, got {nt}")
+        if which not in ("s2", "all"):
+            raise CliError(f"reference.which must be 's2' or 'all', got {which!r}")
     out = prepare_out_dir(default_out(cfg, "tasks", args.out), args.force)
     write_manifest(out, "gen-tasks", cfg, args)
     perm = np.random.default_rng([seed, 0x5917]).permutation(n_tasks)
@@ -280,10 +303,6 @@ def cmd_gen_tasks(cfg: dict, args) -> int:
     _write_task_file(os.path.join(out, "tasks_s1.json"), s1_ids, s1)
     _write_task_file(os.path.join(out, "tasks_s2.json"), s2_ids, s2)
     if family.solve_reference is not None:
-        ref_cfg = cfg.get("reference", {})
-        nx = int(ref_cfg.get("nx", 256))
-        nt = int(ref_cfg.get("nt", 50))
-        which = ref_cfg.get("which", "s2")
         os.makedirs(os.path.join(out, "refs"), exist_ok=True)
         targets = list(zip(s2_ids, s2))
         if which == "all":
@@ -333,17 +352,9 @@ def cmd_finetune(cfg: dict, args) -> int:
         _, records = mad.finetune_L_batch(ck, tasks, Z0, fine_cfg, grids, labels,
                                           record_snapshots=snapshots)
     else:
-        def run(i):
-            *_, rec = mad.finetune_LM(ck, tasks[i], Z0[i], fine_cfg, grids[i],
-                                      task_label=labels[i],
-                                      record_snapshots=snapshots)
-            return rec
-
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                records = list(pool.map(run, range(len(tasks))))
-        else:
-            records = [run(i) for i in range(len(tasks))]
+        records = [mad.finetune_LM(ck, task, z0, fine_cfg, grid, task_label=label,
+                                   record_snapshots=snapshots)[2]
+                   for task, z0, grid, label in zip(tasks, Z0, grids, labels)]
 
     benchviz.write_convergence_csv(os.path.join(out, "convergence.csv"), records)
     if snapshots:
@@ -453,7 +464,8 @@ def cmd_viz(cfg: dict, args) -> int:
 
     family = problems.family(cfg["problem"].get("variant")) if args.snapshots else None
     if family is not None and family.exact_family is not None:
-        exact = family.exact_family(cfg["problem"], _tasks_int(cfg, "n_tasks"))
+        exact = family.exact_family(cfg["problem"],
+                                    _int_setting(cfg, "tasks", "n_tasks"))
         named = [(label, values[None, :]) for label, values in exact]
         for path in args.snapshots:
             with np.load(path) as data:
@@ -482,10 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override every seed in the config")
         sp.add_argument("--workers", type=int, default=1,
-                        help="threads for finetune --mode LM, one held-out task "
-                             "each; every other command runs on one thread "
-                             "and accepts only 1 (--mode L stacks the tasks "
-                             "of each step in groups on one thread)")
+                        help="must be 1, kept for existing scripts: every "
+                             "command runs its tasks one after another")
         sp.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",
@@ -529,20 +539,17 @@ _COMMANDS = {
 
 
 def check_workers(args) -> None:
-    """``--workers`` is at least 1, and above 1 only where threads are used."""
-    if args.workers < 1:
-        raise CliError(f"--workers must be at least 1, got {args.workers}")
-    if args.workers > 1 and not (args.command == "finetune" and args.mode == "LM"):
-        raise CliError(f"--workers {args.workers} applies only to finetune "
-                       f"--mode LM; {args.command} runs on one thread")
+    """``--workers`` is 1: no command runs its tasks on threads of its own."""
+    if args.workers != 1:
+        raise CliError(f"--workers must be 1, got {args.workers}: every command "
+                       f"runs its tasks one after another")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         check_workers(args)
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args.overrides)
+        cfg = load_config(args.config, args.overrides)
         if args.seed is not None:
             cfg = override_seeds(cfg, args.seed)
         return _COMMANDS[args.command](cfg, args)

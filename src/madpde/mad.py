@@ -70,8 +70,7 @@ def _restore_stream(state: dict) -> np.random.Generator:
 def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConfig,
              task_ids: Optional[Sequence[int]] = None,
              stop_at: Optional[int] = None,
-             resume_from: Optional[Checkpoint] = None,
-             z_init_std: float = LATENT_INIT_STD) -> Checkpoint:
+             resume_from: Optional[Checkpoint] = None) -> Checkpoint:
     """Joint optimization of the shared weights and all per-task latents.
 
     Per-task randomness (latent init, collocation resampling) comes from a
@@ -109,7 +108,7 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
         params = init_siren(net_cfg, train_cfg.seed)
         adam, loss_series, start = None, [], 0
         streams = [task_stream(train_cfg.seed, tid) for tid in task_ids]
-        Z = np.stack([g.normal(0.0, z_init_std, size=net_cfg.latent_dim)
+        Z = np.stack([g.normal(0.0, LATENT_INIT_STD, size=net_cfg.latent_dim)
                       for g in streams])
 
     run = trainer.optimize("pre-training", tasks, streams, params, Z, train_cfg,
@@ -204,12 +203,12 @@ def _finetune(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarray,
 
 
 def finetune_L(checkpoint: Checkpoint, task_new: Task, z0: np.ndarray,
-               train_cfg: TrainConfig, eval_grid: EvalGrid,
-               task_label: str = "new", record_snapshots: bool = False
+               train_cfg: TrainConfig, eval_grid: EvalGrid
                ) -> tuple[np.ndarray, ConvergenceRecord]:
-    """Latent-only fine-tuning: the pre-trained weights stay frozen."""
+    """Latent-only fine-tuning of one task, labelled "new": the pre-trained
+    weights stay frozen."""
     Z, (record,) = finetune_L_batch(checkpoint, [task_new], z0, train_cfg,
-                                    [eval_grid], [task_label], record_snapshots)
+                                    [eval_grid], ["new"])
     return Z[0], record
 
 

@@ -2,10 +2,10 @@
 
 The network evaluates f(x, z) on the concatenation of the (optionally
 encoded) coordinates x and a per-task latent vector z.  ``forward`` is plain
-numpy for cheap evaluation on grids; ``forward_jets`` runs the same
-computation in Jet2 arithmetic on a tape so that du/dv and d2u/dv2 per
-coordinate direction stay differentiable with respect to the weights and the
-latent vector.
+numpy for cheap evaluation on grids; ``jet_forward`` (training's path, on
+the tape of ``stage_network``; ``forward_jets`` stages a fresh one) runs the
+same computation in Jet2 arithmetic, so that du/dv and d2u/dv2 per coordinate
+direction stay differentiable with respect to the weights and the latent.
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ class ModelParams:
             pos += fo
             out.append((W, b))
         return out
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy(), self.config)
 
 
 def init_siren(config: NetworkConfig, seed: int) -> ModelParams:

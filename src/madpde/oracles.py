@@ -197,7 +197,7 @@ def burgers_solve_cn(u0: GrfSample, nu: float, nx: int, nt: int,
 # Laplace: harmonic extension of circle data into the unit disk
 # ---------------------------------------------------------------------------
 
-def laplace_disk_solution(h: GrfSample, r, theta, K: Optional[int] = None) -> np.ndarray:
+def laplace_disk_solution(h: GrfSample, r, theta) -> np.ndarray:
     """u(r, theta) = a0 + sum_k r^k (a_k cos k theta + b_k sin k theta)."""
     if h.domain != "unit_circle":
         raise ValueError("boundary data must live on the unit circle")
@@ -205,13 +205,12 @@ def laplace_disk_solution(h: GrfSample, r, theta, K: Optional[int] = None) -> np
     theta = np.asarray(theta, dtype=np.float64)
     if np.any(r > 1.0 + 1e-12) or np.any(r < 0):
         raise OracleError("radius outside the unit disk")
-    K = h.n_modes if K is None else min(K, h.n_modes)
-    k = np.arange(1, K + 1)
+    k = np.arange(1, h.n_modes + 1)
     rk = np.power.outer(r, k)
     ang = np.multiply.outer(theta, k)
     return (h.cos_coeffs[0]
-            + np.sum(rk * (np.cos(ang) * h.cos_coeffs[1:K + 1]
-                           + np.sin(ang) * h.sin_coeffs[:K]), axis=-1))
+            + np.sum(rk * (np.cos(ang) * h.cos_coeffs[1:]
+                           + np.sin(ang) * h.sin_coeffs), axis=-1))
 
 
 def laplace_solution_xy(h: GrfSample, x, y) -> np.ndarray:

@@ -246,11 +246,10 @@ def hidden_values(tasks: Sequence[Task], cfg: TrainConfig, width: int) -> int:
 
 
 def assemble_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
-                  batch: SampleBatch, cfg: TrainConfig,
-                  trainable_theta: bool = True) -> TapedLoss:
+                  batch: SampleBatch, cfg: TrainConfig) -> TapedLoss:
     """Single-task loss; identical code path to the multi-task assembly."""
     Z = None if params.config.latent_dim == 0 else np.asarray(z).reshape(1, -1)
-    return assemble_multitask_loss([task], [batch], params, Z, cfg, trainable_theta)
+    return assemble_multitask_loss([task], [batch], params, Z, cfg)
 
 
 DIVERGENCE_FACTOR = 1e8  # loss / running minimum at which a run has diverged
@@ -278,7 +277,8 @@ def probe_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
 
     Nothing is differentiated, so the weights and the latent stay plain
     arrays and the loss is computed without recording a tape; the total is
-    that of ``assemble_loss(..., trainable_theta=False)`` bit for bit.
+    that of ``assemble_multitask_loss(..., trainable_theta=False)`` on the
+    one task bit for bit.
     """
     batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc,
                                   np.random.default_rng([cfg.seed, PROBE_STREAM]))
@@ -304,9 +304,6 @@ class AdamState:
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
         return cls(np.zeros(n), np.zeros(n), 0)
-
-    def copy(self) -> "AdamState":
-        return AdamState(self.m.copy(), self.v.copy(), self.step)
 
 
 def require_finite_gradient(grads: np.ndarray, step: int,

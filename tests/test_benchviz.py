@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,12 +127,6 @@ class TestPca:
         with pytest.raises(ValueError):
             project_trajectory(proj, np.zeros(17))
 
-    def test_labeled_points(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(4, 8))
-        proj = pca_fit(X, labels=["a", "b", "c", "d"])
-        assert [p[0] for p in proj.points] == ["a", "b", "c", "d"]
-
 
 class TestCsvIO:
     def test_convergence_roundtrip(self, tmp_path):
@@ -146,7 +142,7 @@ class TestCsvIO:
     def test_manifold_csv(self, tmp_path):
         p = str(tmp_path / "manifold.csv")
         benchviz.write_manifold_csv(p, {"traj": np.array([[0.0, 1.0], [2.0, 3.0]])})
-        lines = open(p).read().splitlines()
+        lines = Path(p).read_text().splitlines()
         assert lines[0] == "label,step,pc1,pc2"
         assert len(lines) == 3
 

@@ -1,11 +1,17 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from madpde import baselines, benchviz, cli, diffcore, evaluation, mad, problems, trainer
+
+
+def read_json(path):
+    with open(path) as f:
+        return json.load(f)
 
 
 def write_config(path, **kw):
@@ -38,8 +44,8 @@ def ode_setup(tmp_path):
 class TestGenTasks:
     def test_counts_and_disjointness(self, ode_setup):
         _, tasks_dir, _ = ode_setup
-        s1 = json.load(open(os.path.join(tasks_dir, "tasks_s1.json")))
-        s2 = json.load(open(os.path.join(tasks_dir, "tasks_s2.json")))
+        s1 = read_json(os.path.join(tasks_dir, "tasks_s1.json"))
+        s2 = read_json(os.path.join(tasks_dir, "tasks_s2.json"))
         assert len(s1) == 5 and len(s2) == 1
         ids1 = {e["id"] for e in s1}
         ids2 = {e["id"] for e in s2}
@@ -56,7 +62,7 @@ class TestGenTasks:
         )
         out = str(tmp_path / "tasks_b")
         assert cli.main(["gen-tasks", "--config", cfg_path, "--out", out]) == 0
-        s2 = json.load(open(os.path.join(out, "tasks_s2.json")))
+        s2 = read_json(os.path.join(out, "tasks_s2.json"))
         for e in s2:
             assert os.path.exists(os.path.join(out, "refs",
                                                f"task_{e['id']:04d}.ref"))
@@ -72,8 +78,8 @@ class TestGenTasks:
         cfg_path, tasks_dir, _ = ode_setup
         other = str(tmp_path / "tasks2")
         assert cli.main(["gen-tasks", "--config", cfg_path, "--out", other]) == 0
-        a = open(os.path.join(tasks_dir, "tasks_s1.json")).read()
-        b = open(os.path.join(other, "tasks_s1.json")).read()
+        a = Path(tasks_dir, "tasks_s1.json").read_text()
+        b = Path(other, "tasks_s1.json").read_text()
         assert a == b
 
 
@@ -99,7 +105,7 @@ class TestPipeline:
         ev_dir = str(tmp_path / "ev")
         assert cli.main(["eval", "--config", cfg_path, "--tasks", tasks_dir,
                          "--checkpoint", ckpt, "--out", ev_dir]) == 0
-        summary = json.load(open(os.path.join(ev_dir, "summary.json")))
+        summary = read_json(os.path.join(ev_dir, "summary.json"))
         assert "mean" in summary and "per_task" in summary
 
         viz_dir = str(tmp_path / "viz")
@@ -119,7 +125,7 @@ class TestPipeline:
                          "--checkpoint", os.path.join(pre_dir, "checkpoint.ckpt"),
                          "--mode", "L", "--out", ft_dir,
                          "--set", "finetune.total_iters=0"]) == 0
-        lines = open(os.path.join(ft_dir, "convergence.csv")).read().splitlines()
+        lines = Path(ft_dir, "convergence.csv").read_text().splitlines()
         assert len(lines) == 2  # header + the single initial evaluation
         assert lines[1].split(",")[3] == "0"
 
@@ -135,18 +141,18 @@ class TestPipeline:
         pre_dir = str(tmp_path / "pre_idem")
         cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
                   "--out", pre_dir])
-        first = open(os.path.join(pre_dir, "checkpoint.ckpt"), "rb").read()
-        first_csv = open(os.path.join(pre_dir, "pretrain_loss.csv")).read()
+        first = Path(pre_dir, "checkpoint.ckpt").read_bytes()
+        first_csv = Path(pre_dir, "pretrain_loss.csv").read_text()
         cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
                   "--out", pre_dir, "--force"])
-        assert open(os.path.join(pre_dir, "checkpoint.ckpt"), "rb").read() == first
-        assert open(os.path.join(pre_dir, "pretrain_loss.csv")).read() == first_csv
+        assert Path(pre_dir, "checkpoint.ckpt").read_bytes() == first
+        assert Path(pre_dir, "pretrain_loss.csv").read_text() == first_csv
 
 
 class TestManifest:
     def test_records_what_bit_exact_outputs_depend_on(self, ode_setup, monkeypatch):
         cfg_path, tasks_dir, tmp_path = ode_setup
-        manifest = json.load(open(os.path.join(tasks_dir, "manifest.json")))
+        manifest = read_json(os.path.join(tasks_dir, "manifest.json"))
         assert manifest["numpy_version"] == np.__version__
         assert manifest["usable_cpus"] == trainer.usable_cpus() >= 1
         if diffcore.BLAS_THREADS is None:
@@ -157,19 +163,19 @@ class TestManifest:
         monkeypatch.setattr(diffcore, "BLAS_THREADS", None)
         out = tmp_path / "again"
         assert cli.main(["gen-tasks", "--config", cfg_path, "--out", str(out)]) == 0
-        assert json.load(open(out / "manifest.json"))["blas_threads"] is None
+        assert read_json(out / "manifest.json")["blas_threads"] is None
 
 
 class TestErrors:
     def test_missing_config_section(self, tmp_path):
         p = tmp_path / "bad.json"
-        json.dump({"experiment": "x"}, open(p, "w"))
+        p.write_text(json.dumps({"experiment": "x"}))
         assert cli.main(["gen-tasks", "--config", str(p)]) == 1
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad2.json"
-        json.dump({"experiment": "x", "problem": {}, "tasks": {},
-                   "bogus": {}}, open(p, "w"))
+        p.write_text(json.dumps({"experiment": "x", "problem": {}, "tasks": {},
+                                 "bogus": {}}))
         assert cli.main(["gen-tasks", "--config", str(p)]) == 1
 
     def test_missing_task_file(self, ode_setup, tmp_path):
@@ -248,8 +254,8 @@ class TestErrors:
         other = str(tmp_path / "tasks_seeded")
         assert cli.main(["gen-tasks", "--config", cfg_path, "--out", other,
                          "--seed", "123"]) == 0
-        a = open(os.path.join(tasks_dir, "tasks_s1.json")).read()
-        b = open(os.path.join(other, "tasks_s1.json")).read()
+        a = Path(tasks_dir, "tasks_s1.json").read_text()
+        b = Path(other, "tasks_s1.json").read_text()
         assert a != b
 
 
@@ -349,6 +355,19 @@ class TestGenTasksConfigErrors:
         err = one_error_line(capsys)
         assert "'n_mode'" in err and "n_modes" in err and "scale" in err
 
+    @pytest.mark.parametrize("problem", [
+        {"variant": ["burgers"]},
+        {"variant": "burgers", "nu": "abc"},
+        {"variant": "burgers", "grf": 3},
+        {"variant": "ode_shift", "eta_range": 5},
+    ], ids=["variant_list", "nu_not_a_number", "grf_number", "eta_range_number"])
+    def test_malformed_problem_section(self, tmp_path, capsys, problem):
+        cfg_path = write_config(tmp_path / "p.json", problem=problem)
+        assert cli.main(["gen-tasks", "--config", cfg_path,
+                         "--out", str(tmp_path / "t")]) == 1
+        assert "bad problem settings" in one_error_line(capsys)
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("missing", ["n_tasks", "n_pretrain"])
     def test_tasks_section_without_count(self, tmp_path, capsys, missing):
         tasks = {"n_tasks": 6, "n_pretrain": 5, "seed": 7}
@@ -372,6 +391,25 @@ class TestGenTasksConfigErrors:
         err = one_error_line(capsys)
         assert all(w in err for w in words)
         assert not (tmp_path / "t").exists()  # nothing written before the check
+
+    @pytest.mark.parametrize("reference, words", [
+        (3, ["'reference'", "3"]),
+        ({"nx": "abc", "nt": 4}, ["reference.nx", "'abc'"]),
+        ({"nx": 100, "nt": 4}, ["reference.nx", "power of two", "100"]),
+        ({"nx": 64, "nt": 0}, ["reference.nt", "at least 1", "0"]),
+        ({"nx": 64, "nt": 4, "which": "bogus"}, ["reference.which", "'bogus'"]),
+    ], ids=["number", "nx_not_a_number", "nx_not_a_power_of_two", "no_time_step",
+            "unknown_which"])
+    def test_malformed_reference_section(self, tmp_path, capsys, reference, words):
+        cfg_path = write_config(
+            tmp_path / "b.json", experiment="burgers_mini",
+            problem={"variant": "burgers", "nu": 0.01, "grf": {"n_modes": 8}},
+            tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 7}, reference=reference)
+        assert cli.main(["gen-tasks", "--config", cfg_path,
+                         "--out", str(tmp_path / "t")]) == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in words)
+        assert not (tmp_path / "t").exists()
 
 
 def read_records(path):
@@ -405,7 +443,7 @@ class TestBatchedFinetune:
     @pytest.fixture()
     def batch_sizes(self, trained, monkeypatch):
         """The task count of every group assembled, with two tasks a group."""
-        cfg = json.load(open(trained[0]))
+        cfg = read_json(trained[0])
         task = read_split(trained[1], "s2")[0][1]
         per_task = trainer.hidden_values([task], cli.train_config(cfg, "finetune"),
                                          cli.network_config(cfg, task).width)
@@ -438,7 +476,7 @@ class TestBatchedFinetune:
         assert batch_sizes == [2, 1] * 8
         cfg_path, tasks_dir, ck_path, _ = trained
         ck = mad.load_checkpoint(ck_path)
-        fine = cli.train_config(json.load(open(cfg_path)), "finetune")
+        fine = cli.train_config(read_json(cfg_path), "finetune")
         for tid, task in read_split(tasks_dir, "s2"):
             _, alone = mad.finetune_L(ck, task, mad.init_latent(task, ck, "nearest"),
                                       fine, evaluation.for_task(task, seed=tid))
@@ -452,6 +490,39 @@ class TestBatchedFinetune:
         assert batch_sizes == [2, 1] * 8 + [1] * 8
         assert list(one) == [f"s2-{tid}"]
         self.assert_close(one[f"s2-{tid}"], full[f"s2-{tid}"])
+
+
+class TestLatentModelFinetune:
+    def test_one_finetune_LM_run_per_task_in_held_out_order(self, tmp_path):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                tasks={"n_tasks": 5, "n_pretrain": 2, "seed": 7})
+        tasks_dir, pre, out = (str(tmp_path / "tasks"), str(tmp_path / "pre"),
+                               tmp_path / "lm")
+        assert cli.main(["gen-tasks", "--config", cfg_path, "--out", tasks_dir]) == 0
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", pre]) == 0
+        ck_path = os.path.join(pre, "checkpoint.ckpt")
+        assert cli.main(["finetune", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--checkpoint", ck_path, "--mode", "LM",
+                         "--out", str(out)]) == 0
+
+        ck = mad.load_checkpoint(ck_path)
+        fine = cli.train_config(read_json(cfg_path), "finetune")
+        held = read_split(tasks_dir, "s2")
+        assert len(held) == 3
+        records = [mad.finetune_LM(ck, task, mad.init_latent(task, ck, "nearest"),
+                                   fine, evaluation.for_task(task, seed=tid),
+                                   task_label=f"s2-{tid}", record_snapshots=True)[2]
+                   for tid, task in held]
+        benchviz.write_convergence_csv(str(tmp_path / "alone.csv"), records)
+        assert (out / "convergence.csv").read_bytes() == \
+            (tmp_path / "alone.csv").read_bytes()
+        for rec in records:
+            with np.load(out / "snapshots" / f"mad_lm_{rec.task_id}.npz") as data:
+                np.testing.assert_array_equal(data["iterations"],
+                                              [i for i, _ in rec.snapshots])
+                np.testing.assert_array_equal(data["snapshots"],
+                                              [v for _, v in rec.snapshots])
 
 
 class TestBaselineMetaTrainsOnce:
@@ -476,7 +547,7 @@ class TestBaselineMetaTrainsOnce:
         assert len(calls) == meta["meta_iters"]
 
         # byte for byte what meta-training afresh for each task writes
-        cfg = json.load(open(cfg_path))
+        cfg = read_json(cfg_path)
         fine = cli.train_config(cfg, "finetune")
         s1 = [t for _, t in read_split(tasks_dir, "s1")]
         held = read_split(tasks_dir, "s2")
@@ -508,6 +579,43 @@ class TestConfigErrorsLeaveNoDirectory:
         assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
                          "--out", pre]) == 0
         return os.path.join(pre, "checkpoint.ckpt")
+
+    @pytest.mark.parametrize("command, config, overrides, words", [
+        ("pretrain", 5, [], ["JSON object", "5"]),
+        ("pretrain", {}, ["experiment.name=1"],
+         ["experiment.name=1", "'experiment'", "not a section"]),
+        ("pretrain", {"experiment": 5}, [], ["'experiment'", "a name", "5"]),
+        ("pretrain", {"pretrain": 5}, [], ["'pretrain'", "5"]),
+        ("finetune", {"eval": 3}, [], ["'eval'", "3"]),
+        ("baseline", {"eval": 3}, [], ["'eval'", "3"]),
+        ("eval", {"eval": 3}, [], ["'eval'", "3"]),
+        ("eval", {"eval": {"n_laplace_points": "abc"}}, [],
+         ["eval.n_laplace_points", "'abc'"]),
+    ], ids=["top_level_number", "set_below_a_name", "experiment_number",
+            "pretrain_number", "finetune_eval_number", "baseline_eval_number",
+            "eval_eval_number", "eval_points_not_a_number"])
+    def test_malformed_config(self, ode_setup, checkpoint, capsys, command, config,
+                              overrides, words):
+        _, tasks_dir, tmp_path = ode_setup
+        bad = tmp_path / "bad.json"
+        if isinstance(config, dict):
+            write_config(bad, **config)
+        else:
+            bad.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(bad), "--tasks", tasks_dir, "--out", str(out)]
+        argv += [a for o in overrides for a in ("--set", o)]
+        if command in ("finetune", "eval"):
+            argv += ["--checkpoint", checkpoint]
+        if command == "finetune":
+            argv += ["--mode", "LM"]
+        if command == "baseline":
+            argv += ["--method", "from-scratch"]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in words)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, fault", [
         ("pretrain", "section"), ("pretrain", "tasks"),
@@ -544,8 +652,8 @@ class TestConfigErrorsLeaveNoDirectory:
 
 
 class TestWorkers:
-    """--workers is at least 1 everywhere, and above 1 only for finetune
-    --mode LM, the one command that runs held-out tasks on threads."""
+    """--workers is accepted, and must be 1, everywhere: every command runs
+    its tasks one after another."""
 
     @pytest.fixture()
     def argvs(self, ode_setup):
@@ -568,27 +676,21 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_below_one_rejected_everywhere(self, argvs, capsys, workers):
+        self.assert_rejected_everywhere(argvs, capsys, workers)
+
+    @pytest.mark.parametrize("workers", ["2", "4"])
+    def test_above_one_rejected_everywhere(self, argvs, capsys, workers):
+        self.assert_rejected_everywhere(argvs, capsys, workers)
+
+    @staticmethod
+    def assert_rejected_everywhere(argvs, capsys, workers):
         commands, tmp_path = argvs
         for name, argv in commands.items():
             out = tmp_path / f"w{workers}_{name.replace(' ', '_')}"
             capsys.readouterr()
             assert cli.main(argv + ["--workers", workers, "--out", str(out)]) == 1
             err = one_error_line(capsys)
-            assert f"--workers must be at least 1, got {workers}" in err
-            assert not out.exists()
-
-    def test_above_one_only_where_read(self, argvs, capsys):
-        commands, tmp_path = argvs
-        for name, argv in commands.items():
-            out = tmp_path / f"w2_{name.replace(' ', '_')}"
-            capsys.readouterr()
-            rc = cli.main(argv + ["--workers", "2", "--out", str(out)])
-            if name == "finetune LM":
-                assert rc == 0
-                continue
-            assert rc == 1
-            err = one_error_line(capsys)
-            assert "applies only to finetune --mode LM" in err
+            assert f"--workers must be 1, got {workers}" in err
             assert not out.exists()
 
     def test_one_accepted_everywhere(self, argvs):

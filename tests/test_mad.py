@@ -3,6 +3,7 @@ import gc
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,8 +214,7 @@ class TestFinetune:
         i = 1
         grid = evaluation.for_task(tasks[i])
         ft_cfg = quick_cfg(total_iters=60, lr0=1e-4)
-        _, rec = mad.finetune_L(ck, tasks[i], ck.latents[i], ft_cfg, grid,
-                                task_label=f"s1-{i}")
+        _, rec = mad.finetune_L(ck, tasks[i], ck.latents[i], ft_cfg, grid)
         final_loss = rec.series[-1][2]
         assert final_loss <= 1.05 * ck.final_per_task_loss[i]
 
@@ -260,9 +260,9 @@ class TestFinetune:
     def test_snapshots_recorded(self, small_checkpoint):
         task = OdeShiftTask(0.4)
         grid = evaluation.for_task(task)
-        _, rec = mad.finetune_L(small_checkpoint, task, np.array([0.0]),
-                                quick_cfg(total_iters=20, eval_every=10), grid,
-                                record_snapshots=True)
+        _, (rec,) = mad.finetune_L_batch(small_checkpoint, [task], np.array([0.0]),
+                                         quick_cfg(total_iters=20, eval_every=10),
+                                         [grid], ["new"], record_snapshots=True)
         assert rec.snapshots is not None
         assert len(rec.snapshots) == len(rec.series)
         assert rec.snapshots[0][1].shape == (128,)
@@ -288,11 +288,11 @@ class TestCheckpointIO:
     def test_corrupted_file_rejected(self, small_checkpoint, tmp_path):
         p = str(tmp_path / "model.ckpt")
         mad.save_checkpoint(p, small_checkpoint)
-        blob = open(p, "rb").read()
-        open(p, "wb").write(blob[:len(blob) // 2])
+        blob = Path(p).read_bytes()
+        Path(p).write_bytes(blob[:len(blob) // 2])
         with pytest.raises(mad.CheckpointError):
             mad.load_checkpoint(p)
-        open(p, "wb").write(b"garbage")
+        Path(p).write_bytes(b"garbage")
         with pytest.raises(mad.CheckpointError):
             mad.load_checkpoint(p)
 
@@ -301,12 +301,12 @@ class TestCheckpointIO:
         import struct as _struct
         p = str(tmp_path / "model.ckpt")
         mad.save_checkpoint(p, small_checkpoint)
-        blob = open(p, "rb").read()
+        blob = Path(p).read_bytes()
         n = _struct.unpack("<I", blob[8:12])[0]
         header = _json.loads(blob[12:12 + n])
         header["version"] = 99
         hb = _json.dumps(header, sort_keys=True).encode()
-        open(p, "wb").write(blob[:8] + _struct.pack("<I", len(hb)) + hb
+        Path(p).write_bytes(blob[:8] + _struct.pack("<I", len(hb)) + hb
                             + blob[12 + n:])
         with pytest.raises(mad.CheckpointError, match="version"):
             mad.load_checkpoint(p)
@@ -317,12 +317,12 @@ class TestCheckpointIO:
         import struct as _struct
         p = str(tmp_path / "model.ckpt")
         mad.save_checkpoint(p, small_checkpoint)
-        blob = open(p, "rb").read()
+        blob = Path(p).read_bytes()
         n = _struct.unpack("<I", blob[8:12])[0]
         header = _json.loads(blob[12:12 + n])
         del header[key]
         hb = _json.dumps(header, sort_keys=True).encode()
-        open(p, "wb").write(blob[:8] + _struct.pack("<I", len(hb)) + hb
+        Path(p).write_bytes(blob[:8] + _struct.pack("<I", len(hb)) + hb
                             + blob[12 + n:])
         with pytest.raises(mad.CheckpointError, match=f"model.ckpt.*'{key}'"):
             mad.load_checkpoint(p)
@@ -391,10 +391,10 @@ class TestFinetuneBatch:
         Z0 = [mad.init_latent(t, ck, "nearest") for t in self.HELD]
         Z, recs = mad.finetune_L_batch(ck, self.HELD, Z0, cfg, grids, self.LABELS,
                                        record_snapshots=True)
-        alone = [mad.finetune_L(ck, t, z0, cfg, g, task_label=lab,
-                                record_snapshots=True)
+        alone = [mad.finetune_L_batch(ck, [t], z0, cfg, [g], [lab],
+                                      record_snapshots=True)
                  for t, z0, g, lab in zip(self.HELD, Z0, grids, self.LABELS)]
-        return Z, recs, alone
+        return Z, recs, [(Z1[0], rec1) for Z1, (rec1,) in alone]
 
     @pytest.mark.parametrize("clip", [None, 1e-3], ids=["no_clip", "clip"])
     def test_matches_single_task_runs(self, small_checkpoint, clip):

@@ -215,9 +215,9 @@ class TestForwardJets:
         h = 1e-5
         fd = np.zeros_like(params.flat)
         for i in range(params.flat.size):
-            pp = params.copy()
+            pp = ModelParams(params.flat.copy(), params.config)
             pp.flat[i] += h
-            pm = params.copy()
+            pm = ModelParams(params.flat.copy(), params.config)
             pm.flat[i] -= h
             jp, _ = net.forward_jets(pp, x, z, [0])
             jm, _ = net.forward_jets(pm, x, z, [0])

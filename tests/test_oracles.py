@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,14 +217,14 @@ class TestReferencePersistence:
                              np.zeros((2, 3)), {})
         p = str(tmp_path / "ref.bin")
         oracles.save_reference(p, ref)
-        blob = open(p, "rb").read()
-        open(p, "wb").write(blob[:-5])
+        blob = Path(p).read_bytes()
+        Path(p).write_bytes(blob[:-5])
         with pytest.raises(oracles.OracleError):
             oracles.load_reference(p)
 
     def test_magic_alone_rejected(self, tmp_path):
         p = str(tmp_path / "ref.bin")
-        open(p, "wb").write(oracles._REF_MAGIC)
+        Path(p).write_bytes(oracles._REF_MAGIC)
         with pytest.raises(oracles.OracleError, match="ref.bin"):
             oracles.load_reference(p)
 
@@ -233,18 +234,18 @@ class TestReferencePersistence:
                              np.zeros((2, 3)), {})
         p = str(tmp_path / "ref.bin")
         oracles.save_reference(p, ref)
-        blob = open(p, "rb").read()
+        blob = Path(p).read_bytes()
         n = int.from_bytes(blob[8:12], "little")
         header = json.loads(blob[12:12 + n])
         del header[missing]
         hbytes = json.dumps(header).encode()
-        open(p, "wb").write(oracles._REF_MAGIC + len(hbytes).to_bytes(4, "little")
+        Path(p).write_bytes(oracles._REF_MAGIC + len(hbytes).to_bytes(4, "little")
                             + hbytes + blob[12 + n:])
         with pytest.raises(oracles.OracleError, match="ref.bin"):
             oracles.load_reference(p)
 
     def test_garbage_rejected(self, tmp_path):
         p = str(tmp_path / "ref.bin")
-        open(p, "wb").write(b"not a field")
+        Path(p).write_bytes(b"not a field")
         with pytest.raises(oracles.OracleError):
             oracles.load_reference(p)

@@ -208,8 +208,9 @@ class TestAssembleLoss:
         cfg = cfg_with()
         params = network.init_siren(net_for(task), 0)
         batch = problems.sample_batch(task, 8, 2, np.random.default_rng(0))
-        out = trainer.assemble_loss(task, params, np.zeros(4), batch, cfg,
-                                    trainable_theta=False)
+        out = trainer.assemble_multitask_loss([task], [batch], params,
+                                              np.zeros((1, 4)), cfg,
+                                              trainable_theta=False)
         g_theta, g_z = out.gradients()
         assert g_theta is None
         assert g_z is not None
@@ -224,8 +225,9 @@ class TestProbeLoss:
         z = np.random.default_rng(1).normal(size=4)
         batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc, np.random.default_rng(
             [cfg.seed, trainer.PROBE_STREAM]))
-        frozen = trainer.assemble_loss(task, params, z, batch, cfg,
-                                       trainable_theta=False).breakdown.total
+        frozen = trainer.assemble_multitask_loss([task], [batch], params,
+                                                 z.reshape(1, -1), cfg,
+                                                 trainable_theta=False).breakdown.total
         tapes = []
 
         class WatchedTape(trainer.Tape):
