@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+import zipfile
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class CliError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {"experiment", "problem", "tasks", "network", "pretrain",
-             "finetune", "baseline", "reference", "eval"}
+             "finetune", "baseline", "reference"}
 
 
 def load_config(path: str, assignments: list[str]) -> dict:
@@ -125,10 +126,8 @@ def train_config(cfg: dict, section: str) -> TrainConfig:
     if section not in cfg:
         raise CliError(f"config is missing the {section!r} section")
     d = dict(cfg[section])
-    d.pop("init_strategy", None)
-    d.pop("mode", None)
-    d.pop("meta", None)
-    d.pop("method", None)
+    if section == "finetune":
+        d.pop("init_strategy", None)  # read by the commands, not by training
     try:
         return TrainConfig(**d)
     except (TypeError, ValueError) as e:
@@ -255,16 +254,14 @@ def _ref_path(tasks_dir: str, task_id: int) -> str:
     return os.path.join(tasks_dir, "refs", f"task_{task_id:04d}.ref")
 
 
-def _eval_grid(task, tasks_dir: str, task_id: int, cfg: dict):
+def _eval_grid(task, tasks_dir: str, task_id: int):
     reference = None
     if task.solve_reference is not None:
         path = _ref_path(tasks_dir, task_id)
         if not os.path.exists(path):
             raise CliError(f"missing reference field {path}; run gen-tasks first")
         reference = oracles.load_reference(path)
-    n_pts = _int_setting(cfg, "eval", "n_laplace_points",
-                         evaluation.LAPLACE_EVAL_POINTS)
-    return evaluation.for_task(task, reference, seed=task_id, n_laplace=n_pts)
+    return evaluation.for_task(task, reference, task_id)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +338,7 @@ def cmd_finetune(cfg: dict, args) -> int:
     strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
     # snapshots feed the manifold plot, which needs the exact family
     snapshots = tasks[0].exact_family is not None
-    grids = [_eval_grid(task, args.tasks, tid, cfg) for tid, task in zip(ids, tasks)]
+    grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(ids, tasks)]
     Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
     labels = [f"s2-{tid}" for tid in ids]
     out = prepare_out_dir(default_out(cfg, f"finetune_{args.mode}", args.out),
@@ -383,7 +380,7 @@ def cmd_baseline(cfg: dict, args) -> int:
         except (TypeError, ValueError) as e:
             raise CliError(f"bad baseline.meta settings: {e}")
     pre_cfg = train_config(cfg, "pretrain") if args.method == "transfer" else None
-    grids = [_eval_grid(task, args.tasks, tid, cfg) for tid, task in zip(s2_ids, s2)]
+    grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(s2_ids, s2)]
     out = prepare_out_dir(default_out(cfg, f"baseline_{args.method}", args.out),
                           args.force)
     write_manifest(out, "baseline", cfg, args)
@@ -419,7 +416,7 @@ def cmd_eval(cfg: dict, args) -> int:
     """Error of the pre-trained model on held-out tasks, no fine-tuning."""
     ids, tasks, ck = _held_out(cfg, args)
     strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
-    grids = [_eval_grid(task, args.tasks, tid, cfg) for tid, task in zip(ids, tasks)]
+    grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(ids, tasks)]
     Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
     out = prepare_out_dir(default_out(cfg, "eval", args.out), args.force)
     write_manifest(out, "eval", cfg, args)
@@ -437,40 +434,71 @@ def cmd_eval(cfg: dict, args) -> int:
     return 0
 
 
+def _read_records(path: str) -> list[benchviz.ConvergenceRecord]:
+    try:
+        return benchviz.read_convergence_csv(path)
+    except OSError as e:
+        raise CliError(f"cannot read records: {e}")
+    except KeyError as e:
+        raise CliError(f"{path} has no {e} column")
+    except (TypeError, ValueError) as e:
+        raise CliError(f"{path} is not a convergence CSV: {e}")
+
+
+def _manifold_curves(cfg: dict, paths: list[str]):
+    """(label, (steps, points) values) of the exact family and of every
+    snapshot file, or None when there is nothing to project."""
+    family = problems.family(cfg["problem"].get("variant")) if paths else None
+    if family is None or family.exact_family is None:
+        return None
+    n_tasks = _int_setting(cfg, "tasks", "n_tasks")
+    if n_tasks < 1:
+        raise CliError(f"tasks.n_tasks must be at least 1, got {n_tasks}")
+    try:
+        exact = family.exact_family(cfg["problem"], n_tasks)
+    except (TypeError, ValueError) as e:
+        raise CliError(f"bad problem settings: {e}")
+    named = [(label, values[None, :]) for label, values in exact]
+    for path in paths:
+        try:
+            # np.load leaves a path it opened open when the archive is broken
+            with open(path, "rb") as f, np.load(f) as data:
+                snaps = data["snapshots"].astype(np.float64)
+        except OSError as e:
+            raise CliError(f"cannot read snapshots: {e}")
+        except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+            raise CliError(f"{path} is not a snapshot file: {e}")
+        if snaps.ndim != 2 or snaps.shape[1] != named[0][1].shape[1]:
+            raise CliError(f"{path} holds snapshots of shape {snaps.shape}, not "
+                           f"(steps, {named[0][1].shape[1]})")
+        named.append((os.path.splitext(os.path.basename(path))[0], snaps))
+    return named
+
+
 def cmd_viz(cfg: dict, args) -> int:
-    records = []
+    # every input is read and checked before the output directory exists
+    by_method: dict[str, list] = {}
     for path in args.records:
-        records.extend(benchviz.read_convergence_csv(path))
-    if not records:
+        for r in _read_records(path):
+            by_method.setdefault(r.method, []).append(r)
+    if not by_method:
         raise CliError("no convergence records found")
+    try:
+        curves = {m: benchviz.aggregate(recs) for m, recs in sorted(by_method.items())}
+    except ValueError as e:
+        raise CliError(f"cannot aggregate the records: {e}")
+    named = _manifold_curves(cfg, args.snapshots)
     out = prepare_out_dir(default_out(cfg, "viz", args.out), args.force)
     write_manifest(out, "viz", cfg, args)
-    by_method: dict[str, list] = {}
-    for r in records:
-        by_method.setdefault(r.method, []).append(r)
-    rows = []
-    for method, recs in sorted(by_method.items()):
-        agg = benchviz.aggregate(recs)
-        for j, it in enumerate(agg.iterations):
-            rows.append((method, int(it), agg.mean[j],
-                         None if agg.ci_lo is None else agg.ci_lo[j],
-                         None if agg.ci_hi is None else agg.ci_hi[j]))
     with open(os.path.join(out, "aggregated.csv"), "w") as f:
         f.write("method,iteration,mean_rel_l2,ci_lo,ci_hi\n")
-        for m, it, mean, lo, hi in rows:
-            f.write(f"{m},{it},{mean!r},{'' if lo is None else repr(lo)},"
-                    f"{'' if hi is None else repr(hi)}\n")
+        for method, agg in curves.items():
+            for j, it in enumerate(agg.iterations):
+                lo = "" if agg.ci_lo is None else repr(agg.ci_lo[j])
+                hi = "" if agg.ci_hi is None else repr(agg.ci_hi[j])
+                f.write(f"{method},{int(it)},{agg.mean[j]!r},{lo},{hi}\n")
     benchviz.write_summary_json(os.path.join(out, "summary.json"), by_method)
-
-    family = problems.family(cfg["problem"].get("variant")) if args.snapshots else None
-    if family is not None and family.exact_family is not None:
-        exact = family.exact_family(cfg["problem"],
-                                    _int_setting(cfg, "tasks", "n_tasks"))
-        named = [(label, values[None, :]) for label, values in exact]
-        for path in args.snapshots:
-            with np.load(path) as data:
-                named.append((os.path.splitext(os.path.basename(path))[0],
-                              data["snapshots"]))
+    if named is not None:
         # one shared basis: exact family plus every recorded snapshot
         proj = benchviz.pca_fit(np.concatenate([s for _, s in named], axis=0))
         labelled = {name: benchviz.project_trajectory(proj, s) for name, s in named}

@@ -9,7 +9,10 @@ contain du/dx and d2u/dx2.
 
 Plain numpy arrays and Python floats mix freely with tape variables: an op
 records a node only when at least one argument is a ``Var``, otherwise it
-just computes the numpy result.  The float 0.0 is treated as a structural
+just computes the numpy result.  ``Var`` has no arithmetic operators, so
+nodes are recorded only through this module's functions; ``var + 1`` and
+``np.ones(3) + var`` raise ``TypeError`` instead of building an object array
+with one node per element.  The float 0.0 is treated as a structural
 zero by the jet helpers so that derivative channels known to vanish cost
 nothing.
 
@@ -180,32 +183,8 @@ class Var:
         self.op = op
         self.value = value
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Var({self.op}#{self.idx}, shape={self.value.shape})"
-
-    # arithmetic sugar; the module-level functions do the recording
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Tape:
@@ -287,10 +266,6 @@ class Tape:
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def is_var(x) -> bool:
-    return isinstance(x, Var)
 
 
 def value_of(x) -> np.ndarray:
@@ -588,4 +563,4 @@ def jet_sin(a) -> Jet2:
     a = a if isinstance(a, Jet2) else jet_const(a)
     s = sin(a.val)
     c = cos(a.val)
-    return _jet_chain(a, s, c, neg(s) if is_var(s) else -s)
+    return _jet_chain(a, s, c, neg(s))

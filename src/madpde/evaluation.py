@@ -23,9 +23,6 @@ from .network import ModelParams, forward
 from .oracles import ReferenceField
 from .problems import Task
 
-LAPLACE_EVAL_POINTS = 16 * 1024
-
-
 @dataclass
 class EvalGrid:
     points: np.ndarray      # (P, d)
@@ -37,9 +34,9 @@ class EvalGrid:
 
 
 def for_task(task: Task, reference: Optional[ReferenceField] = None,
-             seed: int = 0, n_laplace: int = LAPLACE_EVAL_POINTS) -> EvalGrid:
+             seed: int = 0) -> EvalGrid:
     """Points and reference values from the family's ``eval_points``."""
-    return EvalGrid(*task.eval_points(reference, seed, n_laplace))
+    return EvalGrid(*task.eval_points(reference, seed))
 
 
 def predict(params: ModelParams, z: Optional[np.ndarray], points: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import Jet2, Tape, Var
+from .diffcore import Jet2, Tape
 
 ENCODINGS = ("identity", "periodic_x")
 
@@ -241,18 +241,17 @@ def _matvec(h, W):
 
 
 def jet_forward(staged: StagedNetwork, x: np.ndarray, z_rows,
-                directions: Sequence[int], orders: Optional[dict] = None) -> dict[int, Jet2]:
+                orders: dict[int, int]) -> dict[int, Jet2]:
     """Network jets per coordinate direction, sharing the value channel.
 
     ``z_rows`` is a (B, latent_dim) Var or array (or None when latent_dim
-    is 0); ``orders`` maps direction -> 1 or 2 (default 2 everywhere).
-    Returns {direction: Jet2 of the (B, output_dim) outputs}; pass an empty
-    direction list for a value-only forward.
+    is 0); ``orders`` maps each direction to its derivative order, 1 or 2,
+    and its key order is the order of the channels.  Returns {direction:
+    Jet2 of the (B, output_dim) outputs}; an empty ``orders`` asks for a
+    value-only forward, returned as {None: Jet2}.
     """
     cfg = staged.config
-    if orders is None:
-        orders = {d: 2 for d in directions}
-    for d in directions:
+    for d in orders:
         if not (0 <= d < cfg.input_dim):
             raise ValueError(f"direction {d} out of range for input_dim {cfg.input_dim}")
 
@@ -260,22 +259,19 @@ def jet_forward(staged: StagedNetwork, x: np.ndarray, z_rows,
     if cfg.latent_dim > 0:
         if z_rows is None:
             raise ValueError("latent network needs z")
-        if isinstance(z_rows, Var):
-            val = dc.concat_cols([feats, z_rows])
-        else:
-            val = np.concatenate([feats, np.asarray(z_rows)], axis=1)
+        val = dc.concat_cols([feats, z_rows])
     else:
         val = feats
 
     chans: list[Jet2] = []
     zpad = np.zeros((x.shape[0], cfg.latent_dim)) if cfg.latent_dim > 0 else None
-    for d in directions:
+    for d, order in orders.items():
         e1, e2 = encode_jets(cfg, x, d)
         if zpad is not None:
             e1 = np.concatenate([e1, zpad], axis=1)
             if not dc._is_zero(e2):
                 e2 = np.concatenate([e2, zpad], axis=1)
-        chans.append(Jet2(val, e1, e2 if orders.get(d, 2) == 2 else None))
+        chans.append(Jet2(val, e1, e2 if order == 2 else None))
     if not chans:
         chans = [Jet2(val, 0.0, None)]
 
@@ -290,14 +286,14 @@ def jet_forward(staged: StagedNetwork, x: np.ndarray, z_rows,
         if li < len(layers) - 1:
             chans = _sine_jets(chans)
 
-    return {d: chans[i] for i, d in enumerate(directions)} if directions \
-        else {None: chans[0]}
+    return dict(zip(orders, chans)) if orders else {None: chans[0]}
 
 
 def forward_jets(params: ModelParams, x, z, directions: Sequence[int],
                  orders: Optional[dict] = None):
     """Fresh-tape jets of the network outputs along coordinate directions.
 
+    ``orders`` maps direction -> 1 or 2 (default 2 for every direction).
     Returns (jets, staged) where jets maps direction -> Jet2 and ``staged``
     exposes the weight nodes for parameter gradients.
     """
@@ -306,5 +302,6 @@ def forward_jets(params: ModelParams, x, z, directions: Sequence[int],
     tape = Tape()
     staged = stage_network(tape, params, trainable=True)
     z_rows = tape.constant(z, "z") if cfg.latent_dim > 0 else None
-    jets = jet_forward(staged, x, z_rows, directions, orders)
+    orders = {d: 2 if orders is None else orders.get(d, 2) for d in directions}
+    jets = jet_forward(staged, x, z_rows, orders)
     return jets, staged

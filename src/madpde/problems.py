@@ -125,15 +125,16 @@ class OdeShiftTask:
     def distance(self, other: "OdeShiftTask") -> float:
         return abs(self.eta - other.eta)
 
-    def eval_points(self, *_) -> tuple[np.ndarray, np.ndarray]:
-        """The equidistant 128-point grid, against the closed form."""
+    def eval_points(self, reference, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """The equidistant 128-point grid, against the closed form
+        (``reference`` and ``seed`` unused)."""
         pts = np.linspace(-np.pi, np.pi, ODE_GRID_POINTS).reshape(-1, 1)
         return pts, oracles.ode_exact(self.eta, pts[:, 0])
 
     @classmethod
     def exact_family(cls, problem: dict, n_tasks: int) -> list:
         """(label, exact solution on the evaluation grid) for every task."""
-        return [(f"exact_eta_{t.eta:.3f}", t.eval_points()[1])
+        return [(f"exact_eta_{t.eta:.3f}", t.eval_points(None, 0)[1])
                 for t in cls.build(problem, n_tasks, 0)]
 
 
@@ -210,8 +211,8 @@ class BurgersTask:
         b = grf.evaluate_grf(other.u0, _DISCRETIZE_GRID)
         return float(np.linalg.norm(a - b))
 
-    def eval_points(self, reference, *_) -> tuple[np.ndarray, np.ndarray]:
-        """The full space-time grid of the reference field."""
+    def eval_points(self, reference, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """The full space-time grid of the reference field (``seed`` unused)."""
         if reference is None:
             raise ValueError("Burgers evaluation needs a reference field")
         t, x = reference.axes
@@ -240,6 +241,7 @@ class LaplaceTriangleTask:
     directions = {0: 2, 1: 2}
     solve_reference = None
     exact_family = None
+    EVAL_POINTS = 16 * 1024  # interior points an error is measured at
 
     def __post_init__(self):
         a = np.mod(np.asarray(self.vertex_angles, dtype=float), 2 * np.pi)
@@ -325,12 +327,11 @@ class LaplaceTriangleTask:
             "nearest-latent initialization is ill-defined for triangle tasks "
             "(the parameter includes the domain shape); use strategy='mean'")
 
-    def eval_points(self, reference, seed: int,
-                    n_points: int) -> tuple[np.ndarray, np.ndarray]:
-        """``n_points`` interior points drawn from stream [seed, 0x5EED],
-        against the analytic harmonic extension."""
+    def eval_points(self, reference, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """``EVAL_POINTS`` interior points drawn from stream [seed, 0x5EED],
+        against the analytic harmonic extension (``reference`` unused)."""
         rng = np.random.default_rng([seed, 0x5EED])
-        pts = sample_batch(self, n_points, 1, rng).interior
+        pts = sample_batch(self, self.EVAL_POINTS, 1, rng).interior
         return pts, oracles.laplace_solution_xy(self.boundary_field,
                                                 pts[:, 0], pts[:, 1])
 

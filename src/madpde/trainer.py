@@ -180,7 +180,7 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
     X = np.concatenate([b.interior for b in batches], axis=0)
     z_rows = dc.repeat_rows(z_in, M_r) if z_in is not None else None
     orders = tasks[0].directions
-    jets = jet_forward(staged, X, z_rows, list(orders), orders)
+    jets = jet_forward(staged, X, z_rows, orders)
     # each task's per-row residual coefficients, stacked like its rows
     coef = [t.residual_coefficients(b.interior) for t, b in zip(tasks, batches)]
     coef = {k: np.concatenate([c[k] for c in coef]) for k in coef[0]}
@@ -193,7 +193,7 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
     Xb = np.concatenate([b.boundary for b in batches], axis=0)
     targets = np.concatenate([b.boundary_values for b in batches])
     zb_rows = dc.repeat_rows(z_in, M_bc) if z_in is not None else None
-    ub = jet_forward(staged, Xb, zb_rows, [], None)[None].val
+    ub = jet_forward(staged, Xb, zb_rows, {})[None].val
     mismatch = dc.sub(dc.reshape(ub, (N * M_bc,)), targets)
     per_task_bc = dc.vmean(dc.reshape(dc.mul(mismatch, mismatch), (N, M_bc)), axis=1)
     boundary_sum = dc.vsum(per_task_bc)

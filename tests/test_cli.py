@@ -586,11 +586,12 @@ class TestConfigErrorsLeaveNoDirectory:
          ["experiment.name=1", "'experiment'", "not a section"]),
         ("pretrain", {"experiment": 5}, [], ["'experiment'", "a name", "5"]),
         ("pretrain", {"pretrain": 5}, [], ["'pretrain'", "5"]),
-        ("finetune", {"eval": 3}, [], ["'eval'", "3"]),
-        ("baseline", {"eval": 3}, [], ["'eval'", "3"]),
-        ("eval", {"eval": 3}, [], ["'eval'", "3"]),
+        # ``eval`` is not a config section
+        ("finetune", {"eval": 3}, [], ["unknown config sections", "'eval'"]),
+        ("baseline", {"eval": 3}, [], ["unknown config sections", "'eval'"]),
+        ("eval", {"eval": 3}, [], ["unknown config sections", "'eval'"]),
         ("eval", {"eval": {"n_laplace_points": "abc"}}, [],
-         ["eval.n_laplace_points", "'abc'"]),
+         ["unknown config sections", "'eval'"]),
     ], ids=["top_level_number", "set_below_a_name", "experiment_number",
             "pretrain_number", "finetune_eval_number", "baseline_eval_number",
             "eval_eval_number", "eval_points_not_a_number"])
@@ -698,3 +699,202 @@ class TestWorkers:
         for name, argv in commands.items():
             out = tmp_path / f"w1_{name.replace(' ', '_')}"
             assert cli.main(argv + ["--workers", "1", "--out", str(out)]) == 0, name
+
+
+class TestMisplacedTrainingKeys:
+    """Only ``finetune.init_strategy`` is read beside the training settings;
+    any other key a training section does not know is an error."""
+
+    @pytest.mark.parametrize("command, override, section, key", [
+        ("finetune", "finetune.mode=LM", "finetune", "mode"),
+        ("finetune", "finetune.meta.meta_iters=3", "finetune", "meta"),
+        ("baseline", "finetune.method=maml", "finetune", "method"),
+        ("pretrain", "pretrain.init_strategy=mean", "pretrain", "init_strategy"),
+    ], ids=["finetune_mode", "finetune_meta", "finetune_method",
+            "pretrain_init_strategy"])
+    def test_rejected_before_the_directory(self, ode_setup, capsys, command,
+                                           override, section, key):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        argv = ["--config", cfg_path, "--tasks", tasks_dir]
+        if command != "pretrain":
+            pre = str(tmp_path / "pre")
+            assert cli.main(["pretrain"] + argv + ["--out", pre]) == 0
+        if command == "finetune":
+            argv += ["--checkpoint", os.path.join(pre, "checkpoint.ckpt"),
+                     "--mode", "L"]
+        if command == "baseline":
+            argv += ["--method", "from-scratch"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main([command] + argv + ["--out", str(out),
+                                            "--set", override]) == 1
+        err = one_error_line(capsys)
+        assert f"bad {section} settings" in err and f"'{key}'" in err
+        assert not out.exists()
+
+
+class TestVizInputErrors:
+    """viz reads and checks its records, its snapshots and the exact family
+    before it creates the output directory."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        records = tmp_path / "convergence.csv"
+        benchviz.write_convergence_csv(str(records), [benchviz.ConvergenceRecord(
+            "s2-1", "mad_L", 0, [(0, 0.5, 1.0), (3, 0.4, 0.8)])])
+        snapshot = tmp_path / "mad_L_s2-1.npz"
+        np.savez(snapshot, iterations=np.array([0, 3]),
+                 snapshots=np.zeros((2, problems.ODE_GRID_POINTS)))
+        return tmp_path, str(records), str(snapshot)
+
+    def run_viz(self, capsys, tmp_path, records, snapshots, cfg=None):
+        cfg = cfg or write_config(tmp_path / "cfg.json")
+        out = tmp_path / "viz"
+        capsys.readouterr()
+        code = cli.main(["viz", "--config", cfg, "--records", records,
+                         "--snapshots", *snapshots, "--out", str(out)])
+        return code, out
+
+    def test_good_inputs_pass(self, inputs, capsys):
+        tmp_path, records, snapshot = inputs
+        code, out = self.run_viz(capsys, tmp_path, records, [snapshot])
+        assert code == 0
+        assert (out / "manifold.csv").exists()
+
+    @pytest.mark.parametrize("content, words", [
+        (None, ["cannot read records", "missing.csv"]),
+        ("task_id,seed,iteration\ns2-1,0,0\n", ["bad.csv", "'method'"]),
+        ("method,task_id,seed,iteration,rel_l2,loss\nmad_L,s2-1,0,zero,0.5,1.0\n",
+         ["bad.csv", "not a convergence CSV"]),
+        ("method,task_id,seed,iteration,rel_l2,loss\nmad_L,a,0,0,0.5,1.0\n"
+         "mad_L,b,0,1,0.5,1.0\n", ["cannot aggregate", "mismatched"]),
+    ], ids=["missing", "no_method_column", "iteration_not_a_number",
+            "mismatched_grids"])
+    def test_bad_records(self, inputs, capsys, content, words):
+        tmp_path, _, snapshot = inputs
+        records = tmp_path / ("missing.csv" if content is None else "bad.csv")
+        if content is not None:
+            records.write_text(content)
+        code, out = self.run_viz(capsys, tmp_path, str(records), [snapshot])
+        assert code == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in words)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, words", [
+        ("missing", ["cannot read snapshots", "gone.npz"]),
+        ("text", ["bad.npz", "not a snapshot file"]),
+        ("no_snapshots", ["bad.npz", "not a snapshot file", "snapshots"]),
+        ("wrong_width", ["bad.npz", "shape (2, 5)"]),
+        ("empty", ["bad.npz", "not a snapshot file"]),
+        ("broken_zip", ["bad.npz", "not a snapshot file"]),
+        ("npy", ["bad.npz", "not a snapshot file"]),
+    ], ids=["missing", "text", "no_snapshots", "wrong_width", "empty",
+            "broken_zip", "npy"])
+    def test_bad_snapshots(self, inputs, capsys, fault, words):
+        tmp_path, records, snapshot = inputs
+        bad = tmp_path / ("gone.npz" if fault == "missing" else "bad.npz")
+        if fault == "text":
+            bad.write_text("not an archive\n")
+        elif fault == "empty":
+            bad.write_bytes(b"")
+        elif fault == "broken_zip":
+            bad.write_bytes(b"PK\x03\x04 cut short")
+        elif fault == "npy":
+            with open(bad, "wb") as f:
+                np.save(f, np.zeros((2, problems.ODE_GRID_POINTS)))
+        elif fault == "no_snapshots":
+            np.savez(bad, iterations=np.array([0]))
+        elif fault == "wrong_width":
+            np.savez(bad, snapshots=np.zeros((2, 5)))
+        code, out = self.run_viz(capsys, tmp_path, records, [snapshot, str(bad)])
+        assert code == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in words)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, words", [
+        ({"problem": {"variant": "wave"}}, ["unknown task variant", "'wave'"]),
+        ({"tasks": {"n_pretrain": 5}}, ["'tasks'", "'n_tasks'"]),
+        ({"tasks": {"n_tasks": 0, "n_pretrain": 5}}, ["tasks.n_tasks", "0"]),
+        ({"problem": {"variant": "ode_shift", "eta_range": [0.0]}},
+         ["bad problem settings"]),
+    ], ids=["unknown_variant", "no_n_tasks", "no_tasks", "bad_eta_range"])
+    def test_bad_exact_family(self, inputs, capsys, config, words):
+        tmp_path, records, snapshot = inputs
+        cfg = write_config(tmp_path / "bad_cfg.json", **config)
+        code, out = self.run_viz(capsys, tmp_path, records, [snapshot], cfg)
+        assert code == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in words)
+        assert not out.exists()
+
+
+class TestRarePaths:
+    """Paths of the commands that the pipeline tests do not take."""
+
+    def test_reference_which_all_writes_every_reference(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "b.json", experiment="burgers_mini",
+            problem={"variant": "burgers", "nu": 0.01, "grf": {"n_modes": 8}},
+            tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 7},
+            reference={"nx": 32, "nt": 2, "which": "all"})
+        out = tmp_path / "tasks"
+        assert cli.main(["gen-tasks", "--config", cfg, "--out", str(out)]) == 0
+        ids = sorted(i for split in ("s1", "s2") for i, _ in read_split(str(out), split))
+        assert ids == [0, 1, 2]
+        assert sorted(os.listdir(out / "refs")) == [f"task_{i:04d}.ref" for i in ids]
+
+    def test_task_index_outside_held_out_set(self, ode_setup, capsys):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        pre = str(tmp_path / "pre")
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", pre]) == 0
+        s1_id = read_split(tasks_dir, "s1")[0][0]
+        out = tmp_path / "ft"
+        capsys.readouterr()
+        assert cli.main(["finetune", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--checkpoint", os.path.join(pre, "checkpoint.ckpt"),
+                         "--mode", "L", "--task-index", str(s1_id),
+                         "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert f"task id {s1_id} not in the held-out set" in err
+        assert not out.exists()
+
+    def test_deleted_reference_file(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "b.json", experiment="burgers_mini",
+            problem={"variant": "burgers", "nu": 0.01, "grf": {"n_modes": 8}},
+            tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 7},
+            reference={"nx": 32, "nt": 2})
+        tasks_dir = tmp_path / "tasks"
+        assert cli.main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 0
+        held = read_split(str(tasks_dir), "s2")[0][0]
+        (tasks_dir / "refs" / f"task_{held:04d}.ref").unlink()
+        out = tmp_path / "baseline"
+        capsys.readouterr()
+        assert cli.main(["baseline", "--config", cfg, "--tasks", str(tasks_dir),
+                         "--method", "from-scratch", "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert "missing reference field" in err and f"task_{held:04d}.ref" in err
+        assert not out.exists()
+
+    def test_empty_task_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        tasks_dir = tmp_path / "tasks"
+        tasks_dir.mkdir()
+        (tasks_dir / "tasks_s1.json").write_text("[]\n")
+        out = tmp_path / "pre"
+        assert cli.main(["pretrain", "--config", cfg, "--tasks", str(tasks_dir),
+                         "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert "tasks_s1.json holds no tasks" in err
+        assert not out.exists()
+
+    def test_default_out_under_madpde_out(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json")
+        monkeypatch.setenv("MADPDE_OUT", str(tmp_path / "root"))
+        assert cli.main(["gen-tasks", "--config", cfg]) == 0
+        out = tmp_path / "root" / "ode_mini" / "tasks"
+        assert sorted(os.listdir(out)) == ["manifest.json", "tasks_s1.json",
+                                           "tasks_s2.json"]

@@ -194,6 +194,17 @@ class TestTapeGradient:
         (g,) = tape.gradient(y, [Z])
         np.testing.assert_allclose(g, 8 * Z.value, rtol=1e-14)
 
+    def test_operators_record_nothing(self):
+        # only the module's functions record nodes; numpy would otherwise
+        # broadcast an array over the handle and record one node per element
+        tape = Tape()
+        x = tape.constant(np.ones(3))
+        for apply in (lambda: np.ones(3) + x, lambda: x * 2.0, lambda: 1.0 - x,
+                      lambda: -x):
+            with pytest.raises(TypeError):
+                apply()
+        assert len(tape) == 1
+
 
 class TestSincos:
     def test_values_equal_numpy(self):

@@ -17,7 +17,7 @@ def task_and_grid(variant):
         return task, evaluation.for_task(task, reference=ref)
     angles = np.sort(rng.uniform(0, 2 * np.pi, 3))
     task = LaplaceTriangleTask(tuple(angles), grf.sample_grf(LAPLACE_GRF, rng))
-    return task, evaluation.for_task(task, n_laplace=2048)
+    return task, evaluation.for_task(task)
 
 
 @pytest.mark.parametrize("variant", ["ode_shift", "burgers", "laplace_triangle"])

@@ -250,7 +250,7 @@ class TestSineJets:
         z = np.array([[0.2], [0.3], [-0.1]])
         tape = Tape()
         staged = net.stage_network(tape, params)
-        out = net.jet_forward(staged, x, tape.constant(z), [], None)[None]
+        out = net.jet_forward(staged, x, tape.constant(z), {})[None]
         ops = [node.op for node in tape.nodes]
         assert ops.count("sin") == cfg.hidden_layers
         assert "cos" not in ops and "neg" not in ops

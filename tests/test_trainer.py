@@ -83,6 +83,12 @@ class TestAdam:
                                    np.array([0.6, 0.8]))
         assert trainer.clip_gradient(g, None) is g
 
+    @pytest.mark.parametrize("max_norm", [5.0, 6.0])
+    def test_clip_gradient_within_bound_is_unchanged(self, max_norm):
+        # norm 5: on the bound and below it, the gradient comes back as it is
+        g = np.array([3.0, 4.0])
+        assert trainer.clip_gradient(g, max_norm) is g
+
 
 class TestAssembleLoss:
     @pytest.mark.parametrize("variant", ["ode_shift", "burgers", "laplace_triangle"])
@@ -124,7 +130,7 @@ class TestAssembleLoss:
         def residual_term(scale):
             tape = trainer.Tape()
             staged = stage_network(tape, params, trainable=False)
-            jets = jet_forward(staged, batch.interior, None, [0], {0: 1})
+            jets = jet_forward(staged, batch.interior, None, {0: 1})
             r = dc.sub(dc.mul(scale, jets[0].d1), zero_forcing)
             return float(dc.value_of(dc.vmean(dc.mul(r, r))))
 
