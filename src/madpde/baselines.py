@@ -139,7 +139,7 @@ def maml_fo_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfi
                                                   fine_cfg.M_bc, rng)
                     g, _ = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg),
                                                  None, batch, fine_cfg).gradients()
-                    trainer.require_finite_gradient(g, k + 1, blocks)
+                    trainer.require_finite(g, "gradient", k + 1, blocks)
                     w = w - meta.inner_lr * g
                 batch = problems.sample_batch(tasks[i], fine_cfg.M_r, fine_cfg.M_bc,
                                               rng)

@@ -224,11 +224,18 @@ def read_tasks(cfg: dict, tasks_dir: str, split: str
         raise CliError(f"cannot read task file: {e}")
     except ValueError as e:
         raise CliError(f"{path} is not valid JSON: {e}")
+    if not isinstance(payload, list) or not all(isinstance(e, dict) for e in payload):
+        raise CliError(f"{path} must hold a list of task objects")
     try:
-        ids = [int(e["id"]) for e in payload]
+        ids = [e["id"] for e in payload]
         tasks = [problems.task_from_json(e["task"]) for e in payload]
     except KeyError as e:
         raise CliError(f"{path}: a task entry has no {e} entry")
+    except problems.ProblemError as e:
+        raise CliError(f"{path}: {e}")
+    bad = [i for i in ids if type(i) is not int]
+    if bad:
+        raise CliError(f"{path}: task ids must be integers, got {bad[0]!r}")
     if not tasks:
         raise CliError(f"{path} holds no tasks")
     named = cfg["problem"].get("variant", tasks[0].variant)
@@ -394,11 +401,9 @@ def cmd_baseline(cfg: dict, args) -> int:
     elif args.method == "reptile":
         theta0, _ = baselines.reptile_theta(s1, net_cfg, meta, fine_cfg)
         method = "reptile"
-    elif args.method == "maml":
+    else:  # maml: argparse's choices admit no other method
         theta0, _ = baselines.maml_fo_theta(s1, net_cfg, meta, fine_cfg)
         method = "maml_fo"
-    else:
-        raise CliError(f"unknown baseline {args.method!r}")
     records = []
     for tid, task, grid in zip(s2_ids, s2, grids):
         _, rec = baselines.pinn_train(task, net_cfg, fine_cfg, theta0=theta0,
@@ -494,9 +499,9 @@ def cmd_viz(cfg: dict, args) -> int:
         f.write("method,iteration,mean_rel_l2,ci_lo,ci_hi\n")
         for method, agg in curves.items():
             for j, it in enumerate(agg.iterations):
-                lo = "" if agg.ci_lo is None else repr(agg.ci_lo[j])
-                hi = "" if agg.ci_hi is None else repr(agg.ci_hi[j])
-                f.write(f"{method},{int(it)},{agg.mean[j]!r},{lo},{hi}\n")
+                lo = "" if agg.ci_lo is None else repr(float(agg.ci_lo[j]))
+                hi = "" if agg.ci_hi is None else repr(float(agg.ci_hi[j]))
+                f.write(f"{method},{int(it)},{float(agg.mean[j])!r},{lo},{hi}\n")
     benchviz.write_summary_json(os.path.join(out, "summary.json"), by_method)
     if named is not None:
         # one shared basis: exact family plus every recorded snapshot

@@ -39,8 +39,11 @@ def read(path: str, magic: bytes, kind: str, error,
          block_shapes) -> tuple[dict, list[np.ndarray]]:
     """Header and blocks of a file made by ``write``; ``block_shapes(header)``
     lists the block shapes.  Every defect raises ``error`` naming ``path``."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise error(f"{path}: cannot read the {kind} file ({e.strerror or e})") from e
     if not blob.startswith(magic):
         raise error(f"{path}: not a {kind} file")
     start = len(magic) + 4

@@ -9,12 +9,15 @@ contain du/dx and d2u/dx2.
 
 Plain numpy arrays and Python floats mix freely with tape variables: an op
 records a node only when at least one argument is a ``Var``, otherwise it
-just computes the numpy result.  ``Var`` has no arithmetic operators, so
-nodes are recorded only through this module's functions; ``var + 1`` and
-``np.ones(3) + var`` raise ``TypeError`` instead of building an object array
-with one node per element.  The float 0.0 is treated as a structural
-zero by the jet helpers so that derivative channels known to vanish cost
-nothing.
+just computes the numpy result.  Every op but ``sin``, ``cos`` and
+``sincos``, whose one operand needs no check, records through one helper
+(``_node``), which is also where the ``Var`` operands of an op are checked
+to share one tape: an op over ``Var``s of two tapes raises ``DiffError``.
+``Var`` has no arithmetic operators, so nodes are recorded only through
+this module's functions; ``var + 1`` and ``np.ones(3) + var`` raise
+``TypeError`` instead of building an object array with one node per
+element.  The float 0.0 is treated as a structural zero by the jet helpers
+so that derivative channels known to vanish cost nothing.
 
 Ownership runs one way.  A ``Var`` handle holds its ``Tape``; the tape holds
 plain ``Node`` records, and neither a record nor its backward closures refer
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import ctypes
 import weakref
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -273,13 +277,6 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else _as_array(x)
 
 
-def _tape_of(*args) -> Tape:
-    for a in args:
-        if isinstance(a, Var):
-            return a.tape
-    raise DiffError("no Var among arguments")
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
@@ -296,58 +293,48 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # primitive ops: record a node when any argument is a Var
 # ---------------------------------------------------------------------------
 
+def _node(op: str, out, operands):
+    """Record ``out`` as an ``op`` node whose parents are the ``Var``s among
+    ``operands``, (operand, vector-Jacobian closure) pairs, and return its
+    ``Var``; return ``out`` as it is when no operand is a ``Var``.  Raises
+    DiffError when the ``Var``s sit on two tapes."""
+    tape, parents, vjps = None, (), ()
+    for x, vjp in operands:
+        if isinstance(x, Var):
+            if tape is None:
+                tape = x.tape
+            elif x.tape is not tape:
+                raise DiffError(f"{op}: operands sit on different tapes")
+            parents += (x.idx,)
+            vjps += (vjp,)
+    if tape is None:
+        return out
+    return tape._record(op, out, parents, vjps)
+
+
 def add(a: Arraylike, b: Arraylike):
     av, bv = value_of(a), value_of(b)
-    out = av + bv
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return out
-    tape = _tape_of(a, b)
-    parents, vjps = [], []
-    if isinstance(a, Var):
-        parents.append(a.idx)
-        vjps.append(lambda g, sh=av.shape: _unbroadcast(g, sh))
-    if isinstance(b, Var):
-        parents.append(b.idx)
-        vjps.append(lambda g, sh=bv.shape: _unbroadcast(g, sh))
-    return tape._record("add", out, tuple(parents), tuple(vjps))
+    return _node("add", av + bv,
+                 ((a, lambda g, sh=av.shape: _unbroadcast(g, sh)),
+                  (b, lambda g, sh=bv.shape: _unbroadcast(g, sh))))
 
 
 def sub(a: Arraylike, b: Arraylike):
     av, bv = value_of(a), value_of(b)
-    out = av - bv
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return out
-    tape = _tape_of(a, b)
-    parents, vjps = [], []
-    if isinstance(a, Var):
-        parents.append(a.idx)
-        vjps.append(lambda g, sh=av.shape: _unbroadcast(g, sh))
-    if isinstance(b, Var):
-        parents.append(b.idx)
-        vjps.append(lambda g, sh=bv.shape: _unbroadcast(-g, sh))
-    return tape._record("sub", out, tuple(parents), tuple(vjps))
+    return _node("sub", av - bv,
+                 ((a, lambda g, sh=av.shape: _unbroadcast(g, sh)),
+                  (b, lambda g, sh=bv.shape: _unbroadcast(-g, sh))))
 
 
 def neg(a: Arraylike):
-    if not isinstance(a, Var):
-        return -value_of(a)
-    return a.tape._record("neg", -a.value, (a.idx,), (lambda g: -g,))
+    return _node("neg", -value_of(a), ((a, lambda g: -g),))
 
 
 def mul(a: Arraylike, b: Arraylike):
     av, bv = value_of(a), value_of(b)
-    out = av * bv
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return out
-    tape = _tape_of(a, b)
-    parents, vjps = [], []
-    if isinstance(a, Var):
-        parents.append(a.idx)
-        vjps.append(lambda g, o=bv, sh=av.shape: _unbroadcast(g * o, sh))
-    if isinstance(b, Var):
-        parents.append(b.idx)
-        vjps.append(lambda g, o=av, sh=bv.shape: _unbroadcast(g * o, sh))
-    return tape._record("mul", out, tuple(parents), tuple(vjps))
+    return _node("mul", av * bv,
+                 ((a, lambda g, o=bv, sh=av.shape: _unbroadcast(g * o, sh)),
+                  (b, lambda g, o=av, sh=bv.shape: _unbroadcast(g * o, sh))))
 
 
 def sin(a: Arraylike):
@@ -380,39 +367,26 @@ def sincos(a: Arraylike):
 
 def matmul(a: Arraylike, b: Arraylike):
     av, bv = value_of(a), value_of(b)
-    out = av @ bv
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return out
-    tape = _tape_of(a, b)
-    parents, vjps = [], []
-    if isinstance(a, Var):
-        parents.append(a.idx)
-        vjps.append(lambda g, o=bv: g @ o.T)
-    if isinstance(b, Var):
-        parents.append(b.idx)
-        vjps.append(lambda g, o=av: o.T @ g)
-    return tape._record("matmul", out, tuple(parents), tuple(vjps))
+    return _node("matmul", av @ bv,
+                 ((a, lambda g, o=bv: g @ o.T), (b, lambda g, o=av: o.T @ g)))
 
 
 def vsum(a: Arraylike, axis=None):
     av = value_of(a)
     out = np.sum(av, axis=axis)
-    if not isinstance(a, Var):
-        return out
 
     def vjp(g, sh=av.shape, axis=axis):
         if axis is None:
             return np.broadcast_to(g, sh).copy()
         return np.broadcast_to(np.expand_dims(g, axis), sh).copy()
 
-    return a.tape._record("sum", _as_array(out), (a.idx,), (vjp,))
+    # a node's value is an array even where the sum is a numpy scalar
+    return _node("sum", _as_array(out) if isinstance(a, Var) else out, ((a, vjp),))
 
 
 def vmean(a: Arraylike, axis=None):
     av = value_of(a)
     out = np.mean(av, axis=axis)
-    if not isinstance(a, Var):
-        return out
     n = av.size if axis is None else av.shape[axis]
 
     def vjp(g, sh=av.shape, axis=axis, n=n):
@@ -420,48 +394,33 @@ def vmean(a: Arraylike, axis=None):
             return np.broadcast_to(g / n, sh).copy()
         return np.broadcast_to(np.expand_dims(g / n, axis), sh).copy()
 
-    return a.tape._record("mean", _as_array(out), (a.idx,), (vjp,))
+    return _node("mean", _as_array(out) if isinstance(a, Var) else out, ((a, vjp),))
 
 
 def reshape(a: Arraylike, shape):
     av = value_of(a)
-    out = av.reshape(shape)
-    if not isinstance(a, Var):
-        return out
-    return a.tape._record("reshape", out, (a.idx,),
-                          (lambda g, sh=av.shape: g.reshape(sh),))
+    return _node("reshape", av.reshape(shape),
+                 ((a, lambda g, sh=av.shape: g.reshape(sh)),))
 
 
 def repeat_rows(a: Arraylike, m: int):
     """Repeat each row of a 2-D array m times (block layout, rows grouped)."""
     av = value_of(a)
-    out = np.repeat(av, m, axis=0)
-    if not isinstance(a, Var):
-        return out
-    n, w = av.shape
 
-    def vjp(g, n=n, m=m, w=w):
+    def vjp(g, sh=av.shape):
+        n, w = sh
         return g.reshape(n, m, w).sum(axis=1)
 
-    return a.tape._record("repeat_rows", out, (a.idx,), (vjp,))
+    return _node("repeat_rows", np.repeat(av, m, axis=0), ((a, vjp),))
 
 
 def concat_cols(parts: Iterable[Arraylike]):
     parts = list(parts)
     vals = [value_of(p) for p in parts]
-    out = np.concatenate(vals, axis=1)
-    if not any(isinstance(p, Var) for p in parts):
-        return out
-    tape = _tape_of(*parts)
-    parents, vjps = [], []
-    start = 0
-    for p, v in zip(parts, vals):
-        stop = start + v.shape[1]
-        if isinstance(p, Var):
-            parents.append(p.idx)
-            vjps.append(lambda g, a=start, b=stop: g[:, a:b])
-        start = stop
-    return tape._record("concat_cols", out, tuple(parents), tuple(vjps))
+    edges = list(accumulate((v.shape[1] for v in vals), initial=0))
+    return _node("concat_cols", np.concatenate(vals, axis=1),
+                 [(p, lambda g, a=a, b=b: g[:, a:b])
+                  for p, a, b in zip(parts, edges, edges[1:])])
 
 
 # ---------------------------------------------------------------------------

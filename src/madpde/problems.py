@@ -166,6 +166,9 @@ class BurgersTask:
     def __post_init__(self):
         if self.nu <= 0:
             raise ProblemError("viscosity must be positive")
+        if self.u0.domain != "unit_interval_periodic":
+            raise ProblemError("initial condition must live on the periodic "
+                               "unit interval")
 
     def to_json(self) -> dict:
         return {"variant": self.variant, "nu": self.nu, "u0": self.u0.to_json()}
@@ -344,18 +347,23 @@ VARIANTS = {cls.variant: cls for cls in (OdeShiftTask, BurgersTask,
 
 def family(variant) -> type:
     """The task class registered under ``variant``."""
-    if variant not in VARIANTS:
+    if not isinstance(variant, str) or variant not in VARIANTS:
         raise ProblemError(f"unknown task variant {variant!r}; "
                            f"choose from {sorted(VARIANTS)}")
     return VARIANTS[variant]
 
 
 def task_from_json(d: dict) -> Task:
+    """The task ``to_json`` wrote as ``d``; ProblemError names what is wrong."""
+    if not isinstance(d, dict):
+        raise ProblemError(f"a task must be a JSON object, got {d!r}")
     cls = family(d.get("variant"))
     try:
         return cls.from_json(d)
     except KeyError as e:
         raise ProblemError(f"{cls.variant} task has no {e} entry") from None
+    except (TypeError, ValueError) as e:
+        raise ProblemError(f"bad {cls.variant} task: {e}") from e
 
 
 def default_encoding(task: Task) -> str:

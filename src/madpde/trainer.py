@@ -14,15 +14,18 @@ reductions deterministic and the BLAS calls large.
 ``optimize`` is the one loop of pre-training, fine-tuning and PINN training,
 and one rule, ``task_groups``, decides how the tasks of its steps share
 tapes, from one constant: ``GROUP_ELEMENTS`` values in one hidden layer
-(``hidden_values``).  Each group is assembled and swept on its own tape; the
-weight gradients are summed in group order, and the latent gradients and
-per-task losses concatenated.
+(``hidden_values``).  One call solves each group: it assembles the group's
+loss on its own tape, sweeps it and returns plain arrays, so the tape is
+gone before the next group in turn is assembled.  The weight gradients are
+summed in group order, and the latent gradients and per-task losses
+concatenated.
 
 When the weights train, the stacked tasks are one problem, with one
-divergence guard and one gradient clip.  A step whose every half holds more
-than ``GROUP_ELEMENTS`` values is computed as two groups, ``tasks[:N//2]``
-and ``tasks[N//2:]``, which run at once, one on a persistent worker thread
-and one on the caller, while BLAS is pinned to one thread: float64
+divergence guard, run once every group is solved, and one gradient clip.
+A step whose every half holds more than ``GROUP_ELEMENTS`` values is
+computed as two groups, ``tasks[:N//2]`` and ``tasks[N//2:]``, which run at
+once, one on a persistent worker thread and one on the caller, while BLAS
+is pinned to one thread: float64
 ``sin``/``cos`` are scalar library calls that leave the second CPU idle
 outside GEMMs, and two groups with BLAS on two threads ran slower than one
 after the other.  BLAS's GEMMs round differently on one thread than on two,
@@ -33,9 +36,9 @@ set (``diffcore.BLAS_THREADS``), and for smaller steps, a step is one group.
 Over frozen weights each task is its own problem, with its own guard and
 clip, and only another latent, so a step stacks consecutive groups of
 k = max(1, GROUP_ELEMENTS // hidden_values([task])) tasks.  They run in turn
-on the caller with BLAS as it is: each group is assembled, checked by its
-tasks' guards and swept before the next is assembled, so a step holds one
-tape at a time.  A task's outputs are those of its group run alone.
+on the caller with BLAS as it is: each group is solved and then checked by
+its tasks' guards before the next is assembled, so a step holds one tape at
+a time.  A task's outputs are those of its group run alone.
 """
 
 from __future__ import annotations
@@ -306,32 +309,35 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def require_finite_gradient(grads: np.ndarray, step: int,
-                            blocks: Optional[Sequence[tuple[str, int, int]]] = None
-                            ) -> None:
-    """Raises TrainingError naming the step and the first non-finite entry,
-    as ``block[i]`` when one of the (name, start, stop) ``blocks`` holds it."""
-    if np.all(np.isfinite(grads)):
+def require_finite(values: np.ndarray, what: str, step: int,
+                   blocks: Optional[Sequence[tuple[str, int, int]]] = None) -> None:
+    """Raises TrainingError naming ``what``, the step and the first
+    non-finite entry of ``values``, as ``block[i]`` when one of the (name,
+    start, stop) ``blocks`` holds it."""
+    if np.all(np.isfinite(values)):
         return
-    bad = int(np.flatnonzero(~np.isfinite(grads))[0])
+    bad = int(np.flatnonzero(~np.isfinite(values))[0])
     where = f"index {bad}"
     for name, a, b in blocks or []:
         if a <= bad < b:
             where = f"{name}[{bad - a}]"
             break
-    raise TrainingError(f"non-finite gradient at step {step} in {where}")
+    raise TrainingError(f"non-finite {what} at step {step} in {where}")
 
 
 def adam_step(state: AdamState, variables: np.ndarray, grads: np.ndarray,
               lr: float, blocks: Optional[Sequence[tuple[str, int, int]]] = None
               ) -> tuple[AdamState, np.ndarray]:
-    """One Adam update with bias correction; returns fresh (state, variables)."""
+    """One Adam update with bias correction; returns fresh (state, variables).
+    Raises TrainingError on a non-finite gradient, and on a second moment
+    that overflows, whose entries would take no step from then on."""
     if variables.shape != grads.shape:
         raise TrainingError("variable/gradient length mismatch")
     t = state.step + 1
-    require_finite_gradient(grads, t, blocks)
+    require_finite(grads, "gradient", t, blocks)
     m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
     v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads * grads
+    require_finite(v, "Adam second moment", t, blocks)
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
     new_vars = variables - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -398,21 +404,6 @@ def _one_blas_thread():
                 put(_pin_before)
 
 
-def _each(fn, items: list, together: bool) -> list:
-    """``[fn(x) for x in items]``; ``together`` (two items), fn(items[0])
-    runs on the worker thread while the caller runs fn(items[1])."""
-    if not together:
-        return [fn(x) for x in items]
-    pending = _group_worker().submit(fn, items[0])
-    try:
-        second = fn(items[1])
-    finally:
-        # the worker is done before the caller goes on, and its error (the
-        # first group's) wins, as when the groups run in turn
-        first = pending.result()
-    return [first, second]
-
-
 def task_groups(tasks: Sequence[Task], cfg: TrainConfig, width: int,
                 tune_theta: bool) -> list[slice]:
     """The task groups of every step of ``optimize`` (module docstring)."""
@@ -430,44 +421,53 @@ def task_groups(tasks: Sequence[Task], cfg: TrainConfig, width: int,
 def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice],
           guard: Callable[[int, float, np.ndarray], None]):
     """(total, per-task losses, d/d theta_flat, d/d Z) of one step over the
-    task ``groups``, None for a frozen block; each group is assembled and
-    swept on its own tape.  When the weights train, the groups are one
-    problem: all are assembled, ``guard(0, total, per_task)`` runs, then all
-    are swept; two groups run with BLAS pinned to one thread
-    (``diffcore.BLAS_THREADS`` must be set), at once where two CPUs are
-    usable.  Over frozen weights each group in turn is assembled, guarded
-    (``guard(index of its first task, total, per_task)``) and swept."""
+    task ``groups``, None for a frozen block.  One call solves each group:
+    it assembles the group's loss on its own tape, sweeps it and returns
+    plain arrays, so the tape is freed before the next group in turn is
+    assembled.  When the weights train, the groups are one problem: all are
+    solved, then ``guard(0, total, per_task)`` runs once; two groups run
+    with BLAS pinned to one thread (``diffcore.BLAS_THREADS`` must be set),
+    at once where two CPUs are usable, else in turn.  Over frozen weights
+    each group in turn is solved and then guarded (``guard(index of its
+    first task, total, per_task)``)."""
 
-    def assemble(g):
+    def solve(g):
         try:
-            return assemble_multitask_loss(tasks[g], batches[g], params,
+            loss = assemble_multitask_loss(tasks[g], batches[g], params,
                                            None if Z is None else Z[g], cfg,
                                            trainable_theta=tune_theta)
         except TrainingError as e:
             if e.task is not None:
                 e.task += g.start  # index in all of ``tasks``
             raise
+        return (loss.breakdown.total, loss.per_task_loss, *loss.gradients())
 
-    def run(gs, together):
-        losses = _each(assemble, gs, together)
-        totals = [loss.breakdown.total for loss in losses]
-        total = sum(totals[1:], totals[0])  # one group's total as it is
-        per_task = np.concatenate([loss.per_task_loss for loss in losses])
-        guard(gs[0].start, total, per_task)
-        grads = _each(lambda loss: loss.gradients(), losses, together)
-        # free the tapes now: the worker may still hold this list for a moment
-        losses.clear()
-        return total, per_task, grads
-
-    if tune_theta:
-        pinned = len(groups) > 1
-        with _one_blas_thread() if pinned else contextlib.nullcontext():
-            parts = [run(groups, pinned and usable_cpus() > 1)]
+    if not tune_theta:
+        parts = []
+        for g in groups:
+            parts.append(solve(g))
+            guard(g.start, *parts[-1][:2])
+    elif len(groups) == 1:
+        parts = [solve(groups[0])]
     else:
-        parts = [run([g], False) for g in groups]
-    totals, per_task, grads = zip(*parts)
-    g_theta, g_z = zip(*(g for gs in grads for g in gs))
-    return (sum(totals[1:], totals[0]), np.concatenate(per_task),
+        with _one_blas_thread():
+            if usable_cpus() > 1:
+                pending = _group_worker().submit(solve, groups[0])
+                try:
+                    second = solve(groups[1])
+                finally:
+                    # the worker is done before the caller goes on, and its
+                    # error (the first group's) wins, as when run in turn
+                    first = pending.result()
+                parts = [first, second]
+            else:
+                parts = [solve(g) for g in groups]
+    totals, per_task, g_theta, g_z = zip(*parts)
+    total = sum(totals[1:], totals[0])  # one group's total as it is
+    per_task = np.concatenate(per_task)
+    if tune_theta:
+        guard(0, total, per_task)
+    return (total, per_task,
             None if g_theta[0] is None else sum(g_theta[1:], g_theta[0]),
             None if g_z[0] is None else np.concatenate(g_z))
 

@@ -115,6 +115,24 @@ class TestPipeline:
         assert os.path.exists(os.path.join(viz_dir, "manifold.csv"))
         assert os.path.exists(os.path.join(viz_dir, "summary.json"))
 
+    def test_viz_writes_every_number_as_a_plain_float(self, tmp_path):
+        records = tmp_path / "convergence.csv"
+        benchviz.write_convergence_csv(str(records), [
+            benchviz.ConvergenceRecord(f"s2-{i}", "mad_L", 0,
+                                       [(0, 0.5 + i, 1.0), (3, 0.4 + i, 0.8)])
+            for i in range(2)])
+        out = tmp_path / "viz"
+        assert cli.main(["viz", "--config", write_config(tmp_path / "cfg.json"),
+                         "--records", str(records), "--out", str(out)]) == 0
+        header, *rows = (out / "aggregated.csv").read_text().splitlines()
+        assert header == "method,iteration,mean_rel_l2,ci_lo,ci_hi"
+        assert len(rows) == 2
+        for row in rows:
+            method, *numbers = row.split(",")
+            assert method == "mad_L" and len(numbers) == 4
+            for cell in numbers:
+                float(cell)
+
     def test_finetune_zero_iters_single_eval(self, ode_setup):
         cfg_path, tasks_dir, tmp_path = ode_setup
         pre_dir = str(tmp_path / "pre0")
@@ -342,6 +360,67 @@ class TestTaskFileErrors:
         err = one_error_line(capsys)
         assert all(w in err for w in words)
 
+    @pytest.mark.parametrize("payload, words", [
+        ({"a": 1}, ["list of task objects"]),
+        ([3], ["list of task objects"]),
+        ([{"id": "x", "task": {"variant": "ode_shift", "eta": 0.5}}],
+         ["ids must be integers", "'x'"]),
+        ([{"id": 0, "task": "ode_shift"}], ["JSON object", "'ode_shift'"]),
+        ([{"id": 0, "task": {"variant": "ode_shift", "eta": "abc"}}],
+         ["bad ode_shift task", "'abc'"]),
+        ([{"id": 0, "task": {"variant": "burgers", "nu": 0.01, "u0": {
+            "cos": [0.0, 1.0], "sin": "x", "domain": "unit_interval_periodic"}}}],
+         ["bad burgers task", "'x'"]),
+    ], ids=["object", "number_entry", "id_not_a_number", "task_string",
+            "eta_not_a_number", "u0_sin_not_a_number"])
+    def test_malformed_file_exits_without_traceback(self, tmp_path, capsys,
+                                                    payload, words):
+        cfg_path = write_config(tmp_path / "cfg.json")
+        tasks_dir = tmp_path / "tasks"
+        tasks_dir.mkdir()
+        (tasks_dir / "tasks_s1.json").write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks",
+                         str(tasks_dir), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in ["tasks_s1.json", *words]), err
+        assert not out.exists()
+
+
+class TestUnreadableBinaryInputs:
+    """A checkpoint or reference field that cannot be opened is one error
+    line that names it, before any output directory exists."""
+
+    def test_missing_checkpoint(self, ode_setup, capsys):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        nope, out = tmp_path / "nope.ckpt", tmp_path / "ft"
+        assert cli.main(["finetune", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--checkpoint", str(nope), "--mode", "L",
+                         "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(nope) in err and "cannot read the checkpoint file" in err
+        assert not out.exists()
+
+    def test_reference_field_that_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "b.json", experiment="burgers_mini",
+            problem={"variant": "burgers", "nu": 0.01, "grf": {"n_modes": 8}},
+            tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 7},
+            reference={"nx": 32, "nt": 2})
+        tasks_dir = tmp_path / "tasks"
+        assert cli.main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 0
+        held = read_split(str(tasks_dir), "s2")[0][0]
+        ref = tasks_dir / "refs" / f"task_{held:04d}.ref"
+        ref.unlink()
+        ref.mkdir()
+        out = tmp_path / "baseline"
+        capsys.readouterr()
+        assert cli.main(["baseline", "--config", cfg, "--tasks", str(tasks_dir),
+                         "--method", "from-scratch", "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(ref) in err and "cannot read the reference-field file" in err
+        assert not out.exists()
+
 
 class TestGenTasksConfigErrors:
     @pytest.mark.parametrize("problem", [
@@ -360,7 +439,9 @@ class TestGenTasksConfigErrors:
         {"variant": "burgers", "nu": "abc"},
         {"variant": "burgers", "grf": 3},
         {"variant": "ode_shift", "eta_range": 5},
-    ], ids=["variant_list", "nu_not_a_number", "grf_number", "eta_range_number"])
+        {"variant": "burgers", "nu": 0.01, "grf": {"domain": "unit_circle"}},
+    ], ids=["variant_list", "nu_not_a_number", "grf_number", "eta_range_number",
+            "burgers_on_the_circle"])
     def test_malformed_problem_section(self, tmp_path, capsys, problem):
         cfg_path = write_config(tmp_path / "p.json", problem=problem)
         assert cli.main(["gen-tasks", "--config", cfg_path,

@@ -184,6 +184,27 @@ class TestTapeGradient:
         (g,) = tape.gradient(y, [b])
         np.testing.assert_allclose(g, 2 * (A + b.value).sum(axis=0), rtol=1e-14)
 
+    def test_size_one_axis_gradient_sums_over_that_axis(self):
+        tape = Tape()
+        x = tape.constant(np.arange(3.0).reshape(3, 1))
+        y = tape.constant(np.ones((3, 4)))
+        (g,) = tape.gradient(dc.vsum(dc.add(x, y)), [x])
+        assert g.shape == (3, 1)
+        assert np.array_equal(g, np.full((3, 1), 4.0))
+
+    @pytest.mark.parametrize("op", [dc.add, dc.sub, dc.mul, dc.matmul,
+                                    lambda a, b: dc.concat_cols([a, b])],
+                             ids=["add", "sub", "mul", "matmul", "concat_cols"])
+    def test_operands_on_two_tapes_rejected(self, op):
+        # recorded on the first operand's tape, the second operand's index
+        # would name another node there and give a wrong gradient
+        t1, t2 = Tape(), Tape()
+        a = t1.constant(np.ones((2, 2)))
+        b = t2.constant(np.full((2, 2), 2.0))
+        with pytest.raises(dc.DiffError, match="different tapes"):
+            op(a, b)
+        assert len(t1) == len(t2) == 1
+
     def test_repeat_rows_and_concat_cols(self):
         tape = Tape()
         Z = tape.constant(np.arange(6.0).reshape(3, 2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from madpde import grf
+from madpde import grf, oracles
 from madpde.grf import BURGERS_GRF, GrfSample, GrfSpec
 
 
@@ -56,6 +56,14 @@ class TestEvaluate:
         np.testing.assert_allclose(grf.evaluate_grf(s, x), np.cos(2 * np.pi * x),
                                    atol=1e-15)
         assert grf.evaluate_grf(s, np.array([0.0]))[0] == pytest.approx(1.0)
+
+    def test_circle_series_is_the_disk_solution_at_radius_one(self):
+        # a harmonic extension equals its boundary data on the boundary
+        s = grf.sample_grf(grf.LAPLACE_GRF, np.random.default_rng(3))
+        theta = np.linspace(0.0, 2 * np.pi, 50, endpoint=False)
+        np.testing.assert_allclose(grf.evaluate_grf(s, theta),
+                                   oracles.laplace_disk_solution(s, 1.0, theta),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_periodicity(self):
         rng = np.random.default_rng(7)

@@ -327,6 +327,22 @@ class TestCheckpointIO:
         with pytest.raises(mad.CheckpointError, match=f"model.ckpt.*'{key}'"):
             mad.load_checkpoint(p)
 
+    def test_header_with_a_task_that_is_no_object_rejected(self, small_checkpoint,
+                                                           tmp_path):
+        import json as _json
+        import struct as _struct
+        p = str(tmp_path / "model.ckpt")
+        mad.save_checkpoint(p, small_checkpoint)
+        blob = Path(p).read_bytes()
+        n = _struct.unpack("<I", blob[8:12])[0]
+        header = _json.loads(blob[12:12 + n])
+        header["tasks"][0] = "ode_shift"
+        hb = _json.dumps(header, sort_keys=True).encode()
+        Path(p).write_bytes(blob[:8] + _struct.pack("<I", len(hb)) + hb
+                            + blob[12 + n:])
+        with pytest.raises(mad.CheckpointError, match="model.ckpt: corrupt header"):
+            mad.load_checkpoint(p)
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         tasks = ode_tasks(3)
         cfg = quick_cfg(total_iters=40, M_r=16)
@@ -683,6 +699,28 @@ class TestGroupedPretrain:
             gc.enable()
         assert len(tapes) == 2 * cfg.total_iters
         assert all(checks), checks
+
+    @needs_blas_setter
+    def test_groups_in_turn_hold_one_tape_at_a_time(self, monkeypatch):
+        # one CPU: group 0 is assembled and swept before group 1 is assembled
+        tasks, net, cfg = _grouped_setup()
+        monkeypatch.setattr(trainer, "usable_cpus", lambda: 1)
+        assemble = trainer.assemble_multitask_loss
+        last, checks = [None], []
+
+        def watched(*args, **kw):
+            checks.append(last[0] is None or last[0]() is None)
+            loss = assemble(*args, **kw)
+            last[0] = weakref.ref(loss.tape)
+            return loss
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
+        gc.disable()
+        try:
+            mad.pretrain(tasks, net, cfg)
+        finally:
+            gc.enable()
+        assert len(checks) == 2 * cfg.total_iters and all(checks), checks
 
 
 class TestFrozenGroups:

@@ -210,6 +210,12 @@ class TestSampler:
         with pytest.raises(ProblemError):
             LaplaceTriangleTask((0.1, 0.1 + 1e-5, 2.0), h)
 
+    def test_burgers_initial_condition_on_the_circle_rejected(self):
+        # the spectral oracle and periodic_x assume a period of 1 in x
+        h = grf.sample_grf(LAPLACE_GRF, np.random.default_rng(0))
+        with pytest.raises(ProblemError, match="periodic unit interval"):
+            BurgersTask(h, 0.01)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("task", [OdeShiftTask(1.25), make_burgers_task(11),
@@ -279,3 +285,19 @@ class TestTaskJsonErrors:
     def test_unknown_variant(self):
         with pytest.raises(ProblemError, match="unknown task variant 'maxwell'"):
             problems.task_from_json({"variant": "maxwell"})
+
+    @pytest.mark.parametrize("d, words", [
+        ("ode_shift", ["JSON object", "'ode_shift'"]),
+        ([{"variant": "ode_shift", "eta": 0.5}], ["JSON object"]),
+        ({"variant": ["ode_shift"], "eta": 0.5}, ["unknown task variant"]),
+        ({"variant": "ode_shift", "eta": "abc"}, ["bad ode_shift task", "'abc'"]),
+        ({"variant": "ode_shift", "eta": None}, ["bad ode_shift task"]),
+        ({"variant": "burgers", "nu": 0.01,
+          "u0": {"cos": [0.0, 1.0], "sin": "x", "domain": "unit_interval_periodic"}},
+         ["bad burgers task", "'x'"]),
+    ], ids=["string", "list", "variant_list", "eta_not_a_number", "eta_null",
+            "u0_sin_not_a_number"])
+    def test_malformed_task_raises_problem_error(self, d, words):
+        with pytest.raises(ProblemError) as info:
+            problems.task_from_json(d)
+        assert all(w in str(info.value) for w in words), str(info.value)

@@ -77,6 +77,15 @@ class TestAdam:
             trainer.adam_step(state, np.zeros(4), g, 1e-3,
                               blocks=[("weight", 0, 1), ("bias", 1, 4)])
 
+    def test_second_moment_overflow_reports_step_and_block(self):
+        # squared, 1e200 overflows: that entry would take no step from then on
+        g = np.array([0.0, 0.0, 1e200, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(
+                trainer.TrainingError,
+                match=r"^non-finite Adam second moment at step 1 in bias\[1\]$"):
+            trainer.adam_step(AdamState.zeros(4), np.zeros(4), g, 1e-3,
+                              blocks=[("weight", 0, 1), ("bias", 1, 4)])
+
     def test_clip_gradient(self):
         g = np.array([3.0, 4.0])
         np.testing.assert_allclose(trainer.clip_gradient(g, 1.0),
