@@ -84,8 +84,8 @@ def inner_adapt(theta: np.ndarray, task: Task, steps: int, inner_lr: float,
     adam = AdamState.zeros(w.size)
     for _ in range(steps):
         batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc, rng)
-        g, _ = trainer.assemble_loss(task, ModelParams(w, net_cfg), None, batch,
-                                     cfg).gradients()
+        g, _ = trainer.assemble_multitask_loss([task], [batch], ModelParams(w, net_cfg),
+                                               None, cfg).gradients()
         adam, w = trainer.adam_step(adam, w, g, inner_lr, [("theta", 0, w.size)])
     return w
 
@@ -137,14 +137,15 @@ def maml_fo_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfi
                 for k in range(meta.inner_steps):
                     batch = problems.sample_batch(tasks[i], fine_cfg.M_r,
                                                   fine_cfg.M_bc, rng)
-                    g, _ = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg),
-                                                 None, batch, fine_cfg).gradients()
+                    g, _ = trainer.assemble_multitask_loss(
+                        [tasks[i]], [batch], ModelParams(w, net_cfg), None,
+                        fine_cfg).gradients()
                     trainer.require_finite(g, "gradient", k + 1, blocks)
                     w = w - meta.inner_lr * g
                 batch = problems.sample_batch(tasks[i], fine_cfg.M_r, fine_cfg.M_bc,
                                               rng)
-                loss = trainer.assemble_loss(tasks[i], ModelParams(w, net_cfg), None,
-                                             batch, fine_cfg)
+                loss = trainer.assemble_multitask_loss(
+                    [tasks[i]], [batch], ModelParams(w, net_cfg), None, fine_cfg)
             except TrainingError as e:
                 raise TrainingError(f"maml_fo diverged at meta-iteration {m} in the "
                                     f"inner loop on task {i}: {e}") from e

@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -165,12 +166,16 @@ def _source_revision() -> str:
     return "unknown"
 
 
-def prepare_out_dir(out: str, force: bool) -> str:
+def prepare_out_dir(out: str, args) -> str:
+    """``out``, made if missing and then named by ``args.made_out``, so
+    that ``main`` removes it when the command fails."""
     if os.path.exists(out) and os.listdir(out):
-        if not force:
+        if not args.force:
             raise CliError(f"output directory {out!r} is not empty "
                            f"(use --force to overwrite)")
-    os.makedirs(out, exist_ok=True)
+    if not os.path.exists(out):
+        os.makedirs(out)
+        args.made_out = out
     return out
 
 
@@ -298,7 +303,7 @@ def cmd_gen_tasks(cfg: dict, args) -> int:
             raise CliError(f"reference.nt must be at least 1, got {nt}")
         if which not in ("s2", "all"):
             raise CliError(f"reference.which must be 's2' or 'all', got {which!r}")
-    out = prepare_out_dir(default_out(cfg, "tasks", args.out), args.force)
+    out = prepare_out_dir(default_out(cfg, "tasks", args.out), args)
     write_manifest(out, "gen-tasks", cfg, args)
     perm = np.random.default_rng([seed, 0x5917]).permutation(n_tasks)
     s1_ids = sorted(int(i) for i in perm[:n_pre])
@@ -322,7 +327,7 @@ def cmd_pretrain(cfg: dict, args) -> int:
     ids, tasks = read_tasks(cfg, args.tasks, "s1")
     net_cfg = network_config(cfg, tasks[0])
     pre_cfg = train_config(cfg, "pretrain")
-    out = prepare_out_dir(default_out(cfg, "pretrain", args.out), args.force)
+    out = prepare_out_dir(default_out(cfg, "pretrain", args.out), args)
     write_manifest(out, "pretrain", cfg, args)
     ck = mad.pretrain(tasks, net_cfg, pre_cfg, task_ids=ids)
     mad.save_checkpoint(os.path.join(out, "checkpoint.ckpt"), ck)
@@ -348,8 +353,7 @@ def cmd_finetune(cfg: dict, args) -> int:
     grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(ids, tasks)]
     Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
     labels = [f"s2-{tid}" for tid in ids]
-    out = prepare_out_dir(default_out(cfg, f"finetune_{args.mode}", args.out),
-                          args.force)
+    out = prepare_out_dir(default_out(cfg, f"finetune_{args.mode}", args.out), args)
     write_manifest(out, "finetune", cfg, args)
 
     if args.mode == "L":
@@ -388,8 +392,7 @@ def cmd_baseline(cfg: dict, args) -> int:
             raise CliError(f"bad baseline.meta settings: {e}")
     pre_cfg = train_config(cfg, "pretrain") if args.method == "transfer" else None
     grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(s2_ids, s2)]
-    out = prepare_out_dir(default_out(cfg, f"baseline_{args.method}", args.out),
-                          args.force)
+    out = prepare_out_dir(default_out(cfg, f"baseline_{args.method}", args.out), args)
     write_manifest(out, "baseline", cfg, args)
     # every held-out task starts from the same weights, computed once
     if args.method == "from-scratch":
@@ -423,7 +426,7 @@ def cmd_eval(cfg: dict, args) -> int:
     strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
     grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(ids, tasks)]
     Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
-    out = prepare_out_dir(default_out(cfg, "eval", args.out), args.force)
+    out = prepare_out_dir(default_out(cfg, "eval", args.out), args)
     write_manifest(out, "eval", cfg, args)
     errors = [evaluation.rel_l2(grid, ck.params(), z0) for grid, z0 in zip(grids, Z0)]
     summary = {"n_tasks": len(errors), "mean": float(np.mean(errors))}
@@ -493,7 +496,7 @@ def cmd_viz(cfg: dict, args) -> int:
     except ValueError as e:
         raise CliError(f"cannot aggregate the records: {e}")
     named = _manifold_curves(cfg, args.snapshots)
-    out = prepare_out_dir(default_out(cfg, "viz", args.out), args.force)
+    out = prepare_out_dir(default_out(cfg, "viz", args.out), args)
     write_manifest(out, "viz", cfg, args)
     with open(os.path.join(out, "aggregated.csv"), "w") as f:
         f.write("method,iteration,mean_rel_l2,ci_lo,ci_hi\n")
@@ -580,6 +583,7 @@ def check_workers(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.made_out = None
     try:
         check_workers(args)
         cfg = load_config(args.config, args.overrides)
@@ -588,6 +592,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except (CliError, mad.CheckpointError, oracles.OracleError, TrainingError,
             problems.ProblemError, DiffError) as e:
+        if args.made_out is not None:
+            shutil.rmtree(args.made_out)
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,10 @@
 The network evaluates f(x, z) on the concatenation of the (optionally
 encoded) coordinates x and a per-task latent vector z.  ``forward`` is plain
 numpy for cheap evaluation on grids; ``jet_forward`` (training's path, on
-the tape of ``stage_network``; ``forward_jets`` stages a fresh one) runs the
-same computation in Jet2 arithmetic, so that du/dv and d2u/dv2 per coordinate
-direction stay differentiable with respect to the weights and the latent.
+the weights that ``stage_network`` puts on a tape; ``forward_jets`` stages
+them on a fresh one) runs the same computation in Jet2 arithmetic, so that
+du/dv and d2u/dv2 per coordinate direction stay differentiable with respect
+to the weights and the latent.
 """
 
 from __future__ import annotations
@@ -131,22 +132,23 @@ def encode(config: NetworkConfig, x: np.ndarray) -> np.ndarray:
 
 
 def encode_jets(config: NetworkConfig, x: np.ndarray, direction: int):
-    """Encoded features plus their first/second derivative along one raw
-    coordinate direction.  Everything is constant data (no tape nodes)."""
-    B = x.shape[0]
-    E = config.encoded_dim
+    """First and second derivatives of the first layer's input along one raw
+    coordinate direction: (B, encoded_dim + latent_dim) arrays whose latent
+    columns are zero, or 0.0 for a second derivative that is zero
+    everywhere.  Everything is constant data (no tape nodes)."""
+    d1 = np.zeros((x.shape[0], config.encoded_dim + config.latent_dim))
     if config.input_encoding == "identity":
-        d1 = np.zeros((B, E))
         d1[:, direction] = 1.0
         return d1, 0.0
     if direction == 0:
         c = np.cos(TWO_PI * x[:, :1])
         s = np.sin(TWO_PI * x[:, :1])
-        zeros = np.zeros((B, E - 2))
-        d1 = np.concatenate([-TWO_PI * s, TWO_PI * c, zeros], axis=1)
-        d2 = np.concatenate([-(TWO_PI ** 2) * c, -(TWO_PI ** 2) * s, zeros], axis=1)
+        d2 = np.zeros_like(d1)
+        d1[:, :1] = -TWO_PI * s
+        d1[:, 1:2] = TWO_PI * c
+        d2[:, :1] = -(TWO_PI ** 2) * c
+        d2[:, 1:2] = -(TWO_PI ** 2) * s
         return d1, d2
-    d1 = np.zeros((B, E))
     d1[:, direction + 1] = 1.0  # x expands into two features
     return d1, 0.0
 
@@ -173,38 +175,13 @@ def forward(params: ModelParams, x, z=None, dtype=np.float64) -> np.ndarray:
     return h.astype(np.float64, copy=False)
 
 
-@dataclass
-class StagedNetwork:
-    """Weights (and optionally z) staged onto a tape for differentiation.
-
-    Frozen blocks are plain arrays and cost nothing in the reverse sweep.
-    """
-
-    config: NetworkConfig
-    tape: Tape
-    weights: list  # (W, b) pairs; Var if trainable, ndarray if frozen
-    theta_trainable: bool
-
-    def theta_vars(self) -> list:
-        if not self.theta_trainable:
-            return []
-        out = []
-        for W, b in self.weights:
-            out.extend([W, b])
-        return out
-
-    def theta_grad_flat(self, grads: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in grads])
-
-
-def stage_network(tape: Tape, params: ModelParams, trainable: bool = True) -> StagedNetwork:
-    weights = []
-    for W, b in params.layers():
-        if trainable:
-            weights.append((tape.constant(W, "W"), tape.constant(b, "b")))
-        else:
-            weights.append((W, b))
-    return StagedNetwork(params.config, tape, weights, trainable)
+def stage_network(tape: Tape, params: ModelParams, trainable: bool = True) -> list:
+    """The (W, b) pairs of ``params`` in layer order: leaves on ``tape`` when
+    ``trainable``, else the plain arrays, which cost nothing in the reverse
+    sweep."""
+    if not trainable:
+        return params.layers()
+    return [(tape.constant(W, "W"), tape.constant(b, "b")) for W, b in params.layers()]
 
 
 def _sine_jets(pre: list[Jet2]) -> list[Jet2]:
@@ -240,17 +217,17 @@ def _matvec(h, W):
     return dc.matmul(h, W)
 
 
-def jet_forward(staged: StagedNetwork, x: np.ndarray, z_rows,
+def jet_forward(cfg: NetworkConfig, weights: list, x: np.ndarray, z_rows,
                 orders: dict[int, int]) -> dict[int, Jet2]:
     """Network jets per coordinate direction, sharing the value channel.
 
-    ``z_rows`` is a (B, latent_dim) Var or array (or None when latent_dim
-    is 0); ``orders`` maps each direction to its derivative order, 1 or 2,
-    and its key order is the order of the channels.  Returns {direction:
-    Jet2 of the (B, output_dim) outputs}; an empty ``orders`` asks for a
-    value-only forward, returned as {None: Jet2}.
+    ``weights`` are the (W, b) pairs of ``stage_network``; ``z_rows`` is a
+    (B, latent_dim) Var or array (or None when latent_dim is 0); ``orders``
+    maps each direction to its derivative order, 1 or 2, and its key order
+    is the order of the channels.  Returns {direction: Jet2 of the (B,
+    output_dim) outputs}; an empty ``orders`` asks for a value-only forward,
+    returned as {None: Jet2}.
     """
-    cfg = staged.config
     for d in orders:
         if not (0 <= d < cfg.input_dim):
             raise ValueError(f"direction {d} out of range for input_dim {cfg.input_dim}")
@@ -264,26 +241,20 @@ def jet_forward(staged: StagedNetwork, x: np.ndarray, z_rows,
         val = feats
 
     chans: list[Jet2] = []
-    zpad = np.zeros((x.shape[0], cfg.latent_dim)) if cfg.latent_dim > 0 else None
     for d, order in orders.items():
         e1, e2 = encode_jets(cfg, x, d)
-        if zpad is not None:
-            e1 = np.concatenate([e1, zpad], axis=1)
-            if not dc._is_zero(e2):
-                e2 = np.concatenate([e2, zpad], axis=1)
         chans.append(Jet2(val, e1, e2 if order == 2 else None))
     if not chans:
         chans = [Jet2(val, 0.0, None)]
 
-    layers = staged.weights
-    for li, (W, b) in enumerate(layers):
+    for li, (W, b) in enumerate(weights):
         lin_val = dc.add(_matvec(chans[0].val, W), b)
         new = []
         for j in chans:
             d2 = None if j.d2 is None else _matvec(j.d2, W)
             new.append(Jet2(lin_val, _matvec(j.d1, W), d2))
         chans = new
-        if li < len(layers) - 1:
+        if li < len(weights) - 1:
             chans = _sine_jets(chans)
 
     return dict(zip(orders, chans)) if orders else {None: chans[0]}
@@ -294,14 +265,14 @@ def forward_jets(params: ModelParams, x, z, directions: Sequence[int],
     """Fresh-tape jets of the network outputs along coordinate directions.
 
     ``orders`` maps direction -> 1 or 2 (default 2 for every direction).
-    Returns (jets, staged) where jets maps direction -> Jet2 and ``staged``
-    exposes the weight nodes for parameter gradients.
+    Returns (jets, weights) where jets maps direction -> Jet2 and
+    ``weights`` are the (W, b) leaves, for parameter gradients.
     """
     cfg = params.config
     x, z = _check_dims(cfg, x, z)
     tape = Tape()
-    staged = stage_network(tape, params, trainable=True)
+    weights = stage_network(tape, params)
     z_rows = tape.constant(z, "z") if cfg.latent_dim > 0 else None
     orders = {d: 2 if orders is None else orders.get(d, 2) for d in directions}
-    jets = jet_forward(staged, x, z_rows, orders)
-    return jets, staged
+    jets = jet_forward(cfg, weights, x, z_rows, orders)
+    return jets, weights

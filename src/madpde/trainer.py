@@ -21,11 +21,11 @@ summed in group order, and the latent gradients and per-task losses
 concatenated.
 
 When the weights train, the stacked tasks are one problem, with one
-divergence guard, run once every group is solved, and one gradient clip.
-A step whose every half holds more than ``GROUP_ELEMENTS`` values is
-computed as two groups, ``tasks[:N//2]`` and ``tasks[N//2:]``, which run at
-once, one on a persistent worker thread and one on the caller, while BLAS
-is pinned to one thread: float64
+divergence guard and one gradient clip, which ``optimize`` applies once
+every group is solved.  A step whose every half holds more than
+``GROUP_ELEMENTS`` values is computed as two groups, ``tasks[:N//2]`` and
+``tasks[N//2:]``, which run at once, one on a persistent worker thread and
+one on the caller, while BLAS is pinned to one thread: float64
 ``sin``/``cos`` are scalar library calls that leave the second CPU idle
 outside GEMMs, and two groups with BLAS on two threads ran slower than one
 after the other.  BLAS's GEMMs round differently on one thread than on two,
@@ -36,9 +36,9 @@ set (``diffcore.BLAS_THREADS``), and for smaller steps, a step is one group.
 Over frozen weights each task is its own problem, with its own guard and
 clip, and only another latent, so a step stacks consecutive groups of
 k = max(1, GROUP_ELEMENTS // hidden_values([task])) tasks.  They run in turn
-on the caller with BLAS as it is: each group is solved and then checked by
-its tasks' guards before the next is assembled, so a step holds one tape at
-a time.  A task's outputs are those of its group run alone.
+on the caller with BLAS as it is, so a step holds one tape at a time, and
+``optimize`` runs every task's guard once all are solved.  A task's outputs
+are those of its group run alone.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 from . import diffcore as dc
 from . import problems
 from .diffcore import Tape, Var
-from .network import ModelParams, NetworkConfig, jet_forward, stage_network
+from .network import ModelParams, jet_forward, stage_network
 from .problems import SampleBatch, Task
 
 
@@ -118,18 +118,20 @@ class TapedLoss:
     tape: Tape
     total: Var                  # plain float when nothing is trainable
     breakdown: LossBreakdown
-    staged: "object"            # StagedNetwork
+    theta: list                 # W, b leaves in layer order; empty when frozen
     z_var: Optional[Var]        # (N, latent) leaf, None when latent_dim == 0
     per_task_loss: np.ndarray   # (N,) physics loss + reg per task
 
     def gradients(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """(d total / d theta_flat, d total / d Z); None for frozen blocks.
+        The ``theta`` gradients are flattened in the layout of
+        ``ModelParams.flat``.
 
         The sweep releases the tape (``Tape.gradient(..., release=True)``),
         freeing each node's backward closures once used, so a step's memory
         falls while the sweep runs.  A second call raises ``DiffError``.
         """
-        wrt = list(self.staged.theta_vars())
+        wrt = list(self.theta)
         if self.z_var is not None:
             wrt.append(self.z_var)
         if not wrt:
@@ -138,7 +140,7 @@ class TapedLoss:
         z_grad = None
         if self.z_var is not None:
             z_grad = grads.pop()
-        theta_grad = self.staged.theta_grad_flat(grads) if grads else None
+        theta_grad = np.concatenate([g.ravel() for g in grads]) if grads else None
         return theta_grad, z_grad
 
 
@@ -170,7 +172,7 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
     N = len(tasks)
     latent = params.config.latent_dim
     tape = Tape()
-    staged = stage_network(tape, params, trainable=trainable_theta)
+    weights = stage_network(tape, params, trainable_theta)
 
     z_in = None
     if latent > 0:
@@ -183,7 +185,7 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
     X = np.concatenate([b.interior for b in batches], axis=0)
     z_rows = dc.repeat_rows(z_in, M_r) if z_in is not None else None
     orders = tasks[0].directions
-    jets = jet_forward(staged, X, z_rows, orders)
+    jets = jet_forward(params.config, weights, X, z_rows, orders)
     # each task's per-row residual coefficients, stacked like its rows
     coef = [t.residual_coefficients(b.interior) for t, b in zip(tasks, batches)]
     coef = {k: np.concatenate([c[k] for c in coef]) for k in coef[0]}
@@ -196,7 +198,7 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
     Xb = np.concatenate([b.boundary for b in batches], axis=0)
     targets = np.concatenate([b.boundary_values for b in batches])
     zb_rows = dc.repeat_rows(z_in, M_bc) if z_in is not None else None
-    ub = jet_forward(staged, Xb, zb_rows, {})[None].val
+    ub = jet_forward(params.config, weights, Xb, zb_rows, {})[None].val
     mismatch = dc.sub(dc.reshape(ub, (N * M_bc,)), targets)
     per_task_bc = dc.vmean(dc.reshape(dc.mul(mismatch, mismatch), (N, M_bc)), axis=1)
     boundary_sum = dc.vsum(per_task_bc)
@@ -224,7 +226,8 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
         reg=reg_val,
         total=float(dc.value_of(total)),
     )
-    return TapedLoss(tape, total, breakdown, staged,
+    theta = [v for pair in weights for v in pair] if trainable_theta else []
+    return TapedLoss(tape, total, breakdown, theta,
                      z_in if trainable_z else None, per_task)
 
 
@@ -246,13 +249,6 @@ def hidden_values(tasks: Sequence[Task], cfg: TrainConfig, width: int) -> int:
     times the jet channels, plus their boundary rows, times the width."""
     return sum(cfg.M_r * (1 + sum(t.directions.values())) + cfg.M_bc
                for t in tasks) * width
-
-
-def assemble_loss(task: Task, params: ModelParams, z: Optional[np.ndarray],
-                  batch: SampleBatch, cfg: TrainConfig) -> TapedLoss:
-    """Single-task loss; identical code path to the multi-task assembly."""
-    Z = None if params.config.latent_dim == 0 else np.asarray(z).reshape(1, -1)
-    return assemble_multitask_loss([task], [batch], params, Z, cfg)
 
 
 DIVERGENCE_FACTOR = 1e8  # loss / running minimum at which a run has diverged
@@ -336,7 +332,8 @@ def adam_step(state: AdamState, variables: np.ndarray, grads: np.ndarray,
     t = state.step + 1
     require_finite(grads, "gradient", t, blocks)
     m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads * grads
+    with np.errstate(over="ignore"):  # an overflow raises just below
+        v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads * grads
     require_finite(v, "Adam second moment", t, blocks)
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
@@ -418,18 +415,15 @@ def task_groups(tasks: Sequence[Task], cfg: TrainConfig, width: int,
     return [slice(0, N)]
 
 
-def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice],
-          guard: Callable[[int, float, np.ndarray], None]):
+def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice]):
     """(total, per-task losses, d/d theta_flat, d/d Z) of one step over the
     task ``groups``, None for a frozen block.  One call solves each group:
     it assembles the group's loss on its own tape, sweeps it and returns
     plain arrays, so the tape is freed before the next group in turn is
-    assembled.  When the weights train, the groups are one problem: all are
-    solved, then ``guard(0, total, per_task)`` runs once; two groups run
-    with BLAS pinned to one thread (``diffcore.BLAS_THREADS`` must be set),
-    at once where two CPUs are usable, else in turn.  Over frozen weights
-    each group in turn is solved and then guarded (``guard(index of its
-    first task, total, per_task)``)."""
+    assembled.  Two groups over trainable weights run with BLAS pinned to
+    one thread (``diffcore.BLAS_THREADS`` must be set), at once where two
+    CPUs are usable, else in turn; other groups run in turn with BLAS as it
+    is."""
 
     def solve(g):
         try:
@@ -442,32 +436,22 @@ def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice],
             raise
         return (loss.breakdown.total, loss.per_task_loss, *loss.gradients())
 
-    if not tune_theta:
-        parts = []
-        for g in groups:
-            parts.append(solve(g))
-            guard(g.start, *parts[-1][:2])
-    elif len(groups) == 1:
-        parts = [solve(groups[0])]
-    else:
-        with _one_blas_thread():
-            if usable_cpus() > 1:
-                pending = _group_worker().submit(solve, groups[0])
-                try:
-                    second = solve(groups[1])
-                finally:
-                    # the worker is done before the caller goes on, and its
-                    # error (the first group's) wins, as when run in turn
-                    first = pending.result()
-                parts = [first, second]
-            else:
-                parts = [solve(g) for g in groups]
+    pinned = tune_theta and len(groups) > 1
+    with _one_blas_thread() if pinned else contextlib.nullcontext():
+        if pinned and usable_cpus() > 1:
+            pending = _group_worker().submit(solve, groups[0])
+            try:
+                second = solve(groups[1])
+            finally:
+                # the worker is done before the caller goes on, and its
+                # error (the first group's) wins, as when run in turn
+                first = pending.result()
+            parts = [first, second]
+        else:
+            parts = [solve(g) for g in groups]
     totals, per_task, g_theta, g_z = zip(*parts)
-    total = sum(totals[1:], totals[0])  # one group's total as it is
-    per_task = np.concatenate(per_task)
-    if tune_theta:
-        guard(0, total, per_task)
-    return (total, per_task,
+    return (sum(totals[1:], totals[0]),  # one group's total as it is
+            np.concatenate(per_task),
             None if g_theta[0] is None else sum(g_theta[1:], g_theta[0]),
             None if g_z[0] is None else np.concatenate(g_z))
 
@@ -501,7 +485,8 @@ def optimize(what: str, tasks: Sequence[Task],
     When the weights train, the stacked tasks are one problem: one
     divergence guard on the total, seeded with ``running_min``, and one clip
     over the whole gradient.  Over frozen weights each task is its own
-    problem, with its own guard and its own clip.  Errors read ``"{what}
+    problem, with its own guard and its own clip.  The guards run once the
+    step's groups are all solved, before the clip.  Errors read ``"{what}
     diverged at iteration {it}[ on {label}]: {cause}"``, the label only when
     ``labels`` name the tasks and the error concerns one; the labels also
     name the latent blocks of a non-finite gradient.
@@ -519,11 +504,6 @@ def optimize(what: str, tasks: Sequence[Task],
         return (ModelParams(w[:P], params.config) if tune_theta else params,
                 w[P:].reshape(N, latent))
 
-    def guard(first, total, per_task):
-        watched = [total] if tune_theta else per_task  # one guard per problem
-        for i, v in enumerate(watched, first):
-            guards[i] = check_divergence(v, guards[i], i if len(guards) == N else None)
-
     groups = task_groups(tasks, cfg, params.config.width, tune_theta)
     if record is not None and start == 0:
         record(0, *split(w))
@@ -536,7 +516,10 @@ def optimize(what: str, tasks: Sequence[Task],
         try:
             total, per_task, g_theta, g_z = _step(
                 tasks, batches, p, Zc if latent > 0 else None, cfg, tune_theta,
-                groups, guard)
+                groups)
+            for i, v in enumerate([total] if tune_theta else per_task):
+                guards[i] = check_divergence(v, guards[i],
+                                             i if len(guards) == N else None)
             g_z = np.zeros((N, 0)) if g_z is None else g_z
             parts = [np.concatenate([g_theta, g_z.ravel()])] if tune_theta else g_z
             grad = np.concatenate([clip_gradient(g, cfg.clip_grad_norm) for g in parts])

@@ -116,8 +116,9 @@ class TestMamlFirstOrder:
         grads = np.zeros_like(theta0)
         for i in picks:
             batch = problems.sample_batch(TASKS[i], fine.M_r, fine.M_bc, rng)
-            loss = trainer.assemble_loss(TASKS[i], ModelParams(theta0, net_cfg()),
-                                         None, batch, fine)
+            loss = trainer.assemble_multitask_loss([TASKS[i]], [batch],
+                                                   ModelParams(theta0, net_cfg()),
+                                                   None, fine)
             g, _ = loss.gradients()
             grads += g
         grads /= len(TASKS)
@@ -137,21 +138,6 @@ class TestMamlFirstOrder:
                               for _ in range(2)]
         a, b = record(ta, fine, grid), record(tb, fine, grid)
         assert a.series == b.series and la == lb
-
-
-class TestSharedCodePaths:
-    def test_single_batch_loss_identical_through_both_entry_points(self):
-        # the baseline path and the MAD multi-task path must produce the
-        # same loss for the same batch, to machine precision
-        task = OdeShiftTask(0.4)
-        c = cfg()
-        ncfg = net_cfg()
-        params = network.init_siren(ncfg, 0)
-        batch = problems.sample_batch(task, c.M_r, c.M_bc,
-                                      np.random.default_rng(0))
-        single = trainer.assemble_loss(task, params, None, batch, c)
-        multi = trainer.assemble_multitask_loss([task], [batch], params, None, c)
-        assert single.breakdown.total == multi.breakdown.total
 
 
 @pytest.fixture

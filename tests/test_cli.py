@@ -212,6 +212,29 @@ class TestErrors:
         assert err.startswith("error: bad network settings")
         assert "Traceback" not in err
 
+    def test_failed_training_leaves_no_directory(self, ode_setup, capsys):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        out = tmp_path / "pre"
+        capsys.readouterr()
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", str(out), "--set", "pretrain.lr0=1e6"]) == 1
+        err = one_error_line(capsys)
+        assert err.startswith("error: pre-training diverged at iteration")
+        assert not out.exists()
+
+    def test_failed_training_keeps_a_directory_it_did_not_make(self, ode_setup,
+                                                                capsys):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        out = tmp_path / "pre"
+        out.mkdir()
+        (out / "kept.txt").write_text("earlier run")
+        capsys.readouterr()
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", str(out), "--force",
+                         "--set", "pretrain.lr0=1e6"]) == 1
+        one_error_line(capsys)
+        assert (out / "kept.txt").read_text() == "earlier run"
+
     @pytest.mark.parametrize("meta, message", [
         ({"inner_steps": 1}, "meta_iters"),
         ({"meta_iters": 1, "inner_lr": -1}, "learning rates must be positive"),

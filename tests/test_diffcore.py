@@ -360,13 +360,14 @@ class TestTapeKeepsWhatItsSweepReads:
                                                    trainable_theta=trainable)
 
         ref = build()
-        wrt = list(ref.staged.theta_vars()) + [ref.z_var]
+        wrt = ref.theta + [ref.z_var]
         *g_theta, g_z = ref.tape.gradient(ref.total, wrt)
         loss = build()
         theta, z = loss.gradients()
         np.testing.assert_array_equal(z, g_z)
         if trainable:
-            np.testing.assert_array_equal(theta, ref.staged.theta_grad_flat(g_theta))
+            np.testing.assert_array_equal(
+                theta, np.concatenate([g.ravel() for g in g_theta]))
         else:
             assert theta is None and g_theta == []
         # only the caller's handles keep values: leaves and the total

@@ -207,10 +207,10 @@ class TestForwardJets:
         z = np.array([0.2, -0.1])
         x = np.array([[0.5], [0.8]])
 
-        jets, staged = net.forward_jets(params, x, z, [0])
+        jets, weights = net.forward_jets(params, x, z, [0])
         target = dc.vsum(jets[0].d1)
-        grads = staged.tape.gradient(target, staged.theta_vars())
-        gflat = staged.theta_grad_flat(grads)
+        grads = target.tape.gradient(target, [v for pair in weights for v in pair])
+        gflat = np.concatenate([g.ravel() for g in grads])
 
         h = 1e-5
         fd = np.zeros_like(params.flat)
@@ -249,8 +249,8 @@ class TestSineJets:
         x = np.array([[0.1], [0.4], [0.7]])
         z = np.array([[0.2], [0.3], [-0.1]])
         tape = Tape()
-        staged = net.stage_network(tape, params)
-        out = net.jet_forward(staged, x, tape.constant(z), {})[None]
+        weights = net.stage_network(tape, params)
+        out = net.jet_forward(cfg, weights, x, tape.constant(z), {})[None]
         ops = [node.op for node in tape.nodes]
         assert ops.count("sin") == cfg.hidden_layers
         assert "cos" not in ops and "neg" not in ops

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ def make_task(variant, seed=0):
         return BurgersTask(grf.sample_grf(BURGERS_GRF, rng), 0.01)
     angles = np.sort(rng.uniform(0, 2 * np.pi, 3))
     return LaplaceTriangleTask(tuple(angles), grf.sample_grf(LAPLACE_GRF, rng))
+
+
+def assemble_one(task, params, z, batch, cfg):
+    """The loss of one task, as ``assemble_multitask_loss`` records it."""
+    Z = None if params.config.latent_dim == 0 else np.asarray(z).reshape(1, -1)
+    return trainer.assemble_multitask_loss([task], [batch], params, Z, cfg)
 
 
 def net_for(task, latent_dim=4):
@@ -86,6 +94,14 @@ class TestAdam:
             trainer.adam_step(AdamState.zeros(4), np.zeros(4), g, 1e-3,
                               blocks=[("weight", 0, 1), ("bias", 1, 4)])
 
+    def test_second_moment_overflow_raises_without_a_warning(self):
+        # the overflow is reported by the TrainingError alone
+        g = np.array([0.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(trainer.TrainingError, match="Adam second moment"):
+                trainer.adam_step(AdamState.zeros(2), np.zeros(2), g, 1e-3)
+
     def test_clip_gradient(self):
         g = np.array([3.0, 4.0])
         np.testing.assert_allclose(trainer.clip_gradient(g, 1.0),
@@ -109,7 +125,7 @@ class TestAssembleLoss:
         z = np.random.default_rng(1).normal(size=4) * 0.1
         batch = problems.sample_batch(task, cfg.M_r, cfg.M_bc,
                                       np.random.default_rng(2))
-        out = trainer.assemble_loss(task, params, z, batch, cfg)
+        out = assemble_one(task, params, z, batch, cfg)
         b = out.breakdown
         assert b.total == pytest.approx(
             b.residual + cfg.lambda_bc * b.boundary + b.reg, rel=1e-15)
@@ -120,7 +136,7 @@ class TestAssembleLoss:
         cfg = cfg_with(inv_sigma2=0.0)
         params = network.init_siren(net_for(task), 0)
         batch = problems.sample_batch(task, 8, 2, np.random.default_rng(0))
-        out = trainer.assemble_loss(task, params, np.ones(4), batch, cfg)
+        out = assemble_one(task, params, np.ones(4), batch, cfg)
         assert out.breakdown.reg == 0.0
 
     def test_residual_scales_quadratically(self):
@@ -138,8 +154,8 @@ class TestAssembleLoss:
 
         def residual_term(scale):
             tape = trainer.Tape()
-            staged = stage_network(tape, params, trainable=False)
-            jets = jet_forward(staged, batch.interior, None, {0: 1})
+            weights = stage_network(tape, params, trainable=False)
+            jets = jet_forward(net_cfg, weights, batch.interior, None, {0: 1})
             r = dc.sub(dc.mul(scale, jets[0].d1), zero_forcing)
             return float(dc.value_of(dc.vmean(dc.mul(r, r))))
 
@@ -154,7 +170,7 @@ class TestAssembleLoss:
         net_cfg = net_for(task, latent_dim=0)
         params = network.ModelParams(np.zeros(network.param_count(net_cfg)), net_cfg)
         batch = problems.sample_batch(task, 32, 2, np.random.default_rng(0))
-        out = trainer.assemble_loss(task, params, None, batch, cfg)
+        out = assemble_one(task, params, None, batch, cfg)
         # u == 0: residual = forcing^2 mean, boundary = targets^2 mean
         forcing = problems.ode_forcing(0.0, batch.interior[:, 0])
         assert out.breakdown.residual == pytest.approx(np.mean(forcing ** 2), rel=1e-12)
@@ -166,7 +182,7 @@ class TestAssembleLoss:
         params = network.init_siren(net_for(task), 0)
         batch = problems.SampleBatch(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0))
         with pytest.raises(trainer.TrainingError):
-            trainer.assemble_loss(task, params, np.zeros(4), batch, cfg_with())
+            assemble_one(task, params, np.zeros(4), batch, cfg_with())
 
     @pytest.mark.parametrize("variant", ["ode_shift", "burgers", "laplace_triangle"])
     def test_gradients_match_finite_differences(self, variant):
@@ -178,13 +194,13 @@ class TestAssembleLoss:
         z = rng.normal(size=4) * 0.2
         batch = problems.sample_batch(task, 8, 4, np.random.default_rng(9))
 
-        out = trainer.assemble_loss(task, params, z, batch, cfg)
+        out = assemble_one(task, params, z, batch, cfg)
         g_theta, g_z = out.gradients()
         g_z = g_z.ravel()
 
         def loss_at(flat, zvec):
             p = network.ModelParams(flat, net_cfg)
-            return trainer.assemble_loss(task, p, zvec, batch, cfg).breakdown.total
+            return assemble_one(task, p, zvec, batch, cfg).breakdown.total
 
         h = 1e-5
         idx = rng.choice(params.flat.size, size=60, replace=False)
@@ -211,7 +227,7 @@ class TestAssembleLoss:
         batches = [problems.sample_batch(t, 16, 2, np.random.default_rng(i))
                    for i, t in enumerate(tasks)]
         multi = trainer.assemble_multitask_loss(tasks, batches, params, Z, cfg)
-        singles = [trainer.assemble_loss(t, params, Z[i], batches[i], cfg)
+        singles = [assemble_one(t, params, Z[i], batches[i], cfg)
                    for i, t in enumerate(tasks)]
         assert multi.breakdown.total == pytest.approx(
             sum(s.breakdown.total for s in singles), rel=1e-12)

@@ -96,8 +96,7 @@ def measure_crossover() -> list[dict]:
             for mode in list(ms) if rep % 2 == 0 else list(ms)[::-1]:
                 time.sleep(0.1)  # BLAS's threads stop spinning after the step before
                 t = time.perf_counter()
-                trainer._step(tasks, batches, params, Z, cfg, True,
-                              _groups(n, mode), lambda *a: None)
+                trainer._step(tasks, batches, params, Z, cfg, True, _groups(n, mode))
                 if rep:
                     ms[mode].append(1e3 * (time.perf_counter() - t))
         one, two = (statistics.median(ms[m]) for m in ms)
@@ -152,7 +151,7 @@ def measure_table() -> dict:
         time.sleep(0.1)  # BLAS's threads stop spinning after the step before
         t = time.perf_counter()
         out = trainer._step(tasks, batches, params, Z, cfg, True,
-                            _groups(len(tasks), mode), lambda *a: None)
+                            _groups(len(tasks), mode))
         ms = 1e3 * (time.perf_counter() - t)
         return ms, list(phases), out
 
