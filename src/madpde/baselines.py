@@ -115,11 +115,26 @@ def reptile_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfi
     return theta, meta_losses
 
 
+def _inner_guard(total: float, running_min: float, step: int,
+                 inner_lr: float) -> float:
+    """``trainer.check_divergence`` on the loss after ``step`` inner SGD
+    steps, whose error names that step and the inner learning rate."""
+    try:
+        return trainer.check_divergence(total, running_min)
+    except TrainingError as e:
+        raise TrainingError(f"after inner step {step}, {e}; "
+                            f"baseline.meta.inner_lr {inner_lr:g} may be too "
+                            f"large") from e
+
+
 def maml_fo_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfig,
                   fine_cfg: TrainConfig) -> tuple[np.ndarray, list[float]]:
     """First-order MAML's meta-trained initialization and its meta losses:
     the meta-gradient of a task is the plain gradient at its inner-adapted
-    weights (inner loop: SGD); meta-updates use Adam."""
+    weights (inner loop: SGD); meta-updates use Adam.  Each task's inner
+    losses, the last one included, pass one divergence guard, so an
+    ``inner_lr`` too large for the family stops the run at the inner step
+    that blew up."""
     _require_latent_free(net_cfg)
     theta = init_siren(net_cfg, meta.seed).flat
     adam = AdamState.zeros(theta.size)
@@ -132,20 +147,21 @@ def maml_fo_theta(tasks: Sequence[Task], net_cfg: NetworkConfig, meta: MetaConfi
         grads = np.zeros_like(theta)
         post_loss = 0.0
         for i in picks:
+            w, running_min = theta.copy(), np.inf
             try:
-                w = theta.copy()
-                for k in range(meta.inner_steps):
+                for k in range(meta.inner_steps + 1):
                     batch = problems.sample_batch(tasks[i], fine_cfg.M_r,
                                                   fine_cfg.M_bc, rng)
-                    g, _ = trainer.assemble_multitask_loss(
-                        [tasks[i]], [batch], ModelParams(w, net_cfg), None,
-                        fine_cfg).gradients()
+                    loss = trainer.assemble_multitask_loss(
+                        [tasks[i]], [batch], ModelParams(w, net_cfg), None, fine_cfg)
+                    running_min = _inner_guard(loss.breakdown.total, running_min,
+                                               k, meta.inner_lr)
+                    if k == meta.inner_steps:
+                        break
+                    g, _ = loss.gradients()
+                    del loss  # free this tape before the next one is recorded
                     trainer.require_finite(g, "gradient", k + 1, blocks)
                     w = w - meta.inner_lr * g
-                batch = problems.sample_batch(tasks[i], fine_cfg.M_r, fine_cfg.M_bc,
-                                              rng)
-                loss = trainer.assemble_multitask_loss(
-                    [tasks[i]], [batch], ModelParams(w, net_cfg), None, fine_cfg)
             except TrainingError as e:
                 raise TrainingError(f"maml_fo diverged at meta-iteration {m} in the "
                                     f"inner loop on task {i}: {e}") from e

@@ -188,8 +188,11 @@ def write_manifest(out: str, command: str, cfg: dict, args) -> None:
         "seeds": {section: cfg.get(section, {}).get("seed")
                   for section in ("tasks", "pretrain", "finetune")},
         "source_revision": _source_revision(),
-        # outputs repeat bit for bit only under the same numpy and BLAS thread count
+        # outputs repeat bit for bit only under the same numpy, BLAS thread
+        # count and CPU dispatch of numpy's SIMD loops (float64 sin and cos
+        # are computed from np.tan, whose bits follow the dispatched target)
         "numpy_version": np.__version__,
+        "cpu_simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
         "blas_threads": (None if diffcore.BLAS_THREADS is None
                          else diffcore.BLAS_THREADS[0]()),
         "usable_cpus": trainer.usable_cpus(),

@@ -19,7 +19,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Jet2, Tape
 
-ENCODINGS = ("identity", "periodic_x")
+ENCODINGS = ("identity", "periodic_x", "unit_pi")
 
 TWO_PI = 2.0 * np.pi
 
@@ -125,8 +125,13 @@ def _check_dims(config: NetworkConfig, x: np.ndarray, z) -> tuple[np.ndarray, np
 
 
 def encode(config: NetworkConfig, x: np.ndarray) -> np.ndarray:
+    """The first layer's coordinate features: x as it is (``identity``),
+    x / pi (``unit_pi``, which maps [-pi, pi] to [-1, 1]), or the first
+    coordinate on the unit circle (``periodic_x``)."""
     if config.input_encoding == "identity":
         return x
+    if config.input_encoding == "unit_pi":
+        return x / np.pi
     x0 = x[:, :1]
     return np.concatenate([np.cos(TWO_PI * x0), np.sin(TWO_PI * x0), x[:, 1:]], axis=1)
 
@@ -137,8 +142,8 @@ def encode_jets(config: NetworkConfig, x: np.ndarray, direction: int):
     columns are zero, or 0.0 for a second derivative that is zero
     everywhere.  Everything is constant data (no tape nodes)."""
     d1 = np.zeros((x.shape[0], config.encoded_dim + config.latent_dim))
-    if config.input_encoding == "identity":
-        d1[:, direction] = 1.0
+    if config.input_encoding != "periodic_x":
+        d1[:, direction] = 1.0 if config.input_encoding == "identity" else 1.0 / np.pi
         return d1, 0.0
     if direction == 0:
         c = np.cos(TWO_PI * x[:, :1])
@@ -160,8 +165,10 @@ def forward(params: ModelParams, x, z=None, dtype=np.float64) -> np.ndarray:
     each layer's weights are cast once per call (a no-op for float64), and
     the bias add and the sine run in place in the layer's GEMM output, which
     is the only array written.  ``params``, ``x`` and ``z`` are never
-    written.  With float64 the values are those of ``sin(h @ W + b)`` bit
-    for bit.
+    written.  The sine is ``diffcore.sin_array``: float64 goes through its
+    tangent half-angle kernel, so the values are those of
+    ``sin_array(h @ W + b)`` and of ``jet_forward``'s value channel bit for
+    bit, and float32 goes to ``np.sin``.
     """
     cfg = params.config
     x, z = _check_dims(cfg, x, z)
@@ -171,7 +178,7 @@ def forward(params: ModelParams, x, z=None, dtype=np.float64) -> np.ndarray:
         h = h @ W.astype(dtype, copy=False)
         h += b.astype(dtype, copy=False)
         if li < len(layers) - 1:
-            np.sin(h, out=h)
+            dc.sin_array(h, out=h)
     return h.astype(np.float64, copy=False)
 
 

@@ -16,7 +16,8 @@ snapshots for the manifold plot).  A new family is one more such class in
 ``VARIANTS``.
 
 * ``OdeShiftTask``  -- du/dx = 2(x-eta)cos((x-eta)^2) on (-pi, pi) with both
-  endpoint values prescribed; the task parameter is the shift eta.
+  endpoint values prescribed; the task parameter is the shift eta.  The
+  network sees x / pi (``unit_pi`` encoding), inputs in [-1, 1].
 * ``BurgersTask``   -- u_t + u u_x = nu u_xx on the periodic unit interval,
   t in (0,1]; the parameter is the initial condition (a GRF sample).  The
   spatial periodicity is enforced exactly by the network's periodic input
@@ -81,7 +82,7 @@ class OdeShiftTask:
 
     variant = "ode_shift"
     input_dim = 1
-    encoding = "identity"
+    encoding = "unit_pi"
     directions = {0: 1}
     solve_reference = None
 

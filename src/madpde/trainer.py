@@ -25,13 +25,18 @@ divergence guard and one gradient clip, which ``optimize`` applies once
 every group is solved.  A step whose every half holds more than
 ``GROUP_ELEMENTS`` values is computed as two groups, ``tasks[:N//2]`` and
 ``tasks[N//2:]``, which run at once, one on a persistent worker thread and
-one on the caller, while BLAS is pinned to one thread: float64
-``sin``/``cos`` are scalar library calls that leave the second CPU idle
-outside GEMMs, and two groups with BLAS on two threads ran slower than one
-after the other.  BLAS's GEMMs round differently on one thread than on two,
-so where one CPU is usable the groups run in turn on the caller, still
-pinned, and give the same outputs.  Where the BLAS thread count cannot be
-set (``diffcore.BLAS_THREADS``), and for smaller steps, a step is one group.
+one on the caller, while BLAS is pinned to one thread: BLAS runs only
+the GEMMs on two threads, and the rest of a step (the elementwise passes of
+the jets and of the reverse sweep, and the Python work per tape node) runs
+on the thread that records the tape, so one tape leaves the second CPU idle
+outside GEMMs.  At the ``burgers_pretrain`` shape two groups at once took
+91 ms per step against 129-156 ms on one tape (``tools/bench_hotpath.py``,
+2 processes, 2 CPUs), and two groups with BLAS on two threads ran slower
+than one after the other.  BLAS's GEMMs round differently on one thread
+than on two, so where one CPU is usable the groups run in turn on the
+caller, still pinned, and give the same outputs.  Where the BLAS thread
+count cannot be set (``diffcore.BLAS_THREADS``), and for smaller steps, a
+step is one group.
 
 Over frozen weights each task is its own problem, with its own guard and
 clip, and only another latent, so a step stacks consecutive groups of
@@ -240,7 +245,13 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
 # alone holds more: stacked held-out tasks took 0.63-0.87 of the per-task
 # step time of one at a time up to 107,520 values (ODE, width 32, 128-512
 # rows; Burgers, width 64, 4 x 120 rows), and 0.999-1.02 from 134,400 up
-# (Burgers, 2 x 300 and 600 rows).
+# (Burgers, 2 x 300 and 600 rows).  Re-measured with the tangent sine kernel
+# of ``diffcore`` (2 processes each): two groups took 0.67-1.13 of one tape
+# from 132k values per half up (0.67 at the burgers_pretrain shape, 672k) and
+# 0.92-1.49 at 32k-83k; held-out Burgers tasks (width 64, M_r 100, M_bc 20,
+# 26,880 values each) stacked 2, 4 and 8 at a time took 0.81-0.82, 0.71-0.72
+# and 0.73-0.75 of the per-task time of one at a time, and at M_r 300,
+# M_bc 100 (83,200 values each) 0.99-1.16.
 GROUP_ELEMENTS = 1 << 17
 
 

@@ -188,3 +188,21 @@ class TestNonFiniteGradients:
                                  r"gradient at step 1 in theta\[3\]$"):
             baselines.maml_fo_theta(TASKS, net_cfg(),
                                     MetaConfig(meta_iters=2, inner_steps=0), cfg())
+
+
+class TestMamlInnerGuard:
+    def test_laplace_blow_up_stops_at_its_inner_step(self):
+        # at the default inner_lr the first inner SGD step on Laplace tasks of
+        # the default data scale multiplies the loss by about 1e12; the guard
+        # stops there, before the blown-up weights reach Adam
+        tasks = problems.LaplaceTriangleTask.build({}, 5, 0)
+        net = network.NetworkConfig(input_dim=2, latent_dim=0, hidden_layers=2,
+                                    width=16, input_encoding=tasks[0].encoding)
+        fine = cfg(M_r=64, M_bc=16)
+        with pytest.raises(trainer.TrainingError,
+                           match=r"^maml_fo diverged at meta-iteration 0 in the inner "
+                                 r"loop on task \d: after inner step 1, loss .* "
+                                 r"exceeds .*; baseline\.meta\.inner_lr 0\.001 may be "
+                                 r"too large$"):
+            baselines.maml_fo_theta(tasks, net, MetaConfig(meta_iters=2, inner_steps=2),
+                                    fine)

@@ -172,6 +172,9 @@ class TestManifest:
         cfg_path, tasks_dir, tmp_path = ode_setup
         manifest = read_json(os.path.join(tasks_dir, "manifest.json"))
         assert manifest["numpy_version"] == np.__version__
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+        assert manifest["cpu_simd"] == simd["found"]
+        assert all(isinstance(t, str) for t in manifest["cpu_simd"])
         assert manifest["usable_cpus"] == trainer.usable_cpus() >= 1
         if diffcore.BLAS_THREADS is None:
             assert manifest["blas_threads"] is None

@@ -227,17 +227,73 @@ class TestTapeGradient:
         assert len(tape) == 1
 
 
-class TestSincos:
-    def test_values_equal_numpy(self):
+class TestSineKernel:
+    """float64 sin and cos come from t = tan(x/2) (``diffcore.sincos_array``)."""
+
+    ULP = np.finfo(np.float64).eps  # ulp of 1
+
+    def test_absolute_error_within_two_ulp_of_one(self):
+        rng = np.random.default_rng(11)
+        n = 10 ** 6
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 8.0, n)
+        s, c = dc.sincos_array(x)
+        if np.finfo(np.longdouble).nmant > 52:
+            xl, bound = x.astype(np.longdouble), 2.0
+        else:  # no wider type: float64 libm, itself within 0.5 ulp
+            xl, bound = x, 2.5
+        assert np.max(np.abs(s - np.sin(xl))) <= bound * self.ULP
+        assert np.max(np.abs(c - np.cos(xl))) <= bound * self.ULP
+        np.testing.assert_array_equal(dc.sin_array(x), s)
+
+    def test_zeros_infinities_and_nan(self):
+        with np.errstate(invalid="ignore"):
+            s, c = dc.sincos_array(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert s[0] == 0.0 and not np.signbit(s[0])
+        assert s[1] == 0.0 and np.signbit(s[1])
+        assert c[0] == 1.0 and c[1] == 1.0
+        assert np.isnan(s[2:]).all() and np.isnan(c[2:]).all()
+
+    def test_zero_d_noncontiguous_and_aliased_out(self):
+        x = np.random.default_rng(12).normal(size=(6, 8)) * 4.0
+        s, c = dc.sincos_array(x)
+        s0, c0 = dc.sincos_array(np.array(x[2, 3]))
+        assert (s0, c0) == (s[2, 3], c[2, 3])
+        assert dc.sin_array(np.array(x[2, 3])) == s[2, 3]
+        cols = x[:, ::3]
+        assert not cols.flags.c_contiguous
+        np.testing.assert_array_equal(dc.sincos_array(cols)[1], c[:, ::3])
+        np.testing.assert_array_equal(dc.sin_array(cols), s[:, ::3])
+        y = x.copy()
+        assert dc.sin_array(y, out=y) is y
+        np.testing.assert_array_equal(y, s)
+        view = x.copy()[:, ::2]
+        dc.sin_array(view, out=view)
+        np.testing.assert_array_equal(view, s[:, ::2])
+
+    def test_float32_is_numpy_bit_for_bit(self):
+        x = (np.random.default_rng(13).normal(size=(50, 7)) * 5.0).astype(np.float32)
+        s, c = dc.sincos_array(x)
+        assert s.dtype == c.dtype == np.float32
+        np.testing.assert_array_equal(s, np.sin(x))
+        np.testing.assert_array_equal(c, np.cos(x))
+        y = x.copy()
+        dc.sin_array(y, out=y)
+        np.testing.assert_array_equal(y, np.sin(x))
+
+    def test_tape_and_plain_paths_share_the_kernel(self):
         v = np.random.default_rng(5).normal(size=(4, 3)) * 3.0
+        s_ref, c_ref = dc.sincos_array(v)
         s, c = dc.sincos(Tape().constant(v))
         assert (s.op, c.op) == ("sin", "cos")
-        np.testing.assert_array_equal(s.value, np.sin(v))
-        np.testing.assert_array_equal(c.value, np.cos(v))
-        s, c = dc.sincos(v)
-        np.testing.assert_array_equal(s, np.sin(v))
-        np.testing.assert_array_equal(c, np.cos(v))
+        for got, want in ((s.value, s_ref), (c.value, c_ref),
+                          (dc.sin(Tape().constant(v)).value, s_ref),
+                          (dc.cos(Tape().constant(v)).value, c_ref),
+                          *zip(dc.sincos(v), (s_ref, c_ref)),
+                          (dc.sin(v), s_ref), (dc.cos(v), c_ref)):
+            np.testing.assert_array_equal(got, want)
 
+
+class TestSincos:
     def test_vjps_match_central_differences(self):
         rng = np.random.default_rng(6)
         v = rng.normal(size=(3, 4)) * 2.0
@@ -323,7 +379,7 @@ class TestTapeKeepsWhatItsSweepReads:
             gW, gb = tape.gradient(y, [W, b])
         finally:
             gc.enable()
-        c = np.cos(X @ W0 + b0)  # the sweep's own arithmetic, op for op
+        c = dc.sincos_array(X @ W0 + b0)[1]  # the sweep's own arithmetic, op for op
         np.testing.assert_array_equal(gW, X.T @ c)
         np.testing.assert_array_equal(gb, c.sum(axis=0))
 

@@ -21,7 +21,8 @@ def ode_tasks(n=5):
 
 def ode_net(latent_dim=1):
     return network.NetworkConfig(input_dim=1, latent_dim=latent_dim,
-                                 hidden_layers=2, width=16)
+                                 hidden_layers=2, width=16,
+                                 input_encoding=OdeShiftTask.encoding)
 
 
 def quick_cfg(**kw):

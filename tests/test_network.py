@@ -97,7 +97,7 @@ class TestForwardDtype:
         h = np.concatenate([net.encode(cfg, x), z], axis=1)
         layers = params.layers()
         for W, b in layers[:-1]:
-            h = np.sin(h @ W + b)
+            h = dc.sin_array(h @ W + b)
         W, b = layers[-1]
         return h @ W + b
 
@@ -178,7 +178,8 @@ class TestForwardJets:
         np.testing.assert_allclose(dc.value_of(ja[0].d1), dc.value_of(jb[0].d1),
                                    atol=1e-11)
 
-    @pytest.mark.parametrize("encoding,input_dim", [("identity", 2), ("periodic_x", 2)])
+    @pytest.mark.parametrize("encoding,input_dim",
+                             [("identity", 2), ("periodic_x", 2), ("unit_pi", 2)])
     def test_jets_match_finite_differences(self, encoding, input_dim):
         # moderate first-layer frequency keeps the FD oracle itself accurate
         # (its truncation error grows with the cube of the net's frequency)
