@@ -39,6 +39,8 @@ class MetaConfig:
             raise ValueError("iteration counts must be >= 0")
         if self.inner_lr <= 0 or self.meta_lr <= 0:
             raise ValueError("learning rates must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _require_latent_free(net_cfg: NetworkConfig):

@@ -246,6 +246,9 @@ def read_tasks(cfg: dict, tasks_dir: str, split: str
         raise CliError(f"{path}: task ids must be integers, got {bad[0]!r}")
     if not tasks:
         raise CliError(f"{path} holds no tasks")
+    repeated = next((i for k, i in enumerate(ids) if i in ids[:k]), None)
+    if repeated is not None:
+        raise CliError(f"{path}: task id {repeated} appears more than once")
     named = cfg["problem"].get("variant", tasks[0].variant)
     for t in tasks:
         if t.variant != named:
@@ -276,7 +279,10 @@ def _eval_grid(task, tasks_dir: str, task_id: int):
         if not os.path.exists(path):
             raise CliError(f"missing reference field {path}; run gen-tasks first")
         reference = oracles.load_reference(path)
-    return evaluation.for_task(task, reference, task_id)
+    try:
+        return evaluation.for_task(task, reference, task_id)
+    except ValueError as e:  # a zero reference field: no relative error
+        raise CliError(f"task {task_id}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +295,8 @@ def cmd_gen_tasks(cfg: dict, args) -> int:
     n_tasks = _int_setting(cfg, "tasks", "n_tasks")
     n_pre = _int_setting(cfg, "tasks", "n_pretrain")
     seed = _int_setting(cfg, "tasks", "seed", default=0)
+    if seed < 0:
+        raise CliError(f"tasks.seed must be >= 0, got {seed}")
     if not 1 <= n_pre < n_tasks:
         raise CliError("need 1 <= n_pretrain < n_tasks")
     try:
@@ -589,6 +597,8 @@ def main(argv=None) -> int:
     args.made_out = None
     try:
         check_workers(args)
+        if args.seed is not None and args.seed < 0:
+            raise CliError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config, args.overrides)
         if args.seed is not None:
             cfg = override_seeds(cfg, args.seed)

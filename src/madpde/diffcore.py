@@ -31,9 +31,9 @@ and take a few bytes, are held as they are); the arrays stay alive only
 while a backward closure or a caller's ``Var`` holds them.  An intermediate
 that no closure reads, such as the output of a matmul feeding a bias add,
 is freed as soon as the caller drops its handle, and ``Node.value`` then
-reads as an empty array.  A releasing sweep (``Tape.gradient(...,
-release=True)``) goes further: it drops each node's closures once it has
-used them, so the arrays they hold are freed while the sweep runs.
+reads as an empty array.  A tape takes one reverse sweep
+(``Tape.gradient``), which goes further: it drops each node's closures once
+it has used them, so the arrays they hold are freed while the sweep runs.
 
 Freed tape memory stays in the process heap.  A Burgers pre-training step
 peaks at about 105 MB of node values and reverse-sweep temporaries, in arrays
@@ -224,11 +224,10 @@ class Var:
 class Tape:
     """Append-only list of ``Node`` records in topological order.
 
-    Single-writer: nodes are only appended, and a default sweep leaves them
-    unchanged, so a built tape can be swept by ``gradient`` any number of
-    times until a releasing sweep (``release=True``) empties it; after that
-    every sweep raises ``DiffError``.  The tape lives as long as a ``Var``
-    on it (or the tape object itself) is referenced.
+    Single-writer: nodes are only appended.  A built tape is swept once by
+    ``gradient``, which empties it; after that every sweep raises
+    ``DiffError``.  The tape lives as long as a ``Var`` on it (or the tape
+    object itself) is referenced.
     """
 
     __slots__ = ("nodes", "released", "__weakref__")
@@ -248,13 +247,10 @@ class Tape:
         self.nodes.append(Node(op, value, parents, vjps))
         return Var(self, len(self.nodes) - 1, op, value)
 
-    def gradient(self, output: Var, wrt: Sequence[Var],
-                 release: bool = False) -> list[np.ndarray]:
+    def gradient(self, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
         """Reverse-mode gradient of a scalar output w.r.t. the given nodes.
 
-        By default the tape is left unchanged, so repeated calls (with
-        different outputs or wrt sets) are allowed.  With ``release=True``
-        each node's closures are dropped as soon as the sweep has used them,
+        Each node's closures are dropped as soon as the sweep has used them,
         which frees the arrays they hold while the sweep runs; the tape is
         then spent, and any later sweep of it raises ``DiffError``.
         """
@@ -270,15 +266,13 @@ class Tape:
                 raise DiffError("wrt node is not on this tape")
         keep = {w.idx for w in wrt}
 
-        self.released = release
+        self.released = True
 
         adjoint: list = [None] * (output.idx + 1)
         adjoint[output.idx] = np.ones_like(output.value)
         for i in range(output.idx, -1, -1):
             node = self.nodes[i]
-            vjps = node.vjps
-            if release:
-                node.vjps = ()  # frees what the closures hold once used
+            vjps, node.vjps = node.vjps, ()  # frees what the closures hold once used
             g = adjoint[i]
             if g is None:
                 continue

@@ -24,7 +24,6 @@ class GrfSpec:
     power: int
     n_modes: int
     domain: str = "unit_interval_periodic"
-    include_constant: bool = True
 
     def __post_init__(self):
         if self.scale <= 0 or self.shift <= 0:
@@ -88,8 +87,6 @@ def sample_grf(spec: GrfSpec, rng: np.random.Generator) -> GrfSample:
     std = np.sqrt(var)
     cos_coeffs = rng.normal(size=spec.n_modes + 1) * std
     sin_coeffs = rng.normal(size=spec.n_modes) * std[1:]
-    if not spec.include_constant:
-        cos_coeffs[0] = 0.0
     return GrfSample(cos_coeffs, sin_coeffs, spec.domain)
 
 

@@ -26,7 +26,7 @@ from .network import ModelParams, NetworkConfig, init_siren
 from .problems import ProblemError, Task
 from .trainer import AdamState, TrainConfig, TrainingError
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _CKPT_MAGIC = b"MADCKPT1"
 
 LATENT_INIT_STD = 0.1
@@ -40,7 +40,6 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    version: int
     net_config: NetworkConfig
     train_config: TrainConfig
     task_ids: list[int]
@@ -91,10 +90,6 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
     if stop_at < first:
         raise TrainingError(f"stop_at {stop_at} is below iteration {first}, "
                             f"where this run starts")
-    if stop_at % train_cfg.resample_every and stop_at != train_cfg.total_iters:
-        raise TrainingError(f"stop_at {stop_at} is not a multiple of resample_every "
-                            f"{train_cfg.resample_every}: a resumed run would not "
-                            f"reuse the last batch")
 
     if resume_from is not None:
         ck = resume_from
@@ -116,7 +111,6 @@ def pretrain(tasks: Sequence[Task], net_cfg: NetworkConfig, train_cfg: TrainConf
                            start=start, stop=stop_at,
                            running_min=min((v for _, v in loss_series), default=np.inf))
     return Checkpoint(
-        version=CHECKPOINT_VERSION,
         net_config=net_cfg,
         train_config=train_cfg,
         task_ids=task_ids,
@@ -252,7 +246,7 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
         "adam_v": ck.adam.v,
     }
     header = {
-        "version": ck.version,
+        "version": CHECKPOINT_VERSION,
         "net_config": asdict(ck.net_config),
         "train_config": asdict(ck.train_config),
         "task_ids": ck.task_ids,
@@ -272,11 +266,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     header, blocks = container.read(path, _CKPT_MAGIC, "checkpoint", CheckpointError,
                                     lambda h: [shape for _, shape in h["arrays"]])
     if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
+        raise CheckpointError(f"{path}: unsupported version {header.get('version')} "
+                              f"(version {CHECKPOINT_VERSION} is read; re-run pretrain)")
     with container.header_errors(path, CheckpointError):
         arrays = {name: block for (name, _), block in zip(header["arrays"], blocks)}
         return Checkpoint(
-            version=header["version"],
             net_config=NetworkConfig(**header["net_config"]),
             train_config=TrainConfig(**header["train_config"]),
             task_ids=list(header["task_ids"]),

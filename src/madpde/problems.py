@@ -140,9 +140,10 @@ class OdeShiftTask:
 
 
 def _grf_spec(base: grf.GrfSpec, problem: dict) -> grf.GrfSpec:
-    """``base`` updated by the config's ``problem["grf"]`` entries."""
+    """``base`` updated by the config's ``problem["grf"]`` entries; each
+    family fixes its field's domain, ``base.domain``, which is no entry."""
     given = problem.get("grf", {})
-    allowed = [f.name for f in fields(grf.GrfSpec)]
+    allowed = [f.name for f in fields(grf.GrfSpec) if f.name != "domain"]
     unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ProblemError(f"unknown problem.grf settings {unknown}; "

@@ -11,14 +11,15 @@ share one network forward pass: their collocation points are stacked row-wise
 and each task's latent vector is repeated across its rows, which keeps the
 reductions deterministic and the BLAS calls large.
 
-``optimize`` is the one loop of pre-training, fine-tuning and PINN training,
-and one rule, ``task_groups``, decides how the tasks of its steps share
-tapes, from one constant: ``GROUP_ELEMENTS`` values in one hidden layer
-(``hidden_values``).  One call solves each group: it assembles the group's
-loss on its own tape, sweeps it and returns plain arrays, so the tape is
-gone before the next group in turn is assembled.  The weight gradients are
-summed in group order, and the latent gradients and per-task losses
-concatenated.
+``optimize`` is the one loop of pre-training, fine-tuning and PINN training.
+Every iteration draws a fresh batch for every task, and one rule,
+``task_groups``, decides how the tasks of its steps share tapes, from one
+constant: ``GROUP_ELEMENTS`` values in one hidden layer (``hidden_values``).
+One call solves each group: it assembles the group's loss on its own tape,
+sweeps it once (a tape takes one sweep) and returns plain arrays, so the
+tape is gone before the next group in turn is assembled.  The weight
+gradients are summed in group order, and the latent gradients and per-task
+losses concatenated.
 
 When the weights train, the stacked tasks are one problem, with one
 divergence guard and one gradient clip, which ``optimize`` applies once
@@ -83,7 +84,6 @@ class TrainConfig:
     inv_sigma2: float = 1e-4
     eval_every: int = 10
     seed: int = 0
-    resample_every: int = 1
     clip_grad_norm: Optional[float] = None
 
     def __post_init__(self):
@@ -95,8 +95,10 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.inv_sigma2 < 0:
             raise ValueError("inv_sigma2 must be >= 0")
-        if self.eval_every < 1 or self.resample_every < 1:
-            raise ValueError("cadences must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:
@@ -132,16 +134,16 @@ class TapedLoss:
         The ``theta`` gradients are flattened in the layout of
         ``ModelParams.flat``.
 
-        The sweep releases the tape (``Tape.gradient(..., release=True)``),
-        freeing each node's backward closures once used, so a step's memory
-        falls while the sweep runs.  A second call raises ``DiffError``.
+        The tape's one sweep frees each node's backward closures once used,
+        so a step's memory falls while the sweep runs.  A second call raises
+        ``DiffError``.
         """
         wrt = list(self.theta)
         if self.z_var is not None:
             wrt.append(self.z_var)
         if not wrt:
             return None, None
-        grads = self.tape.gradient(self.total, wrt, release=True)
+        grads = self.tape.gradient(self.total, wrt)
         z_grad = None
         if self.z_var is not None:
             z_grad = grads.pop()
@@ -487,9 +489,9 @@ def optimize(what: str, tasks: Sequence[Task],
     """Adam on the stacked loss of ``tasks`` over their (N, latent) latents
     ``Z`` and, with ``tune_theta``, the weights ``params``.
 
-    Iterations ``start`` to ``stop`` (default: the budget) draw each task's
-    batch from its stream every ``resample_every`` iterations, release the
-    tape in one reverse sweep and take a clipped Adam step at ``lr_at``.
+    Iterations ``start`` to ``stop`` (default: the budget) each draw a fresh
+    batch for every task from its stream, sweep each group's tape once and
+    take a clipped Adam step at ``lr_at``.
     ``record(it, params, Z)`` runs at 0, every ``eval_every`` and at the end.
     Every step runs over the task groups of ``task_groups``.
 
@@ -518,11 +520,10 @@ def optimize(what: str, tasks: Sequence[Task],
     groups = task_groups(tasks, cfg, params.config.width, tune_theta)
     if record is not None and start == 0:
         record(0, *split(w))
-    losses, per_task, batches = [], None, None
+    losses, per_task = [], None
     for it in range(start, cfg.total_iters if stop is None else stop):
-        if batches is None or it % cfg.resample_every == 0:
-            batches = [problems.sample_batch(t, cfg.M_r, cfg.M_bc, g)
-                       for t, g in zip(tasks, streams)]
+        batches = [problems.sample_batch(t, cfg.M_r, cfg.M_bc, g)
+                   for t, g in zip(tasks, streams)]
         p, Zc = split(w)
         try:
             total, per_task, g_theta, g_z = _step(

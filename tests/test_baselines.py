@@ -206,3 +206,9 @@ class TestMamlInnerGuard:
                                  r"too large$"):
             baselines.maml_fo_theta(tasks, net, MetaConfig(meta_iters=2, inner_steps=2),
                                     fine)
+
+
+def test_meta_config_rejects_a_negative_seed():
+    # numpy's generators take no negative seed
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        MetaConfig(meta_iters=1, seed=-1)

@@ -449,16 +449,27 @@ class TestUnreadableBinaryInputs:
 
 
 class TestGenTasksConfigErrors:
-    @pytest.mark.parametrize("problem", [
-        {"variant": "burgers", "nu": 0.01, "grf": {"n_mode": 8}},
-        {"variant": "laplace_triangle", "grf": {"n_mode": 8}},
-    ], ids=["burgers", "laplace"])
-    def test_misspelt_grf_key(self, tmp_path, capsys, problem):
+    # each family fixes its field's domain and keeps the constant mode, so
+    # neither is a setting
+    @pytest.mark.parametrize("problem, key", [
+        ({"variant": "burgers", "nu": 0.01, "grf": {"n_mode": 8}}, "n_mode"),
+        ({"variant": "laplace_triangle", "grf": {"n_mode": 8}}, "n_mode"),
+        ({"variant": "burgers", "grf": {"domain": "unit_interval_periodic"}},
+         "domain"),
+        ({"variant": "laplace_triangle", "grf": {"domain": "unit_circle"}},
+         "domain"),
+        ({"variant": "burgers", "grf": {"include_constant": False}},
+         "include_constant"),
+    ], ids=["burgers", "laplace", "burgers_domain", "laplace_domain",
+            "include_constant"])
+    def test_misspelt_grf_key(self, tmp_path, capsys, problem, key):
         cfg_path = write_config(tmp_path / "g.json", problem=problem)
         assert cli.main(["gen-tasks", "--config", cfg_path,
                          "--out", str(tmp_path / "t")]) == 1
         err = one_error_line(capsys)
-        assert "'n_mode'" in err and "n_modes" in err and "scale" in err
+        assert f"unknown problem.grf settings ['{key}']" in err
+        assert "allowed: ['scale', 'shift', 'power', 'n_modes']" in err
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("problem", [
         {"variant": ["burgers"]},
@@ -817,8 +828,10 @@ class TestMisplacedTrainingKeys:
         ("finetune", "finetune.meta.meta_iters=3", "finetune", "meta"),
         ("baseline", "finetune.method=maml", "finetune", "method"),
         ("pretrain", "pretrain.init_strategy=mean", "pretrain", "init_strategy"),
+        # every iteration draws a fresh batch
+        ("pretrain", "pretrain.resample_every=3", "pretrain", "resample_every"),
     ], ids=["finetune_mode", "finetune_meta", "finetune_method",
-            "pretrain_init_strategy"])
+            "pretrain_init_strategy", "pretrain_resample_every"])
     def test_rejected_before_the_directory(self, ode_setup, capsys, command,
                                            override, section, key):
         cfg_path, tasks_dir, tmp_path = ode_setup
@@ -934,6 +947,91 @@ class TestVizInputErrors:
         assert code == 1
         err = one_error_line(capsys)
         assert all(w in err for w in words)
+        assert not out.exists()
+
+
+class TestBadValuesLeaveNoDirectory:
+    """Inputs the commands cannot run on are refused in one error line
+    before the output directory exists."""
+
+    @pytest.mark.parametrize("command, flags, words", [
+        ("gen-tasks", ["--set", "tasks.seed=-1"], ["tasks.seed must be >= 0", "-1"]),
+        ("gen-tasks", ["--seed", "-3"], ["--seed must be >= 0", "-3"]),
+        ("pretrain", ["--set", "pretrain.seed=-1"],
+         ["bad pretrain settings", "seed must be >= 0", "-1"]),
+        ("pretrain", ["--seed", "-3"], ["--seed must be >= 0", "-3"]),
+    ], ids=["gen_tasks_set", "gen_tasks_flag", "pretrain_set", "pretrain_flag"])
+    def test_negative_seed(self, ode_setup, capsys, command, flags, words):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg_path, "--out", str(out)] + flags
+        if command == "pretrain":
+            argv += ["--tasks", tasks_dir]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = one_error_line(capsys)
+        assert all(w in err for w in words), err
+        assert not out.exists()
+
+    @pytest.fixture()
+    def laplace_zero_field(self, tmp_path):
+        """A Laplace task set whose one held-out task has zero boundary
+        data, and a checkpoint pre-trained on the others."""
+        cfg_path = write_config(
+            tmp_path / "lap.json", experiment="laplace_mini",
+            problem={"variant": "laplace_triangle"},
+            tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 7},
+            network={"latent_dim": 1, "hidden_layers": 1, "width": 4,
+                     "first_layer_omega": 1.0},
+            pretrain={"lr0": 1e-3, "total_iters": 1, "M_r": 8, "M_bc": 4},
+            finetune={"lr0": 1e-3, "total_iters": 1, "M_r": 8, "M_bc": 4,
+                      "init_strategy": "mean"})
+        tasks_dir = tmp_path / "tasks"
+        pre_dir = str(tmp_path / "pre")
+        assert cli.main(["gen-tasks", "--config", cfg_path, "--out",
+                         str(tasks_dir)]) == 0
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks",
+                         str(tasks_dir), "--out", pre_dir]) == 0
+        s2 = tasks_dir / "tasks_s2.json"
+        (entry,) = json.loads(s2.read_text())
+        field = entry["task"]["boundary_field"]
+        field["cos"] = [0.0] * len(field["cos"])
+        field["sin"] = [0.0] * len(field["sin"])
+        s2.write_text(json.dumps([entry]))
+        return (cfg_path, str(tasks_dir), os.path.join(pre_dir, "checkpoint.ckpt"),
+                entry["id"], tmp_path)
+
+    @pytest.mark.parametrize("command", ["eval", "finetune", "baseline"])
+    def test_zero_reference_field(self, laplace_zero_field, capsys, command):
+        cfg_path, tasks_dir, checkpoint, held, tmp_path = laplace_zero_field
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg_path, "--tasks", tasks_dir,
+                "--out", str(out)]
+        if command != "baseline":
+            argv += ["--checkpoint", checkpoint]
+        argv += {"eval": [], "finetune": ["--mode", "L"],
+                 "baseline": ["--method", "from-scratch"]}[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = one_error_line(capsys)
+        assert f"task {held}: reference values have zero norm" in err
+        assert not out.exists()
+
+    def test_repeated_task_id(self, ode_setup, capsys):
+        cfg_path, tasks_dir, tmp_path = ode_setup
+        pre = str(tmp_path / "pre")
+        assert cli.main(["pretrain", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--out", pre]) == 0
+        s2 = Path(tasks_dir, "tasks_s2.json")
+        (entry,) = json.loads(s2.read_text())
+        s2.write_text(json.dumps([entry, entry]))
+        out = tmp_path / "ev"
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", cfg_path, "--tasks", tasks_dir,
+                         "--checkpoint", os.path.join(pre, "checkpoint.ckpt"),
+                         "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert f"tasks_s2.json: task id {entry['id']} appears more than once" in err
         assert not out.exists()
 
 

@@ -9,8 +9,7 @@ def pointwise_std(spec: GrfSpec) -> float:
     """Stddev of the field value at any fixed point (stationarity: cos^2 +
     sin^2 = 1 makes it location-independent)."""
     var = grf.mode_variances(spec)
-    total = var[0] + var[1:].sum() if spec.include_constant else var[1:].sum()
-    return float(np.sqrt(total))
+    return float(np.sqrt(var.sum()))
 
 
 class TestModeVariances:
@@ -100,8 +99,3 @@ class TestEvaluate:
         np.testing.assert_array_equal(s.cos_coeffs, s2.cos_coeffs)
         np.testing.assert_array_equal(s.sin_coeffs, s2.sin_coeffs)
         assert s.domain == s2.domain
-
-    def test_include_constant_switch(self):
-        spec = GrfSpec(scale=1.0, shift=1.0, power=1, n_modes=2, include_constant=False)
-        s = grf.sample_grf(spec, np.random.default_rng(0))
-        assert s.cos_coeffs[0] == 0.0

@@ -260,26 +260,27 @@ class TestSineJets:
 
     def test_matches_generic_jet_sin_with_two_second_order_directions(self):
         rng = np.random.default_rng(8)
-        tape = Tape()
-        val = tape.constant(2.0 * rng.normal(size=(6, 5)))
-        leaves = [tape.constant(rng.normal(size=(6, 5))) for _ in range(4)]
-        pre = [Jet2(val, leaves[0], leaves[1]), Jet2(val, leaves[2], leaves[3])]
+        values = [2.0 * rng.normal(size=(6, 5))] + [rng.normal(size=(6, 5))
+                                                   for _ in range(4)]
         weights = rng.normal(size=(2, 3, 6, 5))
 
-        def scalar(jets):
+        def on_a_tape(sine_jets):
+            """The two jets' sines, and the gradient of a weighted sum of
+            their channels over the jets' leaves, on a tape of its own."""
+            tape = Tape()
+            val, *leaves = wrt = [tape.constant(v) for v in values]
+            jets = sine_jets([Jet2(val, leaves[0], leaves[1]),
+                              Jet2(val, leaves[2], leaves[3])])
             total = 0.0
             for w, j in zip(weights, jets):
                 for wk, part in zip(w, (j.val, j.d1, j.d2)):
                     total = dc.add(total, dc.vsum(dc.mul(wk, part)))
-            return total
+            return jets, tape.gradient(total, wrt)
 
-        fused = net._sine_jets(pre)
-        generic = [dc.jet_sin(j) for j in pre]
+        fused, g_fused = on_a_tape(net._sine_jets)
+        generic, g_generic = on_a_tape(lambda pre: [dc.jet_sin(j) for j in pre])
         for a, b in zip(fused, generic):
             for pa, pb in ((a.val, b.val), (a.d1, b.d1), (a.d2, b.d2)):
                 assert max_rel(pa.value, pb.value) <= 1e-12
-        wrt = [val] + leaves
-        g_fused = tape.gradient(scalar(fused), wrt)
-        g_generic = tape.gradient(scalar(generic), wrt)
         for a, b in zip(g_fused, g_generic):
             assert max_rel(a, b) <= 1e-12
