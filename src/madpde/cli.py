@@ -1,18 +1,26 @@
 """Command-line pipeline: task generation, pre-training, fine-tuning,
 baselines, evaluation and visualization data.
 
-One experiment = one config file (JSON); every hyperparameter lives there
-and can be overridden on the command line with ``--set key.path=value``.
-Outputs land under ``--out`` (default: $MADPDE_OUT or ./runs, plus the
-experiment name), with a manifest written before any heavy work.  A command
-checks its config sections and input files before it creates the output
-directory, so a config error leaves nothing behind.
+One experiment = one config file (JSON), read once into the frozen
+``Experiment`` that every command takes; ``--set key.path=value`` overrides
+an entry.  Sections and keys (* required): ``experiment``* (the name),
+``problem``* (``variant``* and the family's ``settings``), ``tasks``*
+(``n_tasks``*, ``n_pretrain``*, ``seed``), ``reference`` (``nx``, ``nt``,
+``which``), ``network`` (``latent_dim``, ``hidden_layers``, ``width``,
+``first_layer_omega``), ``pretrain`` and ``finetune`` (``TrainConfig``'s
+fields; ``finetune`` also ``init_strategy``) and ``baseline`` (``meta``:
+``MetaConfig``'s but ``seed``, which is ``finetune.seed``).  Every section
+is checked, also one the command does not use: an unknown key is an error,
+and so is a value of another JSON type than its field's (an int takes an
+integer only, a float any number, a bool or string only its own type).
+``--seed`` replaces the tasks, pretrain and finetune seeds.  Outputs land
+under ``--out`` (default: $MADPDE_OUT or ./runs, plus the experiment name)
+with a manifest; an error before the output directory exists leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import os
@@ -20,12 +28,14 @@ import shutil
 import subprocess
 import sys
 import time
+import typing
 import zipfile
 
 import numpy as np
 
 from . import (baselines, benchviz, diffcore, evaluation, mad, oracles, problems,
                trainer)
+from .baselines import MetaConfig
 from .diffcore import DiffError
 from .network import NetworkConfig
 from .trainer import TrainConfig, TrainingError
@@ -72,7 +82,6 @@ def load_config(path: str, assignments: list[str]) -> dict:
 
 
 def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
-    cfg = copy.deepcopy(cfg)
     for item in assignments or []:
         if "=" not in item:
             raise CliError(f"--set expects key.path=value, got {item!r}")
@@ -91,63 +100,123 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     return cfg
 
 
-def override_seeds(cfg: dict, seed: int) -> dict:
-    cfg = copy.deepcopy(cfg)
-    cfg.setdefault("tasks", {})["seed"] = seed
-    for section in ("pretrain", "finetune", "baseline"):
-        if section in cfg:
-            cfg[section]["seed"] = seed
-    return cfg
+@dataclasses.dataclass(frozen=True)
+class Tasks:
+    n_tasks: int
+    n_pretrain: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"tasks.seed must be >= 0, got {self.seed}")
+        if not 1 <= self.n_pretrain < self.n_tasks:
+            raise ValueError(f"need 1 <= tasks.n_pretrain < tasks.n_tasks, "
+                             f"got {self.n_pretrain} and {self.n_tasks}")
 
 
-_NETWORK_KEYS = ("latent_dim", "hidden_layers", "width", "first_layer_omega")
+@dataclasses.dataclass(frozen=True)
+class Reference:
+    nx: int = 256
+    nt: int = 50
+    which: str = "s2"
+
+    def __post_init__(self):
+        if self.nx < 2 or self.nx & (self.nx - 1):
+            raise ValueError(f"reference.nx must be a power of two, got {self.nx}")
+        if self.nt < 1:
+            raise ValueError(f"reference.nt must be at least 1, got {self.nt}")
+        if self.which not in ("s2", "all"):
+            raise ValueError(f"reference.which must be 's2' or 'all', got {self.which!r}")
 
 
-def network_config(cfg: dict, task: problems.Task) -> NetworkConfig:
-    """The ``network`` section, sized and encoded for the family of ``task``."""
-    net = cfg.get("network", {})
-    unknown = set(net) - set(_NETWORK_KEYS)
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """One config, read and checked; None for a section it lacks."""
+    name: str
+    problem: dict
+    tasks: Tasks
+    reference: Reference
+    network: NetworkConfig
+    pretrain: TrainConfig | None
+    finetune: TrainConfig | None
+    init_strategy: str
+    meta: MetaConfig | None
+
+    @property
+    def family(self) -> type:
+        return problems.VARIANTS[self.problem["variant"]]
+
+
+def _typed(section: str, key: str, value, hint):
+    """``value``, if of ``hint``'s JSON type; a float field takes any number."""
+    kind, *none = typing.get_args(hint) or (hint,)
+    if value is None and none:
+        return None
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise CliError(f"bad {section} settings: {section}.{key} must be "
+                       f"{kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _refuse_unknown(section: str, given: dict, allowed: list[str]) -> None:
+    unknown = sorted(set(given) - set(allowed))
     if unknown:
-        raise CliError(f"unknown network settings {sorted(unknown)}; "
-                       f"allowed: {list(_NETWORK_KEYS)}")
+        raise CliError(f"bad {section} settings: unknown {unknown}; allowed: {allowed}")
+
+
+def _section(name: str, given: dict, cls, **fixed):
+    """Section ``name`` as a ``cls``; ``fixed`` sets the fields no key sets."""
+    if not isinstance(given, dict):
+        raise CliError(f"bad {name} settings: must be an object, got {given!r}")
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    _refuse_unknown(name, given, [f.name for f in fields])
+    missing = [f.name for f in fields
+               if f.name not in given and f.default is dataclasses.MISSING]
+    if missing:
+        raise CliError(f"bad {name} settings: the {name!r} section lacks {missing}")
+    hints = typing.get_type_hints(cls)
     try:
-        return NetworkConfig(
-            input_dim=task.input_dim,
-            latent_dim=int(net.get("latent_dim", 0)),
-            hidden_layers=int(net.get("hidden_layers", 4)),
-            width=int(net.get("width", 64)),
-            first_layer_omega=float(net.get("first_layer_omega", 30.0)),
-            input_encoding=task.encoding,
-        )
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad network settings: {e}")
+        return cls(**{k: _typed(name, k, v, hints[k]) for k, v in given.items()}, **fixed)
+    except ValueError as e:
+        raise CliError(f"bad {name} settings: {e}")
 
 
-def train_config(cfg: dict, section: str) -> TrainConfig:
-    if section not in cfg:
+def read_experiment(cfg: dict, seed: int | None) -> Experiment:
+    """``cfg``, a ``load_config`` result, with ``seed`` (when given) as every seed."""
+    try:
+        family = problems.family(cfg["problem"].get("variant"))
+    except problems.ProblemError as e:
+        raise CliError(f"bad problem settings: {e}")
+    _refuse_unknown("problem", cfg["problem"], ["variant", *family.settings])
+    seeded = {} if seed is None else {"seed": seed}
+    fine = dict(cfg.get("finetune", {}))
+    train_keys = [f.name for f in dataclasses.fields(TrainConfig)]
+    _refuse_unknown("finetune", fine, [*train_keys, "init_strategy"])
+    strategy = _typed("finetune", "init_strategy", fine.pop("init_strategy", "mean"), str)
+    pretrain = finetune = meta = None
+    if "pretrain" in cfg:
+        pretrain = _section("pretrain", {**cfg["pretrain"], **seeded}, TrainConfig)
+    if "finetune" in cfg:
+        finetune = _section("finetune", {**fine, **seeded}, TrainConfig)
+    _refuse_unknown("baseline", cfg.get("baseline", {}), ["meta"])
+    if "meta" in cfg.get("baseline", {}):
+        meta = _section("baseline.meta", cfg["baseline"]["meta"], MetaConfig,
+                        seed=finetune.seed if finetune else 0)
+    return Experiment(
+        name=cfg["experiment"], problem=cfg["problem"],
+        tasks=_section("tasks", {**cfg["tasks"], **seeded}, Tasks),
+        reference=_section("reference", cfg.get("reference", {}), Reference),
+        network=_section("network", cfg.get("network", {}), NetworkConfig,
+                         input_dim=family.input_dim, output_dim=1,
+                         input_encoding=family.encoding),
+        pretrain=pretrain, finetune=finetune, init_strategy=strategy, meta=meta)
+
+
+def _needed(value, section: str):
+    """``value``, unless the config lacks the ``section`` it comes from."""
+    if value is None:
         raise CliError(f"config is missing the {section!r} section")
-    d = dict(cfg[section])
-    if section == "finetune":
-        d.pop("init_strategy", None)  # read by the commands, not by training
-    try:
-        return TrainConfig(**d)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad {section} settings: {e}")
-
-
-def _int_setting(cfg: dict, section: str, key: str,
-                 default: int | None = None) -> int:
-    """The integer ``<section>.<key>``; required when ``default`` is None."""
-    entries = cfg.get(section, {})
-    if key not in entries:
-        if default is not None:
-            return default
-        raise CliError(f"the {section!r} section has no {key!r} entry")
-    value = entries[key]
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise CliError(f"{section}.{key} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +248,13 @@ def prepare_out_dir(out: str, args) -> str:
     return out
 
 
-def write_manifest(out: str, command: str, cfg: dict, args) -> None:
+def write_manifest(out: str, command: str, exp: Experiment, args) -> None:
     manifest = {
-        "experiment": cfg.get("experiment", "unnamed"),
+        "experiment": exp.name,
         "command": command,
         "config_path": os.path.abspath(args.config) if args.config else None,
         "output_dir": os.path.abspath(out),
-        "seeds": {section: cfg.get(section, {}).get("seed")
-                  for section in ("tasks", "pretrain", "finetune")},
+        "config": dataclasses.asdict(exp),
         "source_revision": _source_revision(),
         # outputs repeat bit for bit only under the same numpy, BLAS thread
         # count and CPU dispatch of numpy's SIMD loops (float64 sin and cos
@@ -203,11 +271,11 @@ def write_manifest(out: str, command: str, cfg: dict, args) -> None:
         f.write("\n")
 
 
-def default_out(cfg: dict, command: str, out_flag) -> str:
+def default_out(exp: Experiment, command: str, out_flag) -> str:
     if out_flag:
         return out_flag
     root = os.environ.get("MADPDE_OUT", "runs")
-    return os.path.join(root, cfg.get("experiment", "unnamed"), command)
+    return os.path.join(root, exp.name, command)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +289,7 @@ def _write_task_file(path: str, ids: list[int], tasks: list[problems.Task]):
         f.write("\n")
 
 
-def read_tasks(cfg: dict, tasks_dir: str, split: str
+def read_tasks(exp: Experiment, tasks_dir: str, split: str
                ) -> tuple[list[int], list[problems.Task]]:
     """Ids and tasks of ``tasks_<split>.json``, all of the config's family."""
     path = os.path.join(tasks_dir, f"tasks_{split}.json")
@@ -249,18 +317,17 @@ def read_tasks(cfg: dict, tasks_dir: str, split: str
     repeated = next((i for k, i in enumerate(ids) if i in ids[:k]), None)
     if repeated is not None:
         raise CliError(f"{path}: task id {repeated} appears more than once")
-    named = cfg["problem"].get("variant", tasks[0].variant)
-    for t in tasks:
-        if t.variant != named:
-            raise CliError(f"{path} holds a {t.variant!r} task where the config "
-                           f"expects {named!r} tasks")
+    wrong = next((t for t in tasks if type(t) is not exp.family), None)
+    if wrong is not None:
+        raise CliError(f"{path} holds a {wrong.variant!r} task where the config "
+                       f"expects {exp.family.variant!r} tasks")
     return ids, tasks
 
 
-def _held_out(cfg: dict, args) -> tuple[list[int], list[problems.Task],
-                                        mad.Checkpoint]:
+def _held_out(exp: Experiment, args) -> tuple[list[int], list[problems.Task],
+                                               mad.Checkpoint]:
     """Held-out ids and tasks, and a checkpoint pre-trained on their family."""
-    ids, tasks = read_tasks(cfg, args.tasks, "s2")
+    ids, tasks = read_tasks(exp, args.tasks, "s2")
     ck = mad.load_checkpoint(args.checkpoint)
     if type(ck.tasks[0]) is not type(tasks[0]):
         raise CliError(f"{args.checkpoint} was pre-trained on "
@@ -289,58 +356,39 @@ def _eval_grid(task, tasks_dir: str, task_id: int):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_tasks(cfg: dict, args) -> int:
-    # a config error leaves no output directory behind
-    prob = cfg["problem"]
-    n_tasks = _int_setting(cfg, "tasks", "n_tasks")
-    n_pre = _int_setting(cfg, "tasks", "n_pretrain")
-    seed = _int_setting(cfg, "tasks", "seed", default=0)
-    if seed < 0:
-        raise CliError(f"tasks.seed must be >= 0, got {seed}")
-    if not 1 <= n_pre < n_tasks:
-        raise CliError("need 1 <= n_pretrain < n_tasks")
+def cmd_gen_tasks(exp: Experiment, args) -> int:
+    # a problem-settings error leaves no output directory behind
+    family, n_tasks, seed = exp.family, exp.tasks.n_tasks, exp.tasks.seed
     try:
-        family = problems.family(prob.get("variant"))
-        tasks = family.build(prob, n_tasks, seed)
+        tasks = family.build(exp.problem, n_tasks, seed)
     except (TypeError, ValueError) as e:
         raise CliError(f"bad problem settings: {e}")
-    if family.solve_reference is not None:
-        nx = _int_setting(cfg, "reference", "nx", 256)
-        nt = _int_setting(cfg, "reference", "nt", 50)
-        which = cfg.get("reference", {}).get("which", "s2")
-        if nx < 2 or nx & (nx - 1):
-            raise CliError(f"reference.nx must be a power of two, got {nx}")
-        if nt < 1:
-            raise CliError(f"reference.nt must be at least 1, got {nt}")
-        if which not in ("s2", "all"):
-            raise CliError(f"reference.which must be 's2' or 'all', got {which!r}")
-    out = prepare_out_dir(default_out(cfg, "tasks", args.out), args)
-    write_manifest(out, "gen-tasks", cfg, args)
+    out = prepare_out_dir(default_out(exp, "tasks", args.out), args)
+    write_manifest(out, "gen-tasks", exp, args)
     perm = np.random.default_rng([seed, 0x5917]).permutation(n_tasks)
-    s1_ids = sorted(int(i) for i in perm[:n_pre])
-    s2_ids = sorted(int(i) for i in perm[n_pre:])
+    s1_ids = sorted(int(i) for i in perm[:exp.tasks.n_pretrain])
+    s2_ids = sorted(int(i) for i in perm[exp.tasks.n_pretrain:])
     s1, s2 = [tasks[i] for i in s1_ids], [tasks[i] for i in s2_ids]
     _write_task_file(os.path.join(out, "tasks_s1.json"), s1_ids, s1)
     _write_task_file(os.path.join(out, "tasks_s2.json"), s2_ids, s2)
     if family.solve_reference is not None:
         os.makedirs(os.path.join(out, "refs"), exist_ok=True)
         targets = list(zip(s2_ids, s2))
-        if which == "all":
+        if exp.reference.which == "all":
             targets += list(zip(s1_ids, s1))
         for tid, task in targets:
-            oracles.save_reference(_ref_path(out, tid),
-                                   task.solve_reference(nx, nt, {"task_id": tid}))
+            oracles.save_reference(_ref_path(out, tid), task.solve_reference(
+                exp.reference.nx, exp.reference.nt, {"task_id": tid}))
     print(f"wrote {len(s1)} pre-training and {len(s2)} held-out tasks to {out}")
     return 0
 
 
-def cmd_pretrain(cfg: dict, args) -> int:
-    ids, tasks = read_tasks(cfg, args.tasks, "s1")
-    net_cfg = network_config(cfg, tasks[0])
-    pre_cfg = train_config(cfg, "pretrain")
-    out = prepare_out_dir(default_out(cfg, "pretrain", args.out), args)
-    write_manifest(out, "pretrain", cfg, args)
-    ck = mad.pretrain(tasks, net_cfg, pre_cfg, task_ids=ids)
+def cmd_pretrain(exp: Experiment, args) -> int:
+    ids, tasks = read_tasks(exp, args.tasks, "s1")
+    pre_cfg = _needed(exp.pretrain, "pretrain")
+    out = prepare_out_dir(default_out(exp, "pretrain", args.out), args)
+    write_manifest(out, "pretrain", exp, args)
+    ck = mad.pretrain(tasks, exp.network, pre_cfg, task_ids=ids)
     mad.save_checkpoint(os.path.join(out, "checkpoint.ckpt"), ck)
     with open(os.path.join(out, "pretrain_loss.csv"), "w") as f:
         f.write("iteration,loss\n")
@@ -350,22 +398,21 @@ def cmd_pretrain(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_finetune(cfg: dict, args) -> int:
-    ids, tasks, ck = _held_out(cfg, args)
+def cmd_finetune(exp: Experiment, args) -> int:
+    ids, tasks, ck = _held_out(exp, args)
     if args.task_index is not None:
         if args.task_index not in ids:
             raise CliError(f"task id {args.task_index} not in the held-out set")
         keep = ids.index(args.task_index)
         ids, tasks = [ids[keep]], [tasks[keep]]
-    fine_cfg = train_config(cfg, "finetune")
-    strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
+    fine_cfg = _needed(exp.finetune, "finetune")
     # snapshots feed the manifold plot, which needs the exact family
     snapshots = tasks[0].exact_family is not None
     grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(ids, tasks)]
-    Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
+    Z0 = [mad.init_latent(task, ck, exp.init_strategy) for task in tasks]
     labels = [f"s2-{tid}" for tid in ids]
-    out = prepare_out_dir(default_out(cfg, f"finetune_{args.mode}", args.out), args)
-    write_manifest(out, "finetune", cfg, args)
+    out = prepare_out_dir(default_out(exp, f"finetune_{args.mode}", args.out), args)
+    write_manifest(out, "finetune", exp, args)
 
     if args.mode == "L":
         _, records = mad.finetune_L_batch(ck, tasks, Z0, fine_cfg, grids, labels,
@@ -390,21 +437,17 @@ def cmd_finetune(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_baseline(cfg: dict, args) -> int:
-    s1_ids, s1 = read_tasks(cfg, args.tasks, "s1")
-    s2_ids, s2 = read_tasks(cfg, args.tasks, "s2")
-    net_cfg = dataclasses.replace(network_config(cfg, s2[0]), latent_dim=0)
-    fine_cfg = train_config(cfg, "finetune")
-    if args.method in ("reptile", "maml"):
-        try:
-            meta = baselines.MetaConfig(seed=fine_cfg.seed,
-                                        **cfg.get("baseline", {}).get("meta", {}))
-        except (TypeError, ValueError) as e:
-            raise CliError(f"bad baseline.meta settings: {e}")
-    pre_cfg = train_config(cfg, "pretrain") if args.method == "transfer" else None
+def cmd_baseline(exp: Experiment, args) -> int:
+    s1_ids, s1 = read_tasks(exp, args.tasks, "s1")
+    s2_ids, s2 = read_tasks(exp, args.tasks, "s2")
+    net_cfg = dataclasses.replace(exp.network, latent_dim=0)
+    fine_cfg = _needed(exp.finetune, "finetune")
+    meta = (_needed(exp.meta, "baseline.meta") if args.method in ("reptile", "maml")
+            else None)
+    pre_cfg = _needed(exp.pretrain, "pretrain") if args.method == "transfer" else None
     grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(s2_ids, s2)]
-    out = prepare_out_dir(default_out(cfg, f"baseline_{args.method}", args.out), args)
-    write_manifest(out, "baseline", cfg, args)
+    out = prepare_out_dir(default_out(exp, f"baseline_{args.method}", args.out), args)
+    write_manifest(out, "baseline", exp, args)
     # every held-out task starts from the same weights, computed once
     if args.method == "from-scratch":
         theta0, method = None, "from_scratch"
@@ -431,14 +474,13 @@ def cmd_baseline(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict, args) -> int:
+def cmd_eval(exp: Experiment, args) -> int:
     """Error of the pre-trained model on held-out tasks, no fine-tuning."""
-    ids, tasks, ck = _held_out(cfg, args)
-    strategy = cfg.get("finetune", {}).get("init_strategy", "mean")
+    ids, tasks, ck = _held_out(exp, args)
     grids = [_eval_grid(task, args.tasks, tid) for tid, task in zip(ids, tasks)]
-    Z0 = [mad.init_latent(task, ck, strategy) for task in tasks]
-    out = prepare_out_dir(default_out(cfg, "eval", args.out), args)
-    write_manifest(out, "eval", cfg, args)
+    Z0 = [mad.init_latent(task, ck, exp.init_strategy) for task in tasks]
+    out = prepare_out_dir(default_out(exp, "eval", args.out), args)
+    write_manifest(out, "eval", exp, args)
     errors = [evaluation.rel_l2(grid, ck.params(), z0) for grid, z0 in zip(grids, Z0)]
     summary = {"n_tasks": len(errors), "mean": float(np.mean(errors))}
     if len(errors) >= 2:
@@ -464,17 +506,13 @@ def _read_records(path: str) -> list[benchviz.ConvergenceRecord]:
         raise CliError(f"{path} is not a convergence CSV: {e}")
 
 
-def _manifold_curves(cfg: dict, paths: list[str]):
+def _manifold_curves(exp: Experiment, paths: list[str]):
     """(label, (steps, points) values) of the exact family and of every
     snapshot file, or None when there is nothing to project."""
-    family = problems.family(cfg["problem"].get("variant")) if paths else None
-    if family is None or family.exact_family is None:
+    if not paths or exp.family.exact_family is None:
         return None
-    n_tasks = _int_setting(cfg, "tasks", "n_tasks")
-    if n_tasks < 1:
-        raise CliError(f"tasks.n_tasks must be at least 1, got {n_tasks}")
     try:
-        exact = family.exact_family(cfg["problem"], n_tasks)
+        exact = exp.family.exact_family(exp.problem, exp.tasks.n_tasks)
     except (TypeError, ValueError) as e:
         raise CliError(f"bad problem settings: {e}")
     named = [(label, values[None, :]) for label, values in exact]
@@ -494,7 +532,7 @@ def _manifold_curves(cfg: dict, paths: list[str]):
     return named
 
 
-def cmd_viz(cfg: dict, args) -> int:
+def cmd_viz(exp: Experiment, args) -> int:
     # every input is read and checked before the output directory exists
     by_method: dict[str, list] = {}
     for path in args.records:
@@ -506,9 +544,9 @@ def cmd_viz(cfg: dict, args) -> int:
         curves = {m: benchviz.aggregate(recs) for m, recs in sorted(by_method.items())}
     except ValueError as e:
         raise CliError(f"cannot aggregate the records: {e}")
-    named = _manifold_curves(cfg, args.snapshots)
-    out = prepare_out_dir(default_out(cfg, "viz", args.out), args)
-    write_manifest(out, "viz", cfg, args)
+    named = _manifold_curves(exp, args.snapshots)
+    out = prepare_out_dir(default_out(exp, "viz", args.out), args)
+    write_manifest(out, "viz", exp, args)
     with open(os.path.join(out, "aggregated.csv"), "w") as f:
         f.write("method,iteration,mean_rel_l2,ci_lo,ci_hi\n")
         for method, agg in curves.items():
@@ -599,10 +637,8 @@ def main(argv=None) -> int:
         check_workers(args)
         if args.seed is not None and args.seed < 0:
             raise CliError(f"--seed must be >= 0, got {args.seed}")
-        cfg = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg = override_seeds(cfg, args.seed)
-        return _COMMANDS[args.command](cfg, args)
+        exp = read_experiment(load_config(args.config, args.overrides), args.seed)
+        return _COMMANDS[args.command](exp, args)
     except (CliError, mad.CheckpointError, oracles.OracleError, TrainingError,
             problems.ProblemError, DiffError) as e:
         if args.made_out is not None:

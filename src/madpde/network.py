@@ -27,9 +27,9 @@ TWO_PI = 2.0 * np.pi
 @dataclass(frozen=True)
 class NetworkConfig:
     input_dim: int
-    latent_dim: int
-    hidden_layers: int
-    width: int
+    latent_dim: int = 0
+    hidden_layers: int = 4
+    width: int = 64
     output_dim: int = 1
     first_layer_omega: float = 30.0
     input_encoding: str = "identity"

@@ -2,8 +2,9 @@
 
 A family class owns all that differs between families.  It declares the
 class data ``variant`` (registry key and JSON tag), ``input_dim``,
-``encoding`` (the network input encoding) and ``directions`` (coordinate
-direction -> derivative order the residual reads), and the methods
+``encoding`` (the network input encoding), ``directions`` (coordinate
+direction -> derivative order the residual reads) and ``settings`` (the
+keys of a config's ``problem`` section beside ``variant``), and the methods
 ``to_json``/``from_json``, ``residual_coefficients`` (per row, so they stack
 across the tasks of a batch), ``residual`` (from jets and those
 coefficients), ``boundary_targets`` (validated Dirichlet data), ``sample``
@@ -84,6 +85,7 @@ class OdeShiftTask:
     input_dim = 1
     encoding = "unit_pi"
     directions = {0: 1}
+    settings = ("eta_range",)
     solve_reference = None
 
     def __post_init__(self):
@@ -163,6 +165,7 @@ class BurgersTask:
     input_dim = 2  # (x, t)
     encoding = "periodic_x"
     directions = {0: 2, 1: 1}  # u_x, u_xx and u_t
+    settings = ("nu", "grf")
     exact_family = None
 
     def __post_init__(self):
@@ -244,6 +247,7 @@ class LaplaceTriangleTask:
     input_dim = 2  # (x, y)
     encoding = "identity"
     directions = {0: 2, 1: 2}
+    settings = ("grf",)
     solve_reference = None
     exact_family = None
     EVAL_POINTS = 16 * 1024  # interior points an error is measured at

@@ -99,6 +99,8 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.clip_grad_norm is not None and self.clip_grad_norm <= 0:
+            raise ValueError(f"clip_grad_norm must be > 0, got {self.clip_grad_norm}")
 
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:

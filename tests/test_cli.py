@@ -186,6 +186,37 @@ class TestManifest:
         assert cli.main(["gen-tasks", "--config", cfg_path, "--out", str(out)]) == 0
         assert read_json(out / "manifest.json")["blas_threads"] is None
 
+    def test_config_is_the_experiment_after_defaults(self, tmp_path):
+        train = {"lr0": 1e-3, "total_iters": 2, "M_r": 8, "M_bc": 2}
+        lean = {"experiment": "lean", "problem": {"variant": "ode_shift"},
+                "tasks": {"n_tasks": 3, "n_pretrain": 2}, "pretrain": train,
+                "finetune": train, "baseline": {"meta": {"meta_iters": 1}}}
+        train_defaults = dict(train, lambda_bc=1.0, inv_sigma2=1e-4, eval_every=10,
+                              seed=0, clip_grad_norm=None)
+        full = dict(lean, tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 0},
+                    reference={"nx": 256, "nt": 50, "which": "s2"},
+                    network={"latent_dim": 0, "hidden_layers": 4, "width": 64,
+                             "first_layer_omega": 30.0},
+                    pretrain=train_defaults,
+                    finetune=dict(train_defaults, init_strategy="mean"),
+                    baseline={"meta": {"meta_iters": 1, "inner_steps": 8,
+                                       "inner_lr": 1e-3, "meta_lr": 1e-3, "eps0": 1.0,
+                                       "anneal_eps": True, "meta_batch": 5}})
+
+        def config(cfg, *flags):
+            path, out = tmp_path / "cfg.json", tmp_path / "out"
+            path.write_text(json.dumps(cfg))
+            assert cli.main(["gen-tasks", "--config", str(path), "--out", str(out),
+                             "--force", *flags]) == 0
+            return read_json(out / "manifest.json")["config"]
+
+        assert config(full) == config(lean)
+        seeded = config(lean, "--seed", "5")
+        assert sorted(seeded) == sorted(f.name for f in
+                                        dataclasses.fields(cli.Experiment))
+        assert [seeded[s]["seed"] for s in ("tasks", "pretrain", "finetune", "meta")] \
+            == [5] * 4
+
 
 class TestErrors:
     def test_missing_config_section(self, tmp_path):
@@ -353,11 +384,16 @@ class TestFamilies:
         err = one_error_line(capsys)
         assert "'ode_shift'" in err and "'burgers'" in err
 
-    def test_problem_section_without_variant(self, ode_setup):
+    def test_problem_section_without_variant(self, ode_setup, capsys):
+        # the network's input size and encoding come from the variant
         _, tasks_dir, tmp_path = ode_setup
         cfg = write_config(tmp_path / "no_variant.json", problem={})
+        capsys.readouterr()
         assert cli.main(["pretrain", "--config", cfg, "--tasks", tasks_dir,
-                         "--out", str(tmp_path / "o")]) == 0
+                         "--out", str(tmp_path / "o")]) == 1
+        err = one_error_line(capsys)
+        assert "bad problem settings" in err and str(sorted(problems.VARIANTS)) in err
+        assert not (tmp_path / "o").exists()
 
     def test_removed_network_key_rejected(self, ode_setup, capsys):
         _, tasks_dir, tmp_path = ode_setup
@@ -561,10 +597,9 @@ class TestBatchedFinetune:
     @pytest.fixture()
     def batch_sizes(self, trained, monkeypatch):
         """The task count of every group assembled, with two tasks a group."""
-        cfg = read_json(trained[0])
+        exp = cli.read_experiment(read_json(trained[0]), None)
         task = read_split(trained[1], "s2")[0][1]
-        per_task = trainer.hidden_values([task], cli.train_config(cfg, "finetune"),
-                                         cli.network_config(cfg, task).width)
+        per_task = trainer.hidden_values([task], exp.finetune, exp.network.width)
         monkeypatch.setattr(trainer, "GROUP_ELEMENTS", 2 * per_task)
         sizes = []
         assemble = trainer.assemble_multitask_loss
@@ -594,7 +629,7 @@ class TestBatchedFinetune:
         assert batch_sizes == [2, 1] * 8
         cfg_path, tasks_dir, ck_path, _ = trained
         ck = mad.load_checkpoint(ck_path)
-        fine = cli.train_config(read_json(cfg_path), "finetune")
+        fine = cli.read_experiment(read_json(cfg_path), None).finetune
         for tid, task in read_split(tasks_dir, "s2"):
             _, alone = mad.finetune_L(ck, task, mad.init_latent(task, ck, "nearest"),
                                       fine, evaluation.for_task(task, seed=tid))
@@ -625,7 +660,7 @@ class TestLatentModelFinetune:
                          "--out", str(out)]) == 0
 
         ck = mad.load_checkpoint(ck_path)
-        fine = cli.train_config(read_json(cfg_path), "finetune")
+        fine = cli.read_experiment(read_json(cfg_path), None).finetune
         held = read_split(tasks_dir, "s2")
         assert len(held) == 3
         records = [mad.finetune_LM(ck, task, mad.init_latent(task, ck, "nearest"),
@@ -665,17 +700,17 @@ class TestBaselineMetaTrainsOnce:
         assert len(calls) == meta["meta_iters"]
 
         # byte for byte what meta-training afresh for each task writes
-        cfg = read_json(cfg_path)
-        fine = cli.train_config(cfg, "finetune")
+        exp = cli.read_experiment(read_json(cfg_path), None)
+        fine = exp.finetune
         s1 = [t for _, t in read_split(tasks_dir, "s1")]
         held = read_split(tasks_dir, "s2")
         assert len(held) == 2
-        net = dataclasses.replace(cli.network_config(cfg, s1[0]), latent_dim=0)
+        assert exp.meta == baselines.MetaConfig(seed=fine.seed, **meta)
+        net = dataclasses.replace(exp.network, latent_dim=0)
         records = [baselines.pinn_train(
             task, net, fine, eval_grid=evaluation.for_task(task, seed=tid),
             method="reptile", task_label=f"s2-{tid}",
-            theta0=baselines.reptile_theta(
-                s1, net, baselines.MetaConfig(seed=fine.seed, **meta), fine)[0])[1]
+            theta0=baselines.reptile_theta(s1, net, exp.meta, fine)[0])[1]
             for tid, task in held]
         benchviz.write_convergence_csv(str(tmp_path / "alone.csv"), records)
         assert (out / "convergence.csv").read_bytes() == \
@@ -689,6 +724,9 @@ class TestConfigErrorsLeaveNoDirectory:
 
     GOOD_TRAIN = {"lr0": 1e-2, "total_iters": 2, "M_r": 8, "M_bc": 2,
                   "eval_every": 1, "seed": 0}
+    META = {"baseline": {"meta": {"meta_iters": 1, "inner_steps": 1}}}
+    META_KEYS = ("allowed: ['meta_iters', 'inner_steps', 'inner_lr', 'meta_lr', "
+                 "'eps0', 'anneal_eps', 'meta_batch']")
 
     @pytest.fixture()
     def checkpoint(self, ode_setup):
@@ -710,9 +748,63 @@ class TestConfigErrorsLeaveNoDirectory:
         ("eval", {"eval": 3}, [], ["unknown config sections", "'eval'"]),
         ("eval", {"eval": {"n_laplace_points": "abc"}}, [],
          ["unknown config sections", "'eval'"]),
+        # a key no command reads, and a value of the wrong JSON type, are
+        # refused by every command
+        ("pretrain", {}, ["problem.etarange=[0, 1]"],
+         ["bad problem settings: unknown ['etarange']",
+          "allowed: ['variant', 'eta_range']"]),
+        ("pretrain", {}, ["tasks.n_taskz=6"],
+         ["bad tasks settings: unknown ['n_taskz']",
+          "allowed: ['n_tasks', 'n_pretrain', 'seed']"]),
+        ("finetune", {}, ["reference.foo=1"],
+         ["bad reference settings: unknown ['foo']", "allowed: ['nx', 'nt', 'which']"]),
+        ("finetune", {}, ["finetune.init_strategi=mean"],
+         ["bad finetune settings: unknown ['init_strategi']",
+          "'clip_grad_norm', 'init_strategy']"]),
+        ("baseline reptile", META, ["baseline.inner_stepz=5"],
+         ["bad baseline settings: unknown ['inner_stepz']", "allowed: ['meta']"]),
+        # the meta seed is finetune.seed
+        ("baseline reptile", META, ["baseline.meta.seed=3"],
+         ["bad baseline.meta settings: unknown ['seed']", META_KEYS]),
+        ("baseline reptile", {"baseline": {"meta": 3}}, [],
+         ["bad baseline.meta settings: must be an object, got 3"]),
+        ("pretrain", {}, ["network.width=8.7"],
+         ["bad network settings", "network.width must be int, got 8.7"]),
+        ("pretrain", {}, ["pretrain.M_r=true"],
+         ["bad pretrain settings", "pretrain.M_r must be int, got True"]),
+        ("pretrain", {}, ["pretrain.total_iters=2.5"],
+         ["pretrain.total_iters must be int, got 2.5"]),
+        ("pretrain", {}, ["pretrain.seed=1.5"],
+         ["pretrain.seed must be int, got 1.5"]),
+        ("baseline reptile", META, ["baseline.meta.meta_iters=1.5"],
+         ["bad baseline.meta settings",
+          "baseline.meta.meta_iters must be int, got 1.5"]),
+        ("baseline reptile", META, ["baseline.meta.anneal_eps=1"],
+         ["baseline.meta.anneal_eps must be bool, got 1"]),
+        ("eval", {}, ["finetune.init_strategy=3"],
+         ["bad finetune settings", "finetune.init_strategy must be str, got 3"]),
+        # a negative bound would flip the clipped gradient's sign
+        ("pretrain", {}, ["pretrain.clip_grad_norm=-1"],
+         ["bad pretrain settings", "clip_grad_norm must be > 0, got -1"]),
+        ("finetune", {}, ["finetune.clip_grad_norm=0"],
+         ["bad finetune settings", "clip_grad_norm must be > 0, got 0"]),
+        ("baseline maml", META, ["baseline.meta.meta_batch=0"],
+         ["bad baseline.meta settings", "meta_batch must be >= 1, got 0"]),
+        ("baseline maml", META, ["baseline.meta.meta_batch=-2"],
+         ["bad baseline.meta settings", "meta_batch must be >= 1, got -2"]),
+        # a section the command does not use is checked all the same
+        ("eval", {}, ["pretrain.lr0=-1"],
+         ["bad pretrain settings", "lr0 must be positive"]),
     ], ids=["top_level_number", "set_below_a_name", "experiment_number",
             "pretrain_number", "finetune_eval_number", "baseline_eval_number",
-            "eval_eval_number", "eval_points_not_a_number"])
+            "eval_eval_number", "eval_points_not_a_number", "misspelt_problem_key",
+            "misspelt_tasks_key", "unknown_reference_key", "misspelt_finetune_key",
+            "misspelt_baseline_key",
+            "meta_seed", "meta_number", "width_not_an_integer", "M_r_boolean",
+            "total_iters_not_an_integer", "seed_not_an_integer",
+            "meta_iters_not_an_integer", "anneal_eps_number", "init_strategy_number",
+            "negative_clip", "zero_clip", "zero_meta_batch", "negative_meta_batch",
+            "unused_section"])
     def test_malformed_config(self, ode_setup, checkpoint, capsys, command, config,
                               overrides, words):
         _, tasks_dir, tmp_path = ode_setup
@@ -722,6 +814,7 @@ class TestConfigErrorsLeaveNoDirectory:
         else:
             bad.write_text(json.dumps(config))
         out = tmp_path / "out"
+        command, *method = command.split()
         argv = [command, "--config", str(bad), "--tasks", tasks_dir, "--out", str(out)]
         argv += [a for o in overrides for a in ("--set", o)]
         if command in ("finetune", "eval"):
@@ -729,7 +822,7 @@ class TestConfigErrorsLeaveNoDirectory:
         if command == "finetune":
             argv += ["--mode", "LM"]
         if command == "baseline":
-            argv += ["--method", "from-scratch"]
+            argv += ["--method", *(method or ["from-scratch"])]
         capsys.readouterr()
         assert cli.main(argv) == 1
         err = one_error_line(capsys)
