@@ -37,7 +37,7 @@ class MetaConfig:
     def __post_init__(self):
         if self.meta_iters < 0 or self.inner_steps < 0:
             raise ValueError("iteration counts must be >= 0")
-        if self.inner_lr <= 0 or self.meta_lr <= 0:
+        if not (self.inner_lr > 0 and self.meta_lr > 0):  # NaN fails too
             raise ValueError("learning rates must be positive")
         if self.meta_batch < 1:
             raise ValueError(f"meta_batch must be >= 1, got {self.meta_batch}")

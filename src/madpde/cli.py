@@ -4,18 +4,20 @@ baselines, evaluation and visualization data.
 One experiment = one config file (JSON), read once into the frozen
 ``Experiment`` that every command takes; ``--set key.path=value`` overrides
 an entry.  Sections and keys (* required): ``experiment``* (the name),
-``problem``* (``variant``* and the family's ``settings``), ``tasks``*
-(``n_tasks``*, ``n_pretrain``*, ``seed``), ``reference`` (``nx``, ``nt``,
-``which``), ``network`` (``latent_dim``, ``hidden_layers``, ``width``,
-``first_layer_omega``), ``pretrain`` and ``finetune`` (``TrainConfig``'s
-fields; ``finetune`` also ``init_strategy``) and ``baseline`` (``meta``:
-``MetaConfig``'s but ``seed``, which is ``finetune.seed``).  Every section
+``problem``* (``variant``* and the settings of the family's
+``check_settings``), ``tasks``* (``n_tasks``*, ``n_pretrain``*,
+``seed``), ``reference`` (``nx``, ``nt``, ``which``), ``network``
+(``latent_dim``, ``hidden_layers``, ``width``, ``first_layer_omega``),
+``pretrain`` and ``finetune`` (``TrainConfig``'s fields; ``finetune``
+also ``init_strategy``) and ``baseline`` (``meta``: ``MetaConfig``'s but
+``seed``, which is ``finetune.seed``).  Every section
 is checked, also one the command does not use: an unknown key is an error,
 and so is a value of another JSON type than its field's (an int takes an
-integer only, a float any number, a bool or string only its own type).
-``--seed`` replaces the tasks, pretrain and finetune seeds.  Outputs land
-under ``--out`` (default: $MADPDE_OUT or ./runs, plus the experiment name)
-with a manifest; an error before the output directory exists leaves none.
+integer only, a float any finite number, a bool or string only its own
+type).  ``--seed`` replaces the tasks, pretrain and finetune seeds.
+Outputs land under ``--out`` (default: $MADPDE_OUT or ./runs, plus the
+experiment name) with a manifest; an error before the output directory
+exists leaves none.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -148,13 +151,17 @@ class Experiment:
 
 
 def _typed(section: str, key: str, value, hint):
-    """``value``, if of ``hint``'s JSON type; a float field takes any number."""
+    """``value``, if of ``hint``'s JSON type; a float field takes any finite
+    number."""
     kind, *none = typing.get_args(hint) or (hint,)
     if value is None and none:
         return None
     if type(value) not in ((int, float) if kind is float else (kind,)):
         raise CliError(f"bad {section} settings: {section}.{key} must be "
                        f"{kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise CliError(f"bad {section} settings: {section}.{key} must be "
+                       f"a finite number, got {value!r}")
     return float(value) if kind is float else value
 
 
@@ -187,12 +194,19 @@ def read_experiment(cfg: dict, seed: int | None) -> Experiment:
         family = problems.family(cfg["problem"].get("variant"))
     except problems.ProblemError as e:
         raise CliError(f"bad problem settings: {e}")
-    _refuse_unknown("problem", cfg["problem"], ["variant", *family.settings])
+    _refuse_unknown("problem", cfg["problem"], ["variant", *family.check_settings({})])
+    try:
+        problem = {"variant": family.variant, **family.check_settings(cfg["problem"])}
+    except problems.ProblemError as e:
+        raise CliError(f"bad problem settings: {e}")
     seeded = {} if seed is None else {"seed": seed}
     fine = dict(cfg.get("finetune", {}))
     train_keys = [f.name for f in dataclasses.fields(TrainConfig)]
     _refuse_unknown("finetune", fine, [*train_keys, "init_strategy"])
     strategy = _typed("finetune", "init_strategy", fine.pop("init_strategy", "mean"), str)
+    if strategy not in mad.INIT_STRATEGIES:
+        raise CliError(f"latent init strategy {strategy!r} is not one of "
+                       f"{mad.INIT_STRATEGIES} (finetune.init_strategy)")
     pretrain = finetune = meta = None
     if "pretrain" in cfg:
         pretrain = _section("pretrain", {**cfg["pretrain"], **seeded}, TrainConfig)
@@ -203,7 +217,7 @@ def read_experiment(cfg: dict, seed: int | None) -> Experiment:
         meta = _section("baseline.meta", cfg["baseline"]["meta"], MetaConfig,
                         seed=finetune.seed if finetune else 0)
     return Experiment(
-        name=cfg["experiment"], problem=cfg["problem"],
+        name=cfg["experiment"], problem=problem,
         tasks=_section("tasks", {**cfg["tasks"], **seeded}, Tasks),
         reference=_section("reference", cfg.get("reference", {}), Reference),
         network=_section("network", cfg.get("network", {}), NetworkConfig,
@@ -357,12 +371,8 @@ def _eval_grid(task, tasks_dir: str, task_id: int):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_tasks(exp: Experiment, args) -> int:
-    # a problem-settings error leaves no output directory behind
     family, n_tasks, seed = exp.family, exp.tasks.n_tasks, exp.tasks.seed
-    try:
-        tasks = family.build(exp.problem, n_tasks, seed)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad problem settings: {e}")
+    tasks = family.build(exp.problem, n_tasks, seed)
     out = prepare_out_dir(default_out(exp, "tasks", args.out), args)
     write_manifest(out, "gen-tasks", exp, args)
     perm = np.random.default_rng([seed, 0x5917]).permutation(n_tasks)
@@ -511,10 +521,7 @@ def _manifold_curves(exp: Experiment, paths: list[str]):
     snapshot file, or None when there is nothing to project."""
     if not paths or exp.family.exact_family is None:
         return None
-    try:
-        exact = exp.family.exact_family(exp.problem, exp.tasks.n_tasks)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad problem settings: {e}")
+    exact = exp.family.exact_family(exp.problem, exp.tasks.n_tasks)
     named = [(label, values[None, :]) for label, values in exact]
     for path in paths:
         try:

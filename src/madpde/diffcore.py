@@ -9,8 +9,8 @@ contain du/dx and d2u/dx2.
 
 Plain numpy arrays and Python floats mix freely with tape variables: an op
 records a node only when at least one argument is a ``Var``, otherwise it
-just computes the numpy result.  Every op but ``sin``, ``cos`` and
-``sincos``, whose one operand needs no check, records through one helper
+just computes the numpy result.  Every op but ``sin`` and ``cos``, whose
+one operand needs no check, records through one helper
 (``_node``), which is also where the ``Var`` operands of an op are checked
 to share one tape: an op over ``Var``s of two tapes raises ``DiffError``.
 ``Var`` has no arithmetic operators, so nodes are recorded only through
@@ -51,10 +51,12 @@ nothing is changed.  The arithmetic is unaffected.
 Float64 sine and cosine come from one kernel, ``sincos_array`` (and
 ``sin_array`` for sin alone, which may write in place): t = tan(x/2), then
 sin = 2t / (1 + t^2) and cos = (1 - t)(1 + t) / (1 + t^2), in numpy ops that
-work in place on fresh arrays.  ``sin``, ``cos``, ``sincos`` and
-``network.forward`` all go through it, so a value computed on the tape and
-one computed off it agree bit for bit.  The reason is speed: numpy runs
-float64 ``np.tan`` as SIMD code where the CPU has AVX-512 (its ``X86_V4``
+work in place on fresh arrays or on the caller's (``out=``).  ``sin``,
+``cos``, ``network.forward`` and the sine layers of ``network.jet_forward``
+(one ``fused`` node, which writes sin over each layer's pre-activation and
+cos into an array of its own) all go through it, so a value computed on the
+tape and one computed off it agree bit for bit.  The reason is speed: numpy
+runs float64 ``np.tan`` as SIMD code where the CPU has AVX-512 (its ``X86_V4``
 dispatch target), but float64 ``np.sin`` and ``np.cos`` as scalar libm
 calls.  On a 2-CPU AVX-512 Xeon, 320k values take 5.6-6.4 ms for
 ``np.sin``, 5.7-5.8 ms for ``np.cos`` and 0.6-0.8 ms for ``np.tan``; the
@@ -385,18 +387,21 @@ def sin_array(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return s
 
 
-def sincos_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sin x, cos x) of a plain array.
+def sincos_array(x: np.ndarray, out: Optional[tuple[np.ndarray, np.ndarray]] = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(sin x, cos x) of a plain array, into the two arrays of ``out`` when
+    given (the first may be ``x``).
 
     float64 shares one t = tan(x/2): sin = 2t / (1 + t^2) and cos = (1 - t)
     (1 + t) / (1 + t^2); other dtypes go to ``np.sin`` and ``np.cos``.
     """
+    s_out, c_out = (None, None) if out is None else out
     if x.dtype != np.float64:
-        return np.sin(x), np.cos(x)
+        return np.sin(x, out=s_out), np.cos(x, out=c_out)
     t, d = _tan_half(x)
-    s = np.add(t, t)
+    s = np.add(t, t, out=s_out)
     s /= d
-    c = np.subtract(1.0, t)
+    c = np.subtract(1.0, t, out=c_out)
     t += 1.0
     c *= t
     c /= d
@@ -415,19 +420,6 @@ def cos(a: Arraylike):
         return sincos_array(value_of(a))[1]
     s, c = sincos_array(a.value)
     return a.tape._record("cos", c, (a.idx,), (lambda g, s=s: -g * s,))
-
-
-def sincos(a: Arraylike):
-    """(sin a, cos a) from one ``sincos_array``.
-
-    Records a "sin" node and then a "cos" node; each node's value is the
-    other's local partial, so the two share the same two arrays.
-    """
-    s, c = sincos_array(value_of(a))
-    if not isinstance(a, Var):
-        return s, c
-    return (a.tape._record("sin", s, (a.idx,), (lambda g, c=c: g * c,)),
-            a.tape._record("cos", c, (a.idx,), (lambda g, s=s: -g * s,)))
 
 
 def matmul(a: Arraylike, b: Arraylike):
@@ -486,6 +478,40 @@ def concat_cols(parts: Iterable[Arraylike]):
     return _node("concat_cols", np.concatenate(vals, axis=1),
                  [(p, lambda g, a=a, b=b: g[:, a:b])
                   for p, a, b in zip(parts, edges, edges[1:])])
+
+
+def take(a: Arraylike, i: int):
+    """``a[i]`` along the first axis, as a view; its adjoint is ``g`` in
+    slot i of zeros shaped like ``a``."""
+    av = value_of(a)
+
+    def vjp(g, sh=av.shape):
+        full = np.zeros(sh)
+        full[i] = g
+        return full
+
+    return _node("take", av[i], ((a, vjp),))
+
+
+def fused(op: str, out: np.ndarray, parents: Sequence[Var],
+          backward: Callable[[np.ndarray], list]) -> Var:
+    """Record ``out`` as one ``op`` node over ``parents``, all ``Var``s of
+    one tape, whose adjoints come from one call: ``backward(g)`` returns
+    them as a list in the order of ``parents``.
+
+    The sweep calls a node's closures once each, in parent order, so the
+    first runs ``backward`` and each hands over its own entry.
+    """
+    grads: list = []
+
+    def vjp(g, k):
+        if k == 0:
+            grads[:] = backward(g)
+        mine, grads[k] = grads[k], None
+        return mine
+
+    return _node(op, out, [(p, lambda g, k=k: vjp(g, k))
+                           for k, p in enumerate(parents)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,19 @@
 A family class owns all that differs between families.  It declares the
 class data ``variant`` (registry key and JSON tag), ``input_dim``,
 ``encoding`` (the network input encoding), ``directions`` (coordinate
-direction -> derivative order the residual reads) and ``settings`` (the
-keys of a config's ``problem`` section beside ``variant``), and the methods
-``to_json``/``from_json``, ``residual_coefficients`` (per row, so they stack
-across the tasks of a batch), ``residual`` (from jets and those
-coefficients), ``boundary_targets`` (validated Dirichlet data), ``sample``
-(reached through ``sample_batch``), ``distance`` (for nearest-latent
+direction -> derivative order the residual reads), and the methods
+``to_json``/``from_json``, ``check_settings`` (the settings of a config's
+``problem`` section beside ``variant``, checked, with their defaults filled
+in; its keys on ``{}`` are the keys a section may hold),
+``residual_coefficients`` (per row, so they stack across the tasks of a
+batch), ``residual`` (from jets and those coefficients),
+``boundary_targets`` (validated Dirichlet data), ``sample`` (reached
+through ``sample_batch``), ``distance`` (for nearest-latent
 initialization), ``eval_points`` (where to score, against what) and
-``build`` (the family from a config's ``problem`` section).  Two more are
-None where a family has no use for them: ``solve_reference`` (scored
-against a stored reference field) and ``exact_family`` (fine-tuning records
-snapshots for the manifold plot).  A new family is one more such class in
-``VARIANTS``.
+``build`` (the family from those settings).  Two more are None where a
+family has no use for them: ``solve_reference`` (scored against a stored
+reference field) and ``exact_family`` (fine-tuning records snapshots for
+the manifold plot).  A new family is one more such class in ``VARIANTS``.
 
 * ``OdeShiftTask``  -- du/dx = 2(x-eta)cos((x-eta)^2) on (-pi, pi) with both
   endpoint values prescribed; the task parameter is the shift eta.  The
@@ -85,7 +86,6 @@ class OdeShiftTask:
     input_dim = 1
     encoding = "unit_pi"
     directions = {0: 1}
-    settings = ("eta_range",)
     solve_reference = None
 
     def __post_init__(self):
@@ -100,9 +100,18 @@ class OdeShiftTask:
         return cls(float(d["eta"]))
 
     @classmethod
+    def check_settings(cls, problem: dict) -> dict:
+        """``eta_range``, [0, 2] by default."""
+        eta_range = problem.get("eta_range", [0.0, 2.0])
+        if not isinstance(eta_range, (list, tuple)) or len(eta_range) != 2:
+            raise ProblemError(f"problem.eta_range must be [low, high], "
+                               f"got {eta_range!r}")
+        return {"eta_range": [_finite("eta_range", e) for e in eta_range]}
+
+    @classmethod
     def build(cls, problem: dict, n_tasks: int, seed: int) -> list:
         """Shifts evenly spaced over ``problem["eta_range"]`` (seed unused)."""
-        lo, hi = problem.get("eta_range", [0.0, 2.0])
+        lo, hi = cls.check_settings(problem)["eta_range"]
         return [cls(float(e)) for e in np.linspace(lo, hi, n_tasks)]
 
     def residual_coefficients(self, points: np.ndarray) -> dict:
@@ -141,19 +150,39 @@ class OdeShiftTask:
                 for t in cls.build(problem, n_tasks, 0)]
 
 
-def _grf_spec(base: grf.GrfSpec, problem: dict) -> grf.GrfSpec:
-    """``base`` updated by the config's ``problem["grf"]`` entries; each
-    family fixes its field's domain, ``base.domain``, which is no entry."""
+def _finite(name: str, value, integer: bool = False):
+    """``value`` as a float, or as an int with ``integer``, if it is a
+    finite number (an integer with ``integer``); else ProblemError naming
+    ``problem.<name>``."""
+    kinds = (int,) if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not np.isfinite(value)):
+        raise ProblemError(f"problem.{name} must be a finite "
+                           f"{'integer' if integer else 'number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _grf_settings(base: grf.GrfSpec, problem: dict) -> dict:
+    """Every field of ``base`` but its domain, which each family fixes,
+    updated by the config's ``problem["grf"]`` entries and checked."""
     given = problem.get("grf", {})
-    allowed = [f.name for f in fields(grf.GrfSpec) if f.name != "domain"]
+    if not isinstance(given, dict):
+        raise ProblemError(f"problem.grf must be an object, got {given!r}")
+    spec_fields = [f for f in fields(grf.GrfSpec) if f.name != "domain"]
+    allowed = [f.name for f in spec_fields]
     unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ProblemError(f"unknown problem.grf settings {unknown}; "
                            f"allowed: {allowed}")
+    settings = {f.name: _finite(f"grf.{f.name}",
+                                given.get(f.name, getattr(base, f.name)),
+                                integer=f.type == "int")
+                for f in spec_fields}
     try:
-        return grf.GrfSpec(**{**base.__dict__, **given})
-    except (TypeError, ValueError) as e:
+        grf.GrfSpec(**settings, domain=base.domain)
+    except ValueError as e:
         raise ProblemError(f"bad problem.grf settings: {e}")
+    return settings
 
 
 @dataclass(frozen=True)
@@ -165,7 +194,6 @@ class BurgersTask:
     input_dim = 2  # (x, t)
     encoding = "periodic_x"
     directions = {0: 2, 1: 1}  # u_x, u_xx and u_t
-    settings = ("nu", "grf")
     exact_family = None
 
     def __post_init__(self):
@@ -183,13 +211,21 @@ class BurgersTask:
         return cls(GrfSample.from_json(d["u0"]), float(d["nu"]))
 
     @classmethod
+    def check_settings(cls, problem: dict) -> dict:
+        """``nu``, 0.01 by default, and ``grf``, ``grf.BURGERS_GRF``'s."""
+        nu = _finite("nu", problem.get("nu", 0.01))
+        if not nu > 0:
+            raise ProblemError(f"problem.nu must be positive, got {nu!r}")
+        return {"nu": nu, "grf": _grf_settings(grf.BURGERS_GRF, problem)}
+
+    @classmethod
     def build(cls, problem: dict, n_tasks: int, seed: int) -> list:
         """Initial condition i drawn from stream [seed, i] of the GRF
         ``grf.BURGERS_GRF`` updated by ``problem["grf"]``."""
-        spec = _grf_spec(grf.BURGERS_GRF, problem)
-        nu = float(problem.get("nu", 0.01))
-        return [cls(grf.sample_grf(spec, np.random.default_rng([seed, i])), nu)
-                for i in range(n_tasks)]
+        settings = cls.check_settings(problem)
+        spec = grf.GrfSpec(**settings["grf"], domain=grf.BURGERS_GRF.domain)
+        return [cls(grf.sample_grf(spec, np.random.default_rng([seed, i])),
+                    settings["nu"]) for i in range(n_tasks)]
 
     def residual_coefficients(self, points: np.ndarray) -> dict:
         return {"nu": np.full((points.shape[0], 1), self.nu)}
@@ -247,7 +283,6 @@ class LaplaceTriangleTask:
     input_dim = 2  # (x, y)
     encoding = "identity"
     directions = {0: 2, 1: 2}
-    settings = ("grf",)
     solve_reference = None
     exact_family = None
     EVAL_POINTS = 16 * 1024  # interior points an error is measured at
@@ -278,11 +313,17 @@ class LaplaceTriangleTask:
                    GrfSample.from_json(d["boundary_field"]))
 
     @classmethod
+    def check_settings(cls, problem: dict) -> dict:
+        """``grf``, ``grf.LAPLACE_GRF``'s by default."""
+        return {"grf": _grf_settings(grf.LAPLACE_GRF, problem)}
+
+    @classmethod
     def build(cls, problem: dict, n_tasks: int, seed: int) -> list:
         """Task i draws sorted vertex angles and then its boundary data (the
         GRF ``grf.LAPLACE_GRF`` updated by ``problem["grf"]``) from stream
         [seed, i], drawing again while the triangle is near-degenerate."""
-        spec = _grf_spec(grf.LAPLACE_GRF, problem)
+        spec = grf.GrfSpec(**cls.check_settings(problem)["grf"],
+                           domain=grf.LAPLACE_GRF.domain)
         tasks = []
         for i in range(n_tasks):
             rng = np.random.default_rng([seed, i])

@@ -31,9 +31,11 @@ the GEMMs on two threads, and the rest of a step (the elementwise passes of
 the jets and of the reverse sweep, and the Python work per tape node) runs
 on the thread that records the tape, so one tape leaves the second CPU idle
 outside GEMMs.  At the ``burgers_pretrain`` shape two groups at once took
-91 ms per step against 129-156 ms on one tape (``tools/bench_hotpath.py``,
-2 processes, 2 CPUs), and two groups with BLAS on two threads ran slower
-than one after the other.  BLAS's GEMMs round differently on one thread
+69-77 ms per step against 89-117 ms on one tape, and 99-109 ms in turn
+(``tools/bench_hotpath.py --table-only``, 2 processes, 2 CPUs; on the
+per-op tape, before ``network.jet_forward`` became one node, 91 against
+129-156 ms), and two groups with BLAS on two threads ran slower than one
+after the other.  BLAS's GEMMs round differently on one thread
 than on two, so where one CPU is usable the groups run in turn on the
 caller, still pinned, and give the same outputs.  Where the BLAS thread
 count cannot be set (``diffcore.BLAS_THREADS``), and for smaller steps, a
@@ -87,19 +89,19 @@ class TrainConfig:
     clip_grad_norm: Optional[float] = None
 
     def __post_init__(self):
-        if self.lr0 <= 0:
+        if not self.lr0 > 0:  # NaN fails every check written this way
             raise ValueError("lr0 must be positive")
         if self.total_iters < 0:
             raise ValueError("total_iters must be >= 0")
         if self.M_r < 1 or self.M_bc < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.inv_sigma2 < 0:
+        if not self.inv_sigma2 >= 0:
             raise ValueError("inv_sigma2 must be >= 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.clip_grad_norm is not None and self.clip_grad_norm <= 0:
+        if self.clip_grad_norm is not None and not self.clip_grad_norm > 0:
             raise ValueError(f"clip_grad_norm must be > 0, got {self.clip_grad_norm}")
 
 
@@ -255,7 +257,10 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
 # 0.92-1.49 at 32k-83k; held-out Burgers tasks (width 64, M_r 100, M_bc 20,
 # 26,880 values each) stacked 2, 4 and 8 at a time took 0.81-0.82, 0.71-0.72
 # and 0.73-0.75 of the per-task time of one at a time, and at M_r 300,
-# M_bc 100 (83,200 values each) 0.99-1.16.
+# M_bc 100 (83,200 values each) 0.99-1.16.  All of these were measured on the
+# per-op tape, before ``network.jet_forward`` became one node; with the node,
+# the crossover table of ``tools/bench_hotpath.py --table-only`` (2 processes)
+# read 0.89-1.5 at 32k-83k values per half and 0.72-1.05 from 132k up.
 GROUP_ELEMENTS = 1 << 17
 
 

@@ -212,3 +212,9 @@ def test_meta_config_rejects_a_negative_seed():
     # numpy's generators take no negative seed
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         MetaConfig(meta_iters=1, seed=-1)
+
+
+@pytest.mark.parametrize("field", ["inner_lr", "meta_lr"])
+def test_meta_config_rejects_a_nan_learning_rate(field):
+    with pytest.raises(ValueError, match="learning rates must be positive"):
+        MetaConfig(meta_iters=1, **{field: float("nan")})

@@ -186,6 +186,23 @@ class TestManifest:
         assert cli.main(["gen-tasks", "--config", cfg_path, "--out", str(out)]) == 0
         assert read_json(out / "manifest.json")["blas_threads"] is None
 
+    @pytest.mark.parametrize("lean, stated", [
+        ({"variant": "burgers"},
+         {"variant": "burgers", "nu": 0.01,
+          "grf": {"scale": 1000.0, "shift": 9.0, "power": 3, "n_modes": 32}}),
+        ({"variant": "laplace_triangle", "grf": {"n_modes": 8}},
+         {"variant": "laplace_triangle",
+          "grf": {"scale": 10.0 ** 1.5, "shift": 100.0, "power": 3, "n_modes": 8}}),
+    ], ids=["burgers", "laplace"])
+    def test_problem_defaults_are_part_of_the_experiment(self, lean, stated):
+        """Configs that differ only in a stated problem default are one
+        experiment, and the manifest records it (``dataclasses.asdict``)."""
+        base = {"experiment": "e", "tasks": {"n_tasks": 3, "n_pretrain": 2}}
+        a = cli.read_experiment(dict(base, problem=lean), None)
+        b = cli.read_experiment(dict(base, problem=stated), None)
+        assert a == b and a.problem == stated
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
     def test_config_is_the_experiment_after_defaults(self, tmp_path):
         train = {"lr0": 1e-3, "total_iters": 2, "M_r": 8, "M_bc": 2}
         lean = {"experiment": "lean", "problem": {"variant": "ode_shift"},
@@ -193,7 +210,8 @@ class TestManifest:
                 "finetune": train, "baseline": {"meta": {"meta_iters": 1}}}
         train_defaults = dict(train, lambda_bc=1.0, inv_sigma2=1e-4, eval_every=10,
                               seed=0, clip_grad_norm=None)
-        full = dict(lean, tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 0},
+        full = dict(lean, problem={"variant": "ode_shift", "eta_range": [0.0, 2.0]},
+                    tasks={"n_tasks": 3, "n_pretrain": 2, "seed": 0},
                     reference={"nx": 256, "nt": 50, "which": "s2"},
                     network={"latent_dim": 0, "hidden_layers": 4, "width": 64,
                              "first_layer_omega": 30.0},
@@ -211,6 +229,7 @@ class TestManifest:
             return read_json(out / "manifest.json")["config"]
 
         assert config(full) == config(lean)
+        assert config(lean)["problem"] == full["problem"]
         seeded = config(lean, "--seed", "5")
         assert sorted(seeded) == sorted(f.name for f in
                                         dataclasses.fields(cli.Experiment))
@@ -795,6 +814,32 @@ class TestConfigErrorsLeaveNoDirectory:
         # a section the command does not use is checked all the same
         ("eval", {}, ["pretrain.lr0=-1"],
          ["bad pretrain settings", "lr0 must be positive"]),
+        # a non-finite number is refused in every section, before it reaches
+        # training as a "non-finite loss"
+        ("pretrain", {}, ["pretrain.lr0=NaN"],
+         ["bad pretrain settings", "pretrain.lr0 must be a finite number, got nan"]),
+        ("pretrain", {}, ["pretrain.inv_sigma2=Infinity"],
+         ["bad pretrain settings",
+          "pretrain.inv_sigma2 must be a finite number, got inf"]),
+        ("finetune", {}, ["finetune.lambda_bc=-Infinity"],
+         ["bad finetune settings",
+          "finetune.lambda_bc must be a finite number, got -inf"]),
+        ("pretrain", {}, ["network.first_layer_omega=NaN"],
+         ["bad network settings", "network.first_layer_omega must be a finite number"]),
+        ("baseline reptile", META, ["baseline.meta.inner_lr=NaN"],
+         ["bad baseline.meta settings",
+          "baseline.meta.inner_lr must be a finite number"]),
+        ("baseline reptile", META, ["baseline.meta.eps0=Infinity"],
+         ["bad baseline.meta settings", "baseline.meta.eps0 must be a finite number"]),
+        # problem values and the latent start are checked by every command
+        ("pretrain", {}, ["problem.eta_range=abc"],
+         ["bad problem settings", "problem.eta_range must be [low, high], got 'abc'"]),
+        ("pretrain", {}, ["problem.eta_range=[0, NaN]"],
+         ["bad problem settings", "problem.eta_range must be a finite number, got nan"]),
+        ("pretrain", {}, ["finetune.init_strategy=closest"],
+         ["latent init strategy 'closest'", "finetune.init_strategy"]),
+        ("baseline reptile", META, ["finetune.init_strategy=closest"],
+         ["latent init strategy 'closest'", "finetune.init_strategy"]),
     ], ids=["top_level_number", "set_below_a_name", "experiment_number",
             "pretrain_number", "finetune_eval_number", "baseline_eval_number",
             "eval_eval_number", "eval_points_not_a_number", "misspelt_problem_key",
@@ -804,7 +849,9 @@ class TestConfigErrorsLeaveNoDirectory:
             "total_iters_not_an_integer", "seed_not_an_integer",
             "meta_iters_not_an_integer", "anneal_eps_number", "init_strategy_number",
             "negative_clip", "zero_clip", "zero_meta_batch", "negative_meta_batch",
-            "unused_section"])
+            "unused_section", "nan_lr0", "infinite_inv_sigma2", "infinite_lambda_bc",
+            "nan_omega", "nan_inner_lr", "infinite_eps0", "eta_range_not_a_list",
+            "nan_eta_range", "init_strategy_pretrain", "init_strategy_baseline"])
     def test_malformed_config(self, ode_setup, checkpoint, capsys, command, config,
                               overrides, words):
         _, tasks_dir, tmp_path = ode_setup

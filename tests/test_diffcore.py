@@ -286,12 +286,14 @@ class TestSineKernel:
     def test_tape_and_plain_paths_share_the_kernel(self):
         v = np.random.default_rng(5).normal(size=(4, 3)) * 3.0
         s_ref, c_ref = dc.sincos_array(v)
-        s, c = dc.sincos(Tape().constant(v))
-        assert (s.op, c.op) == ("sin", "cos")
-        for got, want in ((s.value, s_ref), (c.value, c_ref),
-                          (dc.sin(Tape().constant(v)).value, s_ref),
+        assert dc.sin(Tape().constant(v)).op == "sin"
+        assert dc.cos(Tape().constant(v)).op == "cos"
+        y, c_out = v.copy(), np.empty_like(v)
+        s, c = dc.sincos_array(y, out=(y, c_out))  # sin over its own input
+        assert s is y and c is c_out
+        for got, want in ((dc.sin(Tape().constant(v)).value, s_ref),
                           (dc.cos(Tape().constant(v)).value, c_ref),
-                          *zip(dc.sincos(v), (s_ref, c_ref)),
+                          (s, s_ref), (c, c_ref),
                           (dc.sin(v), s_ref), (dc.cos(v), c_ref)):
             np.testing.assert_array_equal(got, want)
 
@@ -307,8 +309,7 @@ class TestSincos:
 
         tape = Tape()
         x = tape.constant(v)
-        s, c = dc.sincos(x)
-        y = dc.add(dc.vsum(dc.mul(s, ws)), dc.vsum(dc.mul(c, wc)))
+        y = dc.add(dc.vsum(dc.mul(dc.sin(x), ws)), dc.vsum(dc.mul(dc.cos(x), wc)))
         (g,) = tape.gradient(y, [x])
         h = 1e-6
         fd = np.zeros_like(v)
@@ -317,6 +318,39 @@ class TestSincos:
             e[i] = h
             fd[i] = (f(v + e) - f(v - e)) / (2 * h)
         np.testing.assert_allclose(g, fd, rtol=1e-7, atol=1e-9)
+
+
+class TestFusedNode:
+    """``fused`` records one node whose one backward call serves every
+    parent; ``take`` reads one slot of a stacked value."""
+
+    def test_one_backward_call_serves_every_parent(self):
+        tape = Tape()
+        a, b = tape.constant(np.arange(3.0)), tape.constant(np.ones(2))
+        calls = []
+
+        def backward(g):
+            calls.append(g.copy())
+            return [2.0 * g[0], g[1, :2]]
+
+        out = dc.fused("pair", np.stack([np.arange(3.0), np.ones(3)]), [a, b], backward)
+        y = dc.vsum(dc.mul(out, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])))
+        ga, gb = tape.gradient(y, [a, b])
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ga, [2.0, 4.0, 6.0])
+        np.testing.assert_array_equal(gb, [4.0, 5.0])
+        assert all(node.vjps == () for node in tape.nodes)
+
+    def test_take_is_a_view_whose_adjoint_fills_its_slot(self):
+        tape = Tape()
+        x = tape.constant(np.arange(12.0).reshape(3, 2, 2))
+        parts = [dc.take(x, i) for i in (2, 0)]
+        assert all(np.shares_memory(p.value, x.value) for p in parts)
+        np.testing.assert_array_equal(parts[0].value, x.value[2])
+        y = dc.add(dc.vsum(parts[0]), dc.vsum(dc.mul(parts[1], 3.0)))
+        (g,) = tape.gradient(y, [x])
+        np.testing.assert_array_equal(g, [np.full((2, 2), 3.0), np.zeros((2, 2)),
+                                          np.ones((2, 2))])
 
 
 class TestTapeLifetime:

@@ -243,6 +243,133 @@ def max_rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+# (encoding, input_dim, orders, latent_dim, trainable weights) of the network
+# node's uses: pre-training and MAD-LM, MAD-L (frozen weights, latent only),
+# PINN training (no latent), the value-only boundary pass, and second
+# derivatives whose first-layer input is a structural zero (Laplace's
+# identity encoding, the ODE's unit_pi)
+NODE_CASES = {
+    "pretrain": ("periodic_x", 2, {0: 2, 1: 1}, 4, True),
+    "mad_l": ("periodic_x", 2, {0: 2, 1: 1}, 4, False),
+    "pinn": ("unit_pi", 1, {0: 1}, 0, True),
+    "boundary": ("periodic_x", 2, {}, 4, True),
+    "zero_d2_laplace": ("identity", 2, {0: 2, 1: 2}, 4, True),
+    "zero_d2_unit_pi": ("unit_pi", 1, {0: 2}, 4, False),
+}
+# at width 64 a block holds 512 rows: 1100 rows are two blocks and a ragged
+# one of 76, and the last of 1025 rows would be one row, so it joins the
+# block before it
+ROWS = (1, 1025, 1100)
+
+
+def node_setup(case, rows, seed=0):
+    encoding, input_dim, orders, latent, trainable = NODE_CASES[case]
+    cfg = NetworkConfig(input_dim=input_dim, latent_dim=latent, hidden_layers=3,
+                        width=64, first_layer_omega=3.0, input_encoding=encoding)
+    rng = np.random.default_rng([seed, rows])
+    x = rng.uniform(-1.0, 1.0, (rows, input_dim))
+    z_rows = rng.normal(0.0, 0.3, (rows, latent)) if latent else None
+    return cfg, net.init_siren(cfg, seed), x, z_rows, orders, trainable
+
+
+def node_parts(cfg, params, x, z_rows, orders, trainable):
+    """The node's output channels (value, then d1 and d2 per direction),
+    its tape, and the Vars it differentiates: the weight leaves when
+    ``trainable``, then the latent rows."""
+    tape = Tape()
+    weights = net.stage_network(tape, params, trainable)
+    z = tape.constant(z_rows, "z") if cfg.latent_dim else None
+    jets = net.jet_forward(cfg, weights, x, z, orders)
+    parts = [next(iter(jets.values())).val]
+    for j in jets.values():
+        parts += [p for p in (j.d1, j.d2) if p is not None and not dc._is_zero(p)]
+    wrt = [v for pair in weights for v in pair] if trainable else []
+    return parts, tape, wrt + ([z] if z is not None else [])
+
+
+def reference_parts(params, x, z_rows, orders):
+    """The same channels in plain numpy, every layer over the whole batch at
+    once, with the arithmetic of the ``dc.jet_sin`` chain."""
+    cfg = params.config
+    h = net.encode(cfg, x) if z_rows is None else np.concatenate(
+        [net.encode(cfg, x), z_rows], axis=1)
+    chans = []
+    for d, order in orders.items():
+        e1, e2 = net.encode_jets(cfg, x, d)
+        chans.append((e1, e2 if order == 2 else None))
+    layers = params.layers()
+    for li, (W, b) in enumerate(layers):
+        a = h @ W + b
+        lin = [(d1 @ W, d2 if d2 is None or dc._is_zero(d2) else d2 @ W)
+               for d1, d2 in chans]
+        if li == len(layers) - 1:
+            h, chans = a, lin
+            break
+        s, c = dc.sincos_array(a)
+        h = s
+        chans = [(c * p1, None if p2 is None else
+                  -(s * (p1 * p1)) if dc._is_zero(p2) else c * p2 - s * (p1 * p1))
+                 for p1, p2 in lin]
+    return [h] + [p for pair in chans for p in pair if p is not None]
+
+
+class TestNetworkNode:
+    """``jet_forward`` is one tape node swept in row blocks."""
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("case", sorted(NODE_CASES))
+    def test_channels_equal_the_unblocked_reference(self, case, rows):
+        cfg, params, x, z_rows, orders, trainable = node_setup(case, rows)
+        parts, tape, _ = node_parts(cfg, params, x, z_rows, orders, trainable)
+        ops = [node.op for node in tape.nodes]
+        assert ops.count("network") == 1
+        assert not {"sin", "cos", "matmul", "mul"} & set(ops)
+        ref = reference_parts(params, x, z_rows, orders)
+        assert len(parts) == len(ref)
+        for got, want in zip(parts, ref):
+            np.testing.assert_array_equal(got.value, want)
+        np.testing.assert_array_equal(parts[0].value, net.forward(params, x, z_rows))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("case", sorted(NODE_CASES))
+    def test_gradients_match_central_differences(self, case, rows):
+        """Along three random directions of every differentiated block."""
+        cfg, params, x, z_rows, orders, trainable = node_setup(case, rows, seed=1)
+        parts, tape, wrt = node_parts(cfg, params, x, z_rows, orders, trainable)
+        rng = np.random.default_rng(rows)
+        R = [rng.normal(size=p.value.shape) for p in parts]
+        total = 0.0
+        for r, p in zip(R, parts):
+            total = dc.add(total, dc.vsum(dc.mul(r, p)))
+        grads = tape.gradient(total, wrt)
+        g = np.concatenate([gr.ravel() for gr in grads])
+
+        P = params.flat.size if trainable else 0
+        w0 = np.concatenate([params.flat[:P], (z_rows.ravel() if cfg.latent_dim
+                                               else np.zeros(0))])
+
+        def loss(w):
+            flat = np.concatenate([w[:P], params.flat[P:]]) if trainable else params.flat
+            z = w[P:].reshape(z_rows.shape) if cfg.latent_dim else None
+            ref = reference_parts(net.ModelParams(flat, cfg), x, z, orders)
+            return sum(float(np.sum(r * p)) for r, p in zip(R, ref))
+
+        h = 1e-6
+        for _ in range(3):
+            v = rng.normal(size=w0.size)
+            fd = (loss(w0 + h * v) - loss(w0 - h * v)) / (2 * h)
+            np.testing.assert_allclose(g @ v, fd, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("case", sorted(NODE_CASES))
+    def test_parents_are_the_vars_alone(self, case):
+        """Frozen weights are no parents of the node, so MAD-L's sweep forms
+        no weight gradient; a plain latent is none either."""
+        cfg, params, x, z_rows, orders, trainable = node_setup(case, 5)
+        _, tape, wrt = node_parts(cfg, params, x, z_rows, orders, trainable)
+        (node,) = [n for n in tape.nodes if n.op == "network"]
+        assert node.parents == tuple(v.idx for v in wrt)
+
+
 class TestSineJets:
     def test_value_only_pass_records_no_cos_or_neg(self):
         cfg = small_cfg(hidden_layers=3)
@@ -253,34 +380,53 @@ class TestSineJets:
         weights = net.stage_network(tape, params)
         out = net.jet_forward(cfg, weights, x, tape.constant(z), {})[None]
         ops = [node.op for node in tape.nodes]
-        assert ops.count("sin") == cfg.hidden_layers
+        assert ops.count("network") == 1
         assert "cos" not in ops and "neg" not in ops
-        np.testing.assert_allclose(out.val.value, net.forward(params, x, z),
-                                   rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(out.val.value, net.forward(params, x, z))
 
     def test_matches_generic_jet_sin_with_two_second_order_directions(self):
+        """The node against the same network built from ``dc.jet_sin`` and
+        tape ops: the jets, and the gradients of a weighted sum of them over
+        the weights and the latent, over three blocks."""
+        cfg = NetworkConfig(input_dim=2, latent_dim=3, hidden_layers=3, width=64,
+                            first_layer_omega=3.0, input_encoding="periodic_x")
+        params = net.init_siren(cfg, 8)
         rng = np.random.default_rng(8)
-        values = [2.0 * rng.normal(size=(6, 5))] + [rng.normal(size=(6, 5))
-                                                   for _ in range(4)]
-        weights = rng.normal(size=(2, 3, 6, 5))
+        x = rng.uniform(0.0, 1.0, (1100, 2))
+        z = rng.normal(0.0, 0.3, (1100, 3))
+        orders = {0: 2, 1: 2}  # direction 1's second derivative enters as a zero
+        R = rng.normal(size=(5, 1100, 1))
 
-        def on_a_tape(sine_jets):
-            """The two jets' sines, and the gradient of a weighted sum of
-            their channels over the jets' leaves, on a tape of its own."""
+        def generic(cfg, weights, x, z_rows, orders):
+            val = dc.concat_cols([net.encode(cfg, x), z_rows])
+            jets = []
+            for d in orders:
+                e1, e2 = net.encode_jets(cfg, x, d)
+                jets.append(Jet2(val, e1, e2))
+            for li, (W, b) in enumerate(weights):
+                lin = dc.add(dc.matmul(jets[0].val, W), b)
+                jets = [Jet2(lin, dc.matmul(j.d1, W),
+                             j.d2 if dc._is_zero(j.d2) else dc.matmul(j.d2, W))
+                        for j in jets]
+                if li < len(weights) - 1:
+                    jets = [dc.jet_sin(j) for j in jets]
+            return dict(zip(orders, jets))
+
+        def on_a_tape(forward):
             tape = Tape()
-            val, *leaves = wrt = [tape.constant(v) for v in values]
-            jets = sine_jets([Jet2(val, leaves[0], leaves[1]),
-                              Jet2(val, leaves[2], leaves[3])])
+            weights = net.stage_network(tape, params)
+            z_rows = tape.constant(z)
+            jets = forward(cfg, weights, x, z_rows, orders)
+            parts = [jets[0].val] + [p for j in jets.values() for p in (j.d1, j.d2)]
             total = 0.0
-            for w, j in zip(weights, jets):
-                for wk, part in zip(w, (j.val, j.d1, j.d2)):
-                    total = dc.add(total, dc.vsum(dc.mul(wk, part)))
-            return jets, tape.gradient(total, wrt)
+            for r, p in zip(R, parts):
+                total = dc.add(total, dc.vsum(dc.mul(r, p)))
+            wrt = [v for pair in weights for v in pair] + [z_rows]
+            return [p.value for p in parts], tape.gradient(total, wrt)
 
-        fused, g_fused = on_a_tape(net._sine_jets)
-        generic, g_generic = on_a_tape(lambda pre: [dc.jet_sin(j) for j in pre])
-        for a, b in zip(fused, generic):
-            for pa, pb in ((a.val, b.val), (a.d1, b.d1), (a.d2, b.d2)):
-                assert max_rel(pa.value, pb.value) <= 1e-12
-        for a, b in zip(g_fused, g_generic):
+        node, g_node = on_a_tape(net.jet_forward)
+        chain, g_chain = on_a_tape(generic)
+        for a, b in zip(node, chain):
+            assert max_rel(a, b) <= 1e-12
+        for a, b in zip(g_node, g_chain):
             assert max_rel(a, b) <= 1e-12

@@ -1,3 +1,4 @@
+import re
 import json
 
 import numpy as np
@@ -301,3 +302,40 @@ class TestTaskJsonErrors:
         with pytest.raises(ProblemError) as info:
             problems.task_from_json(d)
         assert all(w in str(info.value) for w in words), str(info.value)
+
+
+class TestCheckSettings:
+    """Each family checks its ``problem`` settings and fills in its defaults."""
+
+    @pytest.mark.parametrize("cls, problem, settings", [
+        (OdeShiftTask, {}, {"eta_range": [0.0, 2.0]}),
+        (OdeShiftTask, {"eta_range": [1, 3]}, {"eta_range": [1.0, 3.0]}),
+        (BurgersTask, {}, {"nu": 0.01, "grf": {"scale": 1000.0, "shift": 9.0,
+                                                "power": 3, "n_modes": 32}}),
+        (BurgersTask, {"nu": 0.1, "grf": {"n_modes": 8}},
+         {"nu": 0.1, "grf": {"scale": 1000.0, "shift": 9.0, "power": 3, "n_modes": 8}}),
+        (LaplaceTriangleTask, {}, {"grf": {"scale": LAPLACE_GRF.scale, "shift": 100.0,
+                                           "power": 3, "n_modes": 16}}),
+    ], ids=["ode", "ode_given", "burgers", "burgers_given", "laplace"])
+    def test_defaults_filled_in(self, cls, problem, settings):
+        assert cls.check_settings(problem) == settings
+        # the completed settings build the same tasks as the lean ones
+        full = cls.check_settings(problem)
+        a, b = cls.build(problem, 3, 4), cls.build(full, 3, 4)
+        assert [t.to_json() for t in a] == [t.to_json() for t in b]
+
+    @pytest.mark.parametrize("cls, problem, words", [
+        (OdeShiftTask, {"eta_range": "abc"}, "problem.eta_range must be [low, high]"),
+        (OdeShiftTask, {"eta_range": [0.0, float("inf")]}, "must be a finite number"),
+        (BurgersTask, {"nu": 0.0}, "problem.nu must be positive"),
+        (BurgersTask, {"nu": float("nan")}, "problem.nu must be a finite number"),
+        (BurgersTask, {"nu": True}, "problem.nu must be a finite number"),
+        (BurgersTask, {"grf": {"n_modes": 8.5}},
+         "problem.grf.n_modes must be a finite integer"),
+        (BurgersTask, {"grf": {"scale": -1.0}}, "bad problem.grf settings"),
+        (LaplaceTriangleTask, {"grf": 3}, "problem.grf must be an object"),
+    ], ids=["eta_range_text", "eta_range_infinite", "nu_zero", "nu_nan", "nu_bool",
+            "n_modes_fraction", "negative_scale", "grf_number"])
+    def test_bad_settings(self, cls, problem, words):
+        with pytest.raises(problems.ProblemError, match=re.escape(words)):
+            cls.check_settings(problem)

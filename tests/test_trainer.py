@@ -270,3 +270,12 @@ class TestProbeLoss:
         probe = trainer.probe_loss(task, params, z, cfg)
         assert probe == frozen
         assert tapes and all(len(t) == 0 for t in tapes)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("lr0", "lr0 must be positive"), ("inv_sigma2", "inv_sigma2 must be >= 0"),
+    ("clip_grad_norm", "clip_grad_norm must be > 0")])
+def test_train_config_rejects_nan(field, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{"lr0": 1e-3, "total_iters": 1, "M_r": 2, "M_bc": 1,
+                       field: float("nan")})
