@@ -3,12 +3,13 @@ per-task latent codes, then solve new tasks by optimizing the latent alone
 (latent-only mode, frozen weights) or jointly with the weights
 (latent+model mode, warm-started from the pre-trained weights).
 
-All three run ``trainer.optimize``.  When the weights train (pre-training;
+All three run ``trainer.optimize``, whose steps stack the tasks in groups
+of ``trainer.task_groups``, one tape per group, so that a step's memory does
+not grow with the task count.  When the weights train (pre-training;
 latent+model mode, one task at a time on its own copy), the tasks form one
 problem.  Over frozen weights each task is its own problem and only another
 latent, so latent-only fine-tuning takes all the tasks of one family at once
-(``finetune_L_batch``), and ``trainer.task_groups`` decides which of them
-share a tape.
+(``finetune_L_batch``).
 """
 
 from __future__ import annotations
@@ -211,11 +212,13 @@ def finetune_L_batch(checkpoint: Checkpoint, tasks: Sequence[Task], Z0: np.ndarr
                      labels: Sequence[str], record_snapshots: bool = False
                      ) -> tuple[np.ndarray, list[ConvergenceRecord]]:
     """Latent-only fine-tuning of several tasks of one family at once.  A
-    step stacks the collocation points of each group of tasks
+    step stacks the collocation points of each group of at most
+    ``GROUP_ELEMENTS // hidden_values([task])`` tasks
     (``trainer.task_groups``) row-wise, one forward and one reverse sweep
-    per group, so each task's latent, record and errors are bit for bit
-    those of a run over its group alone, and those of ``finetune_L`` on it
-    alone up to the rounding of BLAS calls whose row count changes."""
+    per group, the groups in turn, so each task's latent, record and errors
+    are bit for bit those of a run over its group alone, and those of
+    ``finetune_L`` on it alone up to the rounding of BLAS calls whose row
+    count changes."""
     _, Z, records = _finetune(checkpoint, tasks, Z0, train_cfg, eval_grids,
                               tune_theta=False, labels=labels,
                               want_snapshots=record_snapshots)

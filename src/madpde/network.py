@@ -20,10 +20,11 @@ Measured on a 2-CPU AVX-512 Xeon with 2 MB of L2 per core, at that shape:
 * one 5-task group's loss and gradient, BLAS on one thread: 50-52 ms
   against 65-67 ms on the per-op tape; by block size, 46-50 ms at 128
   rows, 52-55 at 512 and 60-66 ms unblocked;
-* the step of two such groups at once (``trainer``): 71 ms against 89 ms
-  on the per-op tape; by block size, 96-97 ms at 128 rows, 79-80 at 256,
-  74-75 at 512, 77 at 1024 and 78-82 unblocked.  Two threads share one
-  interpreter, and small blocks spend more of their time in it.
+* the step of two such groups at once: 71 ms against 89 ms on the per-op
+  tape; by block size, 96-97 ms at 128 rows, 79-80 at 256, 74-75 at 512,
+  77 at 1024 and 78-82 unblocked.  Two threads share one interpreter, and
+  small blocks spend more of their time in it.  A ``trainer`` step now
+  runs one task per group, five on each thread, in the same time.
 
 The blocks change no bit of the outputs: every block but the last holds a
 multiple of 64 rows, and the OpenBLAS that numpy ships then computes each

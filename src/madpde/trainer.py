@@ -15,38 +15,43 @@ reductions deterministic and the BLAS calls large.
 Every iteration draws a fresh batch for every task, and one rule,
 ``task_groups``, decides how the tasks of its steps share tapes, from one
 constant: ``GROUP_ELEMENTS`` values in one hidden layer (``hidden_values``).
-One call solves each group: it assembles the group's loss on its own tape,
+Whether the weights train or not, a step stacks consecutive groups of
+k = max(1, GROUP_ELEMENTS // hidden_values([task])) tasks (one at the
+``burgers_pretrain`` shape, all six at the ``ode_pipeline`` shape).  One
+call solves each group: it assembles the group's loss on its own tape,
 sweeps it once (a tape takes one sweep) and returns plain arrays, so the
-tape is gone before the next group in turn is assembled.  The weight
+tape is gone before the next group on its thread is assembled, and a
+step's memory does not grow with its task count.  The totals and weight
 gradients are summed in group order, and the latent gradients and per-task
 losses concatenated.
 
 When the weights train, the stacked tasks are one problem, with one
 divergence guard and one gradient clip, which ``optimize`` applies once
 every group is solved.  A step whose every half holds more than
-``GROUP_ELEMENTS`` values is computed as two groups, ``tasks[:N//2]`` and
-``tasks[N//2:]``, which run at once, one on a persistent worker thread and
-one on the caller, while BLAS is pinned to one thread: BLAS runs only
+``GROUP_ELEMENTS`` values runs its halves apart: the groups of
+``tasks[:N//2]`` on a persistent worker thread and those of ``tasks[N//2:]``
+on the caller, at once, while BLAS is pinned to one thread.  BLAS runs only
 the GEMMs on two threads, and the rest of a step (the elementwise passes of
 the jets and of the reverse sweep, and the Python work per tape node) runs
-on the thread that records the tape, so one tape leaves the second CPU idle
-outside GEMMs.  At the ``burgers_pretrain`` shape two groups at once took
-69-77 ms per step against 89-117 ms on one tape, and 99-109 ms in turn
-(``tools/bench_hotpath.py --table-only``, 2 processes, 2 CPUs; on the
-per-op tape, before ``network.jet_forward`` became one node, 91 against
-129-156 ms), and two groups with BLAS on two threads ran slower than one
-after the other.  BLAS's GEMMs round differently on one thread
-than on two, so where one CPU is usable the groups run in turn on the
-caller, still pinned, and give the same outputs.  Where the BLAS thread
-count cannot be set (``diffcore.BLAS_THREADS``), and for smaller steps, a
-step is one group.
+on the thread that records the tape, so one thread leaves the second CPU
+idle outside GEMMs.  Each half's results are summed in group order, then
+the two halves', so the outputs do not depend on the thread a group ran
+on; BLAS's GEMMs round differently on one thread than on two, so where one
+CPU is usable the halves run in turn on the caller, still pinned.  Where
+the BLAS thread count cannot be set (``diffcore.BLAS_THREADS``), and for
+smaller steps, the groups run in turn with BLAS as it is.
+
+At the ``burgers_pretrain`` shape (10 tasks), one task per group with the
+halves at once took 62 ms per step, as two 5-task groups at once did,
+against 94 ms on one tape and 101-113 ms in turn (``tools/bench_hotpath.py
+--table-only``, 2 CPUs); the peak RSS of four iterations of
+``mad.pretrain`` read 58.0 MB with 10 tasks and 58.8 MB with 40, against
+125.8 and 385.2 MB when each half was one tape.
 
 Over frozen weights each task is its own problem, with its own guard and
-clip, and only another latent, so a step stacks consecutive groups of
-k = max(1, GROUP_ELEMENTS // hidden_values([task])) tasks.  They run in turn
-on the caller with BLAS as it is, so a step holds one tape at a time, and
-``optimize`` runs every task's guard once all are solved.  A task's outputs
-are those of its group run alone.
+clip, and only another latent.  The groups run in turn on the caller with
+BLAS as it is, and ``optimize`` runs every task's guard once all are
+solved.  A task's outputs are those of its group run alone.
 """
 
 from __future__ import annotations
@@ -242,25 +247,21 @@ def _assemble(tasks, batches, params, Z, cfg, trainable_theta: bool,
                      z_in if trainable_z else None, per_task)
 
 
-# The one batching constant, in values of one hidden layer.  A pre-training
-# step runs as two task groups when each half holds more: on 2 CPUs
-# ("crossover" in BENCH_hotpath.json, 3 processes) two groups took 0.61-0.97
-# of one tape's step time at every Burgers and ODE shape from 132k values per
-# half up, and 0.89-1.29 at 32k-83k, where some shapes were slower in every
-# process.  A frozen-weight group stacks at most this many, unless one task
-# alone holds more: stacked held-out tasks took 0.63-0.87 of the per-task
-# step time of one at a time up to 107,520 values (ODE, width 32, 128-512
-# rows; Burgers, width 64, 4 x 120 rows), and 0.999-1.02 from 134,400 up
-# (Burgers, 2 x 300 and 600 rows).  Re-measured with the tangent sine kernel
-# of ``diffcore`` (2 processes each): two groups took 0.67-1.13 of one tape
-# from 132k values per half up (0.67 at the burgers_pretrain shape, 672k) and
-# 0.92-1.49 at 32k-83k; held-out Burgers tasks (width 64, M_r 100, M_bc 20,
-# 26,880 values each) stacked 2, 4 and 8 at a time took 0.81-0.82, 0.71-0.72
-# and 0.73-0.75 of the per-task time of one at a time, and at M_r 300,
-# M_bc 100 (83,200 values each) 0.99-1.16.  All of these were measured on the
-# per-op tape, before ``network.jet_forward`` became one node; with the node,
-# the crossover table of ``tools/bench_hotpath.py --table-only`` (2 processes)
+# The one batching constant, in values of one hidden layer.  A group holds
+# at most GROUP_ELEMENTS // hidden_values([task]) tasks (at least one), and a
+# pre-training step runs its halves apart when each holds more.  Halves at
+# once: on 2 CPUs ("crossover" in BENCH_hotpath.json, 3 processes) two groups
+# took 0.61-0.97 of one tape's step time at every Burgers and ODE shape from
+# 132k values per half up, and 0.89-1.29 at 32k-83k, where some shapes were
+# slower in every process; with ``network.jet_forward`` as one node the
+# crossover table of ``tools/bench_hotpath.py --table-only`` (2 processes)
 # read 0.89-1.5 at 32k-83k values per half and 0.72-1.05 from 132k up.
+# Stacking: frozen-weight tasks stacked took 0.63-0.87 of the per-task step
+# time of one at a time up to 107,520 values (ODE, width 32, 128-512 rows;
+# Burgers, width 64, 4 x 120 rows), and 0.999-1.02 from 134,400 up (Burgers,
+# 2 x 300 and 600 rows), on the per-op tape.  With the halves apart, one
+# Burgers task per group took the step time of two 5-task groups at the
+# burgers_pretrain shape (module docstring).
 GROUP_ELEMENTS = 1 << 17
 
 
@@ -421,29 +422,38 @@ def _one_blas_thread():
                 put(_pin_before)
 
 
+def _halves_apart(tasks: Sequence[Task], cfg: TrainConfig, width: int,
+                  tune_theta: bool) -> bool:
+    """Whether a step runs ``tasks[:N//2]`` and ``tasks[N//2:]`` apart, with
+    BLAS pinned to one thread (module docstring)."""
+    return (tune_theta and dc.BLAS_THREADS is not None
+            and hidden_values(tasks[:len(tasks) // 2], cfg, width) > GROUP_ELEMENTS)
+
+
 def task_groups(tasks: Sequence[Task], cfg: TrainConfig, width: int,
                 tune_theta: bool) -> list[slice]:
-    """The task groups of every step of ``optimize`` (module docstring)."""
+    """The task groups of every step of ``optimize``: consecutive groups of
+    k = max(1, GROUP_ELEMENTS // hidden_values([task])) tasks, of each half
+    where the halves run apart, else of all ``tasks`` (module docstring)."""
     N = len(tasks)
-    if not tune_theta:
-        k = max(1, GROUP_ELEMENTS // hidden_values(tasks[:1], cfg, width))
-        return [slice(a, a + k) for a in range(0, N, k)]
-    half = N // 2
-    if (dc.BLAS_THREADS is not None
-            and hidden_values(tasks[:half], cfg, width) > GROUP_ELEMENTS):
-        return [slice(0, half), slice(half, N)]
-    return [slice(0, N)]
+    k = max(1, GROUP_ELEMENTS // hidden_values(tasks[:1], cfg, width))
+    cuts = [0, N // 2, N] if _halves_apart(tasks, cfg, width, tune_theta) else [0, N]
+    return [slice(a, min(a + k, stop))
+            for start, stop in zip(cuts, cuts[1:]) for a in range(start, stop, k)]
 
 
 def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice]):
     """(total, per-task losses, d/d theta_flat, d/d Z) of one step over the
     task ``groups``, None for a frozen block.  One call solves each group:
     it assembles the group's loss on its own tape, sweeps it and returns
-    plain arrays, so the tape is freed before the next group in turn is
-    assembled.  Two groups over trainable weights run with BLAS pinned to
-    one thread (``diffcore.BLAS_THREADS`` must be set), at once where two
-    CPUs are usable, else in turn; other groups run in turn with BLAS as it
-    is."""
+    plain arrays, so a group's tape is freed before the next group on its
+    thread is assembled.  Where the halves run apart (``_halves_apart``)
+    and there are several groups, BLAS is pinned to one thread, and the
+    groups that end by ``N//2`` run on the worker thread while the others
+    run on the caller, at once where two CPUs are usable, else in turn;
+    other groups run in turn with BLAS as it is.  Each half's results are
+    summed in group order, then the two halves', so the outputs do not
+    depend on which thread ran a group."""
 
     def solve(g):
         try:
@@ -456,24 +466,38 @@ def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice])
             raise
         return (loss.breakdown.total, loss.per_task_loss, *loss.gradients())
 
-    pinned = tune_theta and len(groups) > 1
-    with _one_blas_thread() if pinned else contextlib.nullcontext():
-        if pinned and usable_cpus() > 1:
-            pending = _group_worker().submit(solve, groups[0])
-            try:
-                second = solve(groups[1])
-            finally:
-                # the worker is done before the caller goes on, and its
-                # error (the first group's) wins, as when run in turn
-                first = pending.result()
-            parts = [first, second]
-        else:
-            parts = [solve(g) for g in groups]
-    totals, per_task, g_theta, g_z = zip(*parts)
-    return (sum(totals[1:], totals[0]),  # one group's total as it is
-            np.concatenate(per_task),
-            None if g_theta[0] is None else sum(g_theta[1:], g_theta[0]),
-            None if g_z[0] is None else np.concatenate(g_z))
+    def fold(parts):
+        # totals and weight gradients summed in order, as the parts come, so
+        # that one weight gradient sum per thread is alive
+        parts = iter(parts)
+        total, per_task, g_theta, g_z = next(parts)
+        per_task, g_z = [per_task], [g_z]
+        for t, p, gt, gz in parts:
+            total += t
+            per_task.append(p)
+            if g_theta is not None:
+                g_theta += gt  # a fresh array of the first part's
+            g_z.append(gz)
+        return (total, np.concatenate(per_task), g_theta,
+                None if g_z[0] is None else np.concatenate(g_z))
+
+    half = len(tasks) // 2
+    if len(groups) > 1 and _halves_apart(tasks, cfg, params.config.width, tune_theta):
+        first = [g for g in groups if g.stop <= half]
+        second = [g for g in groups if g.stop > half]
+        with _one_blas_thread():
+            if usable_cpus() > 1:
+                pending = _group_worker().submit(fold, map(solve, first))
+                try:
+                    rest = fold(map(solve, second))
+                finally:
+                    # the worker is done before the caller goes on, and its
+                    # error (an earlier group's) wins, as when run in turn
+                    head = pending.result()
+            else:
+                head, rest = fold(map(solve, first)), fold(map(solve, second))
+        return fold([head, rest])
+    return fold(map(solve, groups))
 
 
 @dataclass

@@ -472,7 +472,7 @@ class TestTapeKeepsWhatItsSweepReads:
     def test_step_peak_memory(self):
         """One step at the ``TestSteadyHeap`` shape: the weakly held node
         values and the sweep that frees closures as it goes bring tracemalloc's peak from
-        20.7 MB down to 13.0 MB."""
+        20.7 MB down to 11.5 MB."""
         rng = np.random.default_rng(5)
         tasks = [problems.BurgersTask(grf.sample_grf(grf.BURGERS_GRF, rng), 0.01)
                  for _ in range(2)]

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -477,8 +478,9 @@ class TestFinetuneBatch:
 
 
 def _grouped_setup(n=2):
-    """Burgers tasks whose every half is just over ``GROUP_ELEMENTS``, so
-    that each pre-training step runs as two task groups."""
+    """Burgers tasks of which one alone holds just over ``GROUP_ELEMENTS``
+    values, so that each pre-training step runs one task per group, with
+    its halves apart."""
     rng = np.random.default_rng(11)
     tasks = [problems.BurgersTask(grf.sample_grf(grf.BURGERS_GRF, rng), 0.01)
              for _ in range(n)]
@@ -509,8 +511,10 @@ needs_blas_setter = pytest.mark.skipif(diffcore.BLAS_THREADS is None,
 
 
 class TestGroupedPretrain:
-    """Large pre-training steps run as two task groups, each on its own
-    tape with BLAS pinned to one thread, at once on two threads where two
+    """Pre-training steps run in groups of ``GROUP_ELEMENTS //
+    hidden_values([task])`` tasks, each on its own tape.  Where each half
+    of the tasks holds more than ``GROUP_ELEMENTS`` values, the halves run
+    apart with BLAS pinned to one thread, at once on two threads where two
     CPUs are usable."""
 
     @needs_blas_setter
@@ -557,29 +561,104 @@ class TestGroupedPretrain:
         monkeypatch.setattr(trainer, "usable_cpus", lambda: 1)
         sizes = _group_sizes(monkeypatch)
         in_turn = mad.pretrain(tasks, net, cfg)
+        # a task alone holds more than GROUP_ELEMENTS values: one per group
         assert sizes == [1, 1] * cfg.total_iters
         assert np.array_equal(together.theta, in_turn.theta)
         assert np.array_equal(together.latents, in_turn.latents)
         assert together.loss_series == in_turn.loss_series
 
+    @needs_blas_setter
+    def test_unequal_halves_give_the_same_bits_on_one_cpu(self, monkeypatch):
+        # five tasks: the worker runs tasks 0 and 1, the caller tasks 2 to 4
+        tasks, net, cfg = _grouped_setup(5)
+        cfg = dataclasses.replace(cfg, total_iters=3)
+        assemble, seen = trainer.assemble_multitask_loss, []
+
+        def watched(step_tasks, *args, **kw):
+            first = next(i for i, t in enumerate(tasks) if t is step_tasks[0])
+            seen.append((first, len(step_tasks),
+                         threading.current_thread() is threading.main_thread()))
+            return assemble(step_tasks, *args, **kw)
+
+        monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
+        together = mad.pretrain(tasks, net, cfg)
+        if trainer.usable_cpus() > 1:
+            assert sorted(seen[:5]) == [(0, 1, False), (1, 1, False), (2, 1, True),
+                                        (3, 1, True), (4, 1, True)]
+        monkeypatch.setattr(trainer, "usable_cpus", lambda: 1)
+        in_turn = mad.pretrain(tasks, net, cfg)
+        assert np.array_equal(together.theta, in_turn.theta)
+        assert np.array_equal(together.latents, in_turn.latents)
+        assert together.loss_series == in_turn.loss_series
+
     @pytest.mark.parametrize("cause", ["at_threshold", "no_blas_setter"])
-    def test_stays_one_group(self, monkeypatch, cause):
-        # without a setter, two unpinned groups would round unlike pinned ones
+    def test_chunks_run_in_turn_unpinned(self, monkeypatch, cause):
+        # at the threshold a half holds just GROUP_ELEMENTS values; without a
+        # setter, unpinned threads would round unlike pinned ones.  Either
+        # way the one-task groups run in turn on the caller, unpinned.
         tasks, net, cfg = _grouped_setup()
         if cause == "at_threshold":
             cfg = dataclasses.replace(cfg, M_r=487)
         if cause == "no_blas_setter":
             monkeypatch.setattr(diffcore, "BLAS_THREADS", None)
+
+        def never():
+            raise AssertionError("the groups must run in turn, unpinned")
+
+        monkeypatch.setattr(trainer, "_group_worker", never)
+        monkeypatch.setattr(trainer, "_one_blas_thread", never)
         sizes = _group_sizes(monkeypatch)
         streams = [np.random.default_rng(i) for i in range(len(tasks))]
         trainer.optimize("training", tasks, streams, network.init_siren(net, 0),
                          np.zeros((len(tasks), net.latent_dim)), cfg)
-        assert sizes == [2] * cfg.total_iters
+        assert sizes == [1, 1] * cfg.total_iters
+
+    def test_groups_follow_the_chunk_rule(self, monkeypatch):
+        # k = GROUP_ELEMENTS // hidden_values([task]) tasks per group: of
+        # each half where the halves run apart, else of all the tasks
+        tasks = [OdeShiftTask(e) for e in np.linspace(0.0, 2.0, 9)]
+        cfg, width = quick_cfg(M_r=100, M_bc=2), 8
+        per_task = trainer.hidden_values(tasks[:1], cfg, width)
+        monkeypatch.setattr(trainer, "GROUP_ELEMENTS", 3 * per_task)
+        every = [slice(0, 3), slice(3, 6), slice(6, 9)]
+        assert trainer.task_groups(tasks, cfg, width, tune_theta=False) == every
+        halves = [slice(0, 3), slice(3, 4), slice(4, 7), slice(7, 9)]
+        assert trainer.task_groups(tasks, cfg, width, tune_theta=True) == (
+            every if diffcore.BLAS_THREADS is None else halves)
+        monkeypatch.setattr(trainer, "GROUP_ELEMENTS", 4 * per_task)  # one half
+        assert trainer.task_groups(tasks, cfg, width, tune_theta=True) == [
+            slice(0, 4), slice(4, 8), slice(8, 9)]
 
     @needs_blas_setter
-    @pytest.mark.parametrize("bad", [0, 2])
-    def test_non_finite_loss_names_task_and_restores_blas(self, monkeypatch, bad):
-        tasks, net, cfg = _grouped_setup(3)  # groups [0] and [1, 2]
+    def test_step_peak_memory_does_not_grow_with_the_tasks(self):
+        # one tape per thread at a time, whatever the task count
+        tasks, net, cfg = _grouped_setup(8)
+        params = network.init_siren(net, 0)
+        rng = np.random.default_rng(5)
+
+        def peak(n):
+            Z = rng.normal(scale=0.1, size=(n, net.latent_dim))
+            batches = [problems.sample_batch(t, cfg.M_r, cfg.M_bc, rng)
+                       for t in tasks[:n]]
+            groups = trainer.task_groups(tasks[:n], cfg, net.width, True)
+            trainer._step(tasks[:n], batches, params, Z, cfg, True, groups)
+            tracemalloc.start()
+            try:
+                trainer._step(tasks[:n], batches, params, Z, cfg, True, groups)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two, eight = peak(2), peak(8)
+        assert eight <= 1.25 * two, (two / 1e6, eight / 1e6)
+
+    @needs_blas_setter
+    @pytest.mark.parametrize("n, bad", [pytest.param(3, 0, id="0"),
+                                        pytest.param(3, 2, id="2"),
+                                        pytest.param(6, 1, id="worker_middle")])
+    def test_non_finite_loss_names_task_and_restores_blas(self, monkeypatch, n, bad):
+        # the worker runs tasks[:n//2], one per group, the caller the rest
+        tasks, net, cfg = _grouped_setup(n)
         sample = problems.sample_batch
 
         def poisoned(task, *args):
@@ -593,7 +672,7 @@ class TestGroupedPretrain:
         with pytest.raises(trainer.TrainingError,
                            match=rf"^pre-training diverged at iteration 0 on "
                                  rf"task {bad + 10}: non-finite loss$"):
-            mad.pretrain(tasks, net, cfg, task_ids=[10, 11, 12])
+            mad.pretrain(tasks, net, cfg, task_ids=list(range(10, 10 + n)))
         assert diffcore.BLAS_THREADS[0]() == before
 
     @needs_blas_setter

@@ -1,7 +1,7 @@
 """Training hot-path benchmark: where a Burgers pre-training step's time goes
-when its tasks run as one group on one tape, or as two task groups in turn
-or at once on two threads, and alternating perfbench pairs of two source
-trees.  Writes ``BENCH_hotpath.json``.
+when its tasks run as one group on one tape, as two task groups or as one
+group per task, in turn or at once on two threads, and alternating
+perfbench pairs of two source trees.  Writes ``BENCH_hotpath.json``.
 
     python3 tools/bench_hotpath.py --parent ../bp --change ../bc \\
         --rounds 3 --pairs burgers_pretrain:1601-1610 --out BENCH_hotpath.json
@@ -19,7 +19,11 @@ modes alternate rep by rep:
 * ``in_turn``: two groups, one after the other on the caller, with BLAS
   pinned to one thread (as where one CPU is usable);
 * ``together``: two groups at once, the first on the worker thread, with
-  BLAS pinned to one thread.
+  BLAS pinned to one thread;
+* ``per_task_in_turn`` and ``per_task``: the groups of
+  ``trainer.task_groups`` (one task each at this shape), in turn on the
+  caller, or at once with the first half's on the worker thread, BLAS
+  pinned to one thread; ``per_task`` is the step ``trainer.optimize`` takes.
 
 For each mode the table gives the step's wall time and, per group and the
 thread it ran on, the wall time of its assembly (forward) and its reverse
@@ -49,7 +53,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_heldout import pairs  # noqa: E402
 
-MODES = ("one_tape", "in_turn", "together")
+MODES = ("one_tape", "in_turn", "together", "per_task_in_turn", "per_task")
 REPS = 8
 # (family, tasks, M_r, M_bc) of the crossover table: Burgers at width 64 x 4,
 # ODE at width 32 x 3 (the ode_pipeline network), latent 16; one half holds
@@ -85,20 +89,27 @@ def _problem(family: str, n: int, m_r: int, m_bc: int):
 def measure_crossover() -> list[dict]:
     """Per shape of ``CROSSOVER_SHAPES``: one half's hidden-layer values and
     the step's wall time on one tape and as two groups at once (this tree,
-    this process), medians over ``REPS`` alternating reps after one warm-up."""
+    this process), medians over ``REPS`` alternating reps after one warm-up.
+    ``trainer.GROUP_ELEMENTS`` is 0 meanwhile, so that the two groups of
+    every shape, however small, run apart."""
     from madpde import trainer
 
     rows = []
     for family, n, m_r, m_bc in CROSSOVER_SHAPES:
         tasks, params, Z, batches, cfg = _problem(family, n, m_r, m_bc)
         ms = {"one_tape": [], "together": []}
-        for rep in range(REPS + 1):
-            for mode in list(ms) if rep % 2 == 0 else list(ms)[::-1]:
-                time.sleep(0.1)  # BLAS's threads stop spinning after the step before
-                t = time.perf_counter()
-                trainer._step(tasks, batches, params, Z, cfg, True, _groups(n, mode))
-                if rep:
-                    ms[mode].append(1e3 * (time.perf_counter() - t))
+        elements, trainer.GROUP_ELEMENTS = trainer.GROUP_ELEMENTS, 0
+        try:
+            for rep in range(REPS + 1):
+                for mode in list(ms) if rep % 2 == 0 else list(ms)[::-1]:
+                    time.sleep(0.1)  # BLAS's threads stop spinning after the step before
+                    t = time.perf_counter()
+                    trainer._step(tasks, batches, params, Z, cfg, True,
+                                  _groups(mode, tasks, cfg, params.config.width))
+                    if rep:
+                        ms[mode].append(1e3 * (time.perf_counter() - t))
+        finally:
+            trainer.GROUP_ELEMENTS = elements
         one, two = (statistics.median(ms[m]) for m in ms)
         rows.append({"family": family, "tasks": n, "M_r": m_r, "M_bc": m_bc,
                      "half_values": trainer.hidden_values(tasks[:n // 2], cfg,
@@ -107,10 +118,15 @@ def measure_crossover() -> list[dict]:
     return rows
 
 
-def _groups(n: int, mode: str) -> list[slice]:
+def _groups(mode: str, tasks, cfg, width: int) -> list[slice]:
     """The task groups of ``trainer._step`` in ``mode``."""
+    from madpde import trainer
+
+    n = len(tasks)
     if mode == "one_tape":
         return [slice(0, n)]
+    if mode.startswith("per_task"):
+        return trainer.task_groups(tasks, cfg, width, True)
     return [slice(0, n // 2), slice(n // 2, n)]
 
 
@@ -146,12 +162,12 @@ def measure_table() -> dict:
     cpus = trainer.usable_cpus
 
     def step(mode):
-        trainer.usable_cpus = (lambda: 1) if mode == "in_turn" else cpus
+        trainer.usable_cpus = (lambda: 1) if mode.endswith("in_turn") else cpus
         phases.clear()
         time.sleep(0.1)  # BLAS's threads stop spinning after the step before
         t = time.perf_counter()
         out = trainer._step(tasks, batches, params, Z, cfg, True,
-                            _groups(len(tasks), mode))
+                            _groups(mode, tasks, cfg, params.config.width))
         ms = 1e3 * (time.perf_counter() - t)
         return ms, list(phases), out
 
@@ -199,8 +215,11 @@ def measure_table() -> dict:
                                "theta_grad": rel(g[2], ref[2]),
                                "z_grad": rel(g[3], ref[3])}
                         for mode, g in grads.items() if mode != "one_tape"},
-        "together_equals_in_turn": all(
-            np.array_equal(a, b) for a, b in zip(grads["together"], grads["in_turn"])),
+        # at once and in turn, for two groups and for the per-task groups
+        "together_equals_in_turn": {
+            split: all(np.array_equal(a, b) for a, b in zip(grads[m], grads[t]))
+            for split, m, t in (("halves", "together", "in_turn"),
+                                ("per_task", "per_task", "per_task_in_turn"))},
     }
 
 

@@ -21,10 +21,12 @@ Steps:
 * ``ode_pretrain`` and ``ode_L``: the same two kinds of step at the
   ``ode_pipeline`` shape (6 tasks, M_r 128, M_bc 2, width 32 x 3, latent 16).
 
-``tape_mb`` is what perfbench's per-layer ``diffcore.tape_mb`` sums, the
-bytes of ``node.value`` over the tape, read before and after the step's
-``TapedLoss.gradients()`` sweep.  ``grad_sha256`` digests the gradients,
-so the two trees can be compared bit for bit.
+A step is ``trainer._step`` over the task groups of ``trainer.task_groups``,
+as ``trainer.optimize`` runs it.  ``tape_mb_before_sweep`` is what
+perfbench's per-layer ``diffcore.tape_mb`` sums, the bytes of ``node.value``
+over a tape, for the largest of the step's group tapes, read when its loss
+is assembled.  ``grad_sha256`` digests the gradients, so the two trees can
+be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -94,23 +96,32 @@ def measure_step(name: str) -> dict:
     elif name == "ode_L":
         grid = evaluation.for_task(held)
 
+    groups = trainer.task_groups(step_tasks, cfg, net.width, trainable)
+    assemble, tapes = trainer.assemble_multitask_loss, []
+
+    def watched(*args, **kw):
+        loss = assemble(*args, **kw)
+        tapes.append(_tape_mb(loss.tape))
+        return loss
+
     def step():
-        loss = trainer.assemble_multitask_loss(step_tasks, batches, params, Z, cfg,
-                                               trainable_theta=trainable)
-        before = _tape_mb(loss.tape)
-        grads = loss.gradients()
-        after = _tape_mb(loss.tape)
+        tapes.clear()
+        trainer.assemble_multitask_loss = watched
+        try:
+            out = trainer._step(step_tasks, batches, params, Z, cfg, trainable, groups)
+        finally:
+            trainer.assemble_multitask_loss = assemble
         if grid is not None:
             evaluation.rel_l2(grid, params, Z[0])
-        return before, after, grads
+        return max(tapes), out[2:]
 
     step()
     tracemalloc.start()
-    before, after, grads = step()
+    tape, grads = step()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return {"tracemalloc_peak_mb": peak / 1e6, "tape_mb_before_sweep": before,
-            "tape_mb_after_sweep": after, "grad_sha256": _digest(*grads)}
+    return {"tracemalloc_peak_mb": peak / 1e6, "groups": len(groups),
+            "tape_mb_before_sweep": tape, "grad_sha256": _digest(*grads)}
 
 
 def fingerprints(seed: int, cycles: int, trace: int) -> dict:
