@@ -586,8 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override every seed in the config")
         sp.add_argument("--workers", type=int, default=1,
-                        help="must be 1, kept for existing scripts: every "
-                             "command runs its tasks one after another")
+                        help="must be 1, kept for existing scripts: how "
+                             "tasks share CPUs is not a setting")
         sp.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",
@@ -631,10 +631,12 @@ _COMMANDS = {
 
 
 def check_workers(args) -> None:
-    """``--workers`` is 1: no command runs its tasks on threads of its own."""
+    """``--workers`` is 1: how tasks share CPUs is not a setting.  Large
+    pre-training steps run half their tasks in a worker process of their
+    own (``trainer``); everything else runs its tasks one after another."""
     if args.workers != 1:
-        raise CliError(f"--workers must be 1, got {args.workers}: every command "
-                       f"runs its tasks one after another")
+        raise CliError(f"--workers must be 1, got {args.workers}: how tasks "
+                       f"share CPUs is not a setting")
 
 
 def main(argv=None) -> int:

@@ -20,11 +20,14 @@ Measured on a 2-CPU AVX-512 Xeon with 2 MB of L2 per core, at that shape:
 * one 5-task group's loss and gradient, BLAS on one thread: 50-52 ms
   against 65-67 ms on the per-op tape; by block size, 46-50 ms at 128
   rows, 52-55 at 512 and 60-66 ms unblocked;
-* the step of two such groups at once: 71 ms against 89 ms on the per-op
-  tape; by block size, 96-97 ms at 128 rows, 79-80 at 256, 74-75 at 512,
-  77 at 1024 and 78-82 unblocked.  Two threads share one interpreter, and
-  small blocks spend more of their time in it.  A ``trainer`` step now
-  runs one task per group, five on each thread, in the same time.
+* the step of two such groups at once on two threads: 71 ms against 89
+  ms on the per-op tape; by block size, 96-97 ms at 128 rows, 79-80 at
+  256, 74-75 at 512, 77 at 1024 and 78-82 unblocked.  The two threads
+  shared one interpreter lock, and small blocks spend more of their time
+  holding it.  A ``trainer`` step now runs one task per group, five in
+  the caller and five in a worker process, which share no lock: per-step
+  medians of four processes each read 72-89 ms at 512 rows and 71-79 ms
+  at 128, so the smaller blocks no longer lose.
 
 The blocks change no bit of the outputs: every block but the last holds a
 multiple of 64 rows, and the OpenBLAS that numpy ships then computes each

@@ -20,7 +20,7 @@ k = max(1, GROUP_ELEMENTS // hidden_values([task])) tasks (one at the
 ``burgers_pretrain`` shape, all six at the ``ode_pipeline`` shape).  One
 call solves each group: it assembles the group's loss on its own tape,
 sweeps it once (a tape takes one sweep) and returns plain arrays, so the
-tape is gone before the next group on its thread is assembled, and a
+tape is gone before the next group in its process is assembled, and a
 step's memory does not grow with its task count.  The totals and weight
 gradients are summed in group order, and the latent gradients and per-task
 losses concatenated.
@@ -29,23 +29,43 @@ When the weights train, the stacked tasks are one problem, with one
 divergence guard and one gradient clip, which ``optimize`` applies once
 every group is solved.  A step whose every half holds more than
 ``GROUP_ELEMENTS`` values runs its halves apart: the groups of
-``tasks[:N//2]`` on a persistent worker thread and those of ``tasks[N//2:]``
-on the caller, at once, while BLAS is pinned to one thread.  BLAS runs only
-the GEMMs on two threads, and the rest of a step (the elementwise passes of
-the jets and of the reverse sweep, and the Python work per tape node) runs
-on the thread that records the tape, so one thread leaves the second CPU
-idle outside GEMMs.  Each half's results are summed in group order, then
-the two halves', so the outputs do not depend on the thread a group ran
-on; BLAS's GEMMs round differently on one thread than on two, so where one
-CPU is usable the halves run in turn on the caller, still pinned.  Where
-the BLAS thread count cannot be set (``diffcore.BLAS_THREADS``), and for
-smaller steps, the groups run in turn with BLAS as it is.
+``tasks[:N//2]`` in a persistent worker process and those of
+``tasks[N//2:]`` on the caller, at once, each with BLAS on one thread.
+BLAS runs only the GEMMs on two threads, and the rest of a step (the
+elementwise passes of the jets and of the reverse sweep, and the Python
+work per tape node) runs in the process that records the tape, so one
+process leaves the second CPU idle outside GEMMs.  A worker thread would
+share the caller's interpreter lock: at the ``burgers_pretrain`` shape its
+half took 48-60 ms against the caller's 42-53 ms, and ``burgers_pretrain``
+``iter_ms`` read 87.2 ms against 77.5 ms with the worker process (medians
+of 10 alternating perfbench pairs, 2 CPUs).
+
+Each half's results are summed in group order, then the two halves', so
+the outputs do not depend on the process a group ran in; BLAS's GEMMs
+round differently on one thread than on two, so where one CPU is usable
+the halves run in turn on the caller, still pinned.  Where the BLAS thread
+count cannot be set (``diffcore.BLAS_THREADS``), and for smaller steps,
+the groups run in turn with BLAS as it is.
+
+The worker is a ``python -c`` child of the caller's interpreter on the
+caller's ``sys.path``, which imports this module alone, so a script that
+calls ``mad.pretrain`` outside a ``__main__`` guard is not run again, as
+``multiprocessing``'s spawn and forkserver would run it; forking would copy
+a process that holds BLAS's threads.  It starts at the first step that
+runs its halves at once, serves every such step of the process after it
+(``mad.pretrain`` is called once per iteration when resumed), and exits
+when its input closes: at the caller's exit, or when the caller dies.
+Each step pickles its half's tasks, batches, weights, latents, config and
+groups over the worker's stdin, and the worker replies on its stdout with
+its half's results, or with its ``TrainingError``'s message and task.
 
 At the ``burgers_pretrain`` shape (10 tasks), one task per group with the
-halves at once took 62 ms per step, as two 5-task groups at once did,
-against 94 ms on one tape and 101-113 ms in turn (``tools/bench_hotpath.py
---table-only``, 2 CPUs); the peak RSS of four iterations of
-``mad.pretrain`` read 58.0 MB with 10 tasks and 58.8 MB with 40, against
+halves at once took 72 ms per step and two 5-task groups at once 69 ms,
+against 113 ms on one tape and 129-132 ms in turn, and the caller waited
+0.3-1.6 ms for the worker's half (``tools/bench_hotpath.py --table-only``,
+2 CPUs).  The peak RSS of four iterations of ``mad.pretrain`` read 48.5 MB
+in the caller and 40.6 MB in the worker with 10 tasks, and 49.0 and 41.1
+MB with 40; with both halves in one process it read 59.7 and 59.9 MB, and
 125.8 and 385.2 MB when each half was one tape.
 
 Over frozen weights each task is its own problem, with its own guard and
@@ -56,10 +76,14 @@ solved.  A task's outputs are those of its group run alone.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import os
+import pickle
+import signal
+import subprocess
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -375,19 +399,6 @@ def clip_gradient(grads: np.ndarray, max_norm: Optional[float]) -> np.ndarray:
 # the training loop
 # ---------------------------------------------------------------------------
 
-_worker: Optional[ThreadPoolExecutor] = None
-_worker_lock = threading.Lock()
-
-
-def _group_worker() -> ThreadPoolExecutor:
-    """The one worker thread of grouped steps, started on first use."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="madpde-group")
-        return _worker
-
-
 def usable_cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -442,18 +453,13 @@ def task_groups(tasks: Sequence[Task], cfg: TrainConfig, width: int,
             for start, stop in zip(cuts, cuts[1:]) for a in range(start, stop, k)]
 
 
-def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice]):
-    """(total, per-task losses, d/d theta_flat, d/d Z) of one step over the
-    task ``groups``, None for a frozen block.  One call solves each group:
-    it assembles the group's loss on its own tape, sweeps it and returns
-    plain arrays, so a group's tape is freed before the next group on its
-    thread is assembled.  Where the halves run apart (``_halves_apart``)
-    and there are several groups, BLAS is pinned to one thread, and the
-    groups that end by ``N//2`` run on the worker thread while the others
-    run on the caller, at once where two CPUs are usable, else in turn;
-    other groups run in turn with BLAS as it is.  Each half's results are
-    summed in group order, then the two halves', so the outputs do not
-    depend on which thread ran a group."""
+def _solve_groups(tasks, batches, params, Z, cfg, tune_theta: bool,
+                  groups: list[slice]):
+    """(total, per-task losses, d/d theta_flat, d/d Z) of the task
+    ``groups``, None for a frozen block, solved in turn.  One call solves
+    each group: it assembles the group's loss on its own tape, sweeps it and
+    returns plain arrays, so a group's tape is freed before the next group
+    is assembled."""
 
     def solve(g):
         try:
@@ -466,38 +472,180 @@ def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice])
             raise
         return (loss.breakdown.total, loss.per_task_loss, *loss.gradients())
 
-    def fold(parts):
-        # totals and weight gradients summed in order, as the parts come, so
-        # that one weight gradient sum per thread is alive
-        parts = iter(parts)
-        total, per_task, g_theta, g_z = next(parts)
-        per_task, g_z = [per_task], [g_z]
-        for t, p, gt, gz in parts:
-            total += t
-            per_task.append(p)
-            if g_theta is not None:
-                g_theta += gt  # a fresh array of the first part's
-            g_z.append(gz)
-        return (total, np.concatenate(per_task), g_theta,
-                None if g_z[0] is None else np.concatenate(g_z))
+    return _fold(map(solve, groups))
 
+
+def _fold(parts):
+    """The (total, per-task losses, d/d theta_flat, d/d Z) of ``parts``:
+    totals and weight gradients summed in order, as the parts come, so that
+    one weight gradient sum is alive; per-task losses and latent gradients
+    concatenated."""
+    parts = iter(parts)
+    total, per_task, g_theta, g_z = next(parts)
+    per_task, g_z = [per_task], [g_z]
+    for t, p, gt, gz in parts:
+        total += t
+        per_task.append(p)
+        if g_theta is not None:
+            g_theta += gt  # a fresh array of the first part's
+        g_z.append(gz)
+    return (total, np.concatenate(per_task), g_theta,
+            None if g_z[0] is None else np.concatenate(g_z))
+
+
+def _serve() -> None:
+    """The worker process of grouped steps (``_Worker``): solves the groups
+    of each request on its stdin, with BLAS on one thread, and replies on
+    its stdout, until its stdin ends.  Any error but a ``TrainingError``
+    ends the process, with its traceback on stderr."""
+    # Ctrl-C ends the caller, whose exit ends this process between steps
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
+    get, put = dc.BLAS_THREADS
+    put(1)
+    while True:
+        try:
+            tasks, batches, params, Z, cfg, groups = pickle.load(sys.stdin.buffer)
+        except EOFError:
+            return
+        try:
+            reply = ("done", _solve_groups(tasks, batches, params, Z, cfg, True, groups),
+                     {"blas_threads": get(),
+                      "group_sizes": [len(tasks[g]) for g in groups]})
+        except TrainingError as e:
+            reply = ("error", str(e), e.task)
+        try:
+            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+        except BrokenPipeError:  # the caller is gone
+            return
+
+
+class _Worker:
+    """A running worker process of grouped steps (``_serve``): a child of
+    this interpreter, on this process's ``sys.path``, that imports this
+    module alone.  Requests and replies are pickles over its stdin and
+    stdout; ``report`` holds the BLAS thread count and group sizes of its
+    last step."""
+
+    def __init__(self):
+        code = (f"import sys; sys.path[:] = sys.argv[1:]; "
+                f"from {__name__} import {_serve.__name__} as serve; serve()")
+        try:
+            self.proc = subprocess.Popen([sys.executable, "-c", code, *sys.path],
+                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        except OSError as e:
+            raise TrainingError(f"cannot start the worker process of grouped "
+                                f"steps: {e}") from e
+        self.report = None
+
+    def send(self, request) -> None:
+        try:
+            pickle.dump(request, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.flush()
+        except OSError:  # a broken pipe: the worker is gone
+            raise self.lost() from None
+
+    def receive(self):
+        """The worker's (total, per-task losses, d/d theta_flat, d/d Z);
+        raises its ``TrainingError``."""
+        try:
+            kind, out, extra = pickle.load(self.proc.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            raise self.lost() from None
+        if kind == "error":
+            raise TrainingError(out, extra)
+        self.report = extra
+        return out
+
+    def lost(self) -> TrainingError:
+        """The error of a worker that has gone, once it is reaped; the next
+        grouped step starts a fresh one."""
+        global _worker
+        _worker = None
+        return TrainingError(f"the worker process of grouped steps exited with "
+                             f"code {self.stop()}")
+
+    def stop(self) -> int:
+        """Closes the worker's stdin, on which it exits, and returns its exit
+        code; kills it if it has not exited within 10 s."""
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # unsent bytes of a broken pipe
+                pass
+        try:
+            return self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            return self.proc.wait()
+
+
+_worker: Optional[_Worker] = None
+_worker_lock = threading.Lock()  # one grouped step at a time uses the worker
+
+
+def _group_worker() -> _Worker:
+    """The worker process of grouped steps, started on first use."""
+    global _worker
+    if _worker is None:
+        _worker = _Worker()
+    return _worker
+
+
+def _stop_worker() -> None:
+    """Stops the worker process, if one runs; a later grouped step starts a
+    fresh one."""
+    global _worker
+    if _worker is not None:
+        _worker.stop()
+        _worker = None
+
+
+def _forget_worker() -> None:
+    """In a forked child: the worker serves the parent."""
+    global _worker
+    _worker = None
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _step(tasks, batches, params, Z, cfg, tune_theta: bool, groups: list[slice]):
+    """(total, per-task losses, d/d theta_flat, d/d Z) of one step over the
+    task ``groups``, None for a frozen block.  Where the halves run apart
+    (``_halves_apart``) and there are several groups, BLAS is pinned to one
+    thread, and the groups that end by ``N//2`` run in the worker process
+    while the others run on the caller, at once where two CPUs are usable,
+    else in turn on the caller; other groups run in turn with BLAS as it
+    is.  Each half's results are summed in group order, then the two
+    halves', so the outputs do not depend on the process that ran a
+    group."""
     half = len(tasks) // 2
-    if len(groups) > 1 and _halves_apart(tasks, cfg, params.config.width, tune_theta):
-        first = [g for g in groups if g.stop <= half]
-        second = [g for g in groups if g.stop > half]
-        with _one_blas_thread():
-            if usable_cpus() > 1:
-                pending = _group_worker().submit(fold, map(solve, first))
-                try:
-                    rest = fold(map(solve, second))
-                finally:
-                    # the worker is done before the caller goes on, and its
-                    # error (an earlier group's) wins, as when run in turn
-                    head = pending.result()
-            else:
-                head, rest = fold(map(solve, first)), fold(map(solve, second))
-        return fold([head, rest])
-    return fold(map(solve, groups))
+    if not (len(groups) > 1
+            and _halves_apart(tasks, cfg, params.config.width, tune_theta)):
+        return _solve_groups(tasks, batches, params, Z, cfg, tune_theta, groups)
+    first = [g for g in groups if g.stop <= half]
+    second = [g for g in groups if g.stop > half]
+    with _one_blas_thread():
+        if usable_cpus() < 2:
+            head = _solve_groups(tasks, batches, params, Z, cfg, True, first)
+            rest = _solve_groups(tasks, batches, params, Z, cfg, True, second)
+            return _fold([head, rest])
+        with _worker_lock:
+            worker = _group_worker()
+            worker.send((tasks[:half], batches[:half], params,
+                         None if Z is None else Z[:half], cfg, first))
+            try:
+                rest = _solve_groups(tasks, batches, params, Z, cfg, True, second)
+            finally:
+                # the worker is done before the caller goes on, and its
+                # error (an earlier group's) wins, as when run in turn
+                head = worker.receive()
+    return _fold([head, rest])
 
 
 @dataclass

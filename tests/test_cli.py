@@ -911,8 +911,8 @@ class TestConfigErrorsLeaveNoDirectory:
 
 
 class TestWorkers:
-    """--workers is accepted, and must be 1, everywhere: every command runs
-    its tasks one after another."""
+    """--workers is accepted, and must be 1, everywhere: how tasks share
+    CPUs is not a setting."""
 
     @pytest.fixture()
     def argvs(self, ode_setup):

@@ -1,7 +1,11 @@
 import dataclasses
 import gc
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -508,14 +512,48 @@ def _group_sizes(monkeypatch) -> list:
 
 needs_blas_setter = pytest.mark.skipif(diffcore.BLAS_THREADS is None,
                                        reason="no BLAS thread setter found")
+# diffcore finds the BLAS setter in /proc/self/maps, so where there is one,
+# the worker's memory and state can be read from /proc
+needs_worker = pytest.mark.skipif(
+    diffcore.BLAS_THREADS is None or trainer.usable_cpus() < 2,
+    reason="grouped steps run in turn")
+
+
+def _at_once() -> bool:
+    """Whether grouped steps run their halves at once, in the worker."""
+    return trainer.usable_cpus() > 1
+
+
+def _worker_peak_mb() -> float:
+    """The peak resident memory (VmHWM) of the worker process."""
+    with open(f"/proc/{trainer._worker.proc.pid}/status") as f:
+        return next(int(line.split()[1]) for line in f
+                    if line.startswith("VmHWM:")) / 1024
+
+
+def _gone(pid: int, timeout: float = 10.0) -> bool:
+    """Whether process ``pid`` exits, or is left a zombie, within ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
 
 
 class TestGroupedPretrain:
     """Pre-training steps run in groups of ``GROUP_ELEMENTS //
     hidden_values([task])`` tasks, each on its own tape.  Where each half
     of the tasks holds more than ``GROUP_ELEMENTS`` values, the halves run
-    apart with BLAS pinned to one thread, at once on two threads where two
-    CPUs are usable."""
+    apart with BLAS pinned to one thread, at once, the first in the worker
+    process, where two CPUs are usable.  Monkeypatches reach the caller's
+    half alone; the worker reports its BLAS thread count and group sizes,
+    and its memory is read from /proc."""
 
     @needs_blas_setter
     def test_gradients_match_one_tape(self):
@@ -553,6 +591,8 @@ class TestGroupedPretrain:
     def test_one_cpu_runs_the_groups_in_turn_bit_identically(self, monkeypatch):
         tasks, net, cfg = _grouped_setup()
         together = mad.pretrain(tasks, net, cfg)
+        if _at_once():
+            assert trainer._worker.report == {"blas_threads": 1, "group_sizes": [1]}
 
         def no_worker():
             raise AssertionError("the groups must run in turn on the caller")
@@ -576,15 +616,15 @@ class TestGroupedPretrain:
 
         def watched(step_tasks, *args, **kw):
             first = next(i for i, t in enumerate(tasks) if t is step_tasks[0])
-            seen.append((first, len(step_tasks),
-                         threading.current_thread() is threading.main_thread()))
+            seen.append((first, len(step_tasks)))
             return assemble(step_tasks, *args, **kw)
 
         monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
         together = mad.pretrain(tasks, net, cfg)
-        if trainer.usable_cpus() > 1:
-            assert sorted(seen[:5]) == [(0, 1, False), (1, 1, False), (2, 1, True),
-                                        (3, 1, True), (4, 1, True)]
+        if _at_once():
+            assert seen == [(2, 1), (3, 1), (4, 1)] * cfg.total_iters
+            assert trainer._worker.report == {"blas_threads": 1,
+                                              "group_sizes": [1, 1]}
         monkeypatch.setattr(trainer, "usable_cpus", lambda: 1)
         in_turn = mad.pretrain(tasks, net, cfg)
         assert np.array_equal(together.theta, in_turn.theta)
@@ -631,10 +671,15 @@ class TestGroupedPretrain:
 
     @needs_blas_setter
     def test_step_peak_memory_does_not_grow_with_the_tasks(self):
-        # one tape per thread at a time, whatever the task count
+        # one tape per process at a time, whatever the task count: the
+        # caller's tracemalloc peak, and the worker's peak resident memory,
+        # which a tape of one group (the caller's peak at 2 tasks) would
+        # raise for each group kept alive
         tasks, net, cfg = _grouped_setup(8)
         params = network.init_siren(net, 0)
         rng = np.random.default_rng(5)
+        trainer._stop_worker()
+        worker_mb = []
 
         def peak(n):
             Z = rng.normal(scale=0.1, size=(n, net.latent_dim))
@@ -648,9 +693,14 @@ class TestGroupedPretrain:
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                if _at_once():
+                    worker_mb.append(_worker_peak_mb())
 
         two, eight = peak(2), peak(8)
         assert eight <= 1.25 * two, (two / 1e6, eight / 1e6)
+        if _at_once():
+            assert worker_mb[1] - worker_mb[0] <= 0.25 * two / 2**20, (
+                worker_mb, two / 1e6)
 
     @needs_blas_setter
     @pytest.mark.parametrize("n, bad", [pytest.param(3, 0, id="0"),
@@ -689,7 +739,10 @@ class TestGroupedPretrain:
         before = diffcore.BLAS_THREADS[0]()
         mad.pretrain(tasks, net, cfg)
         assert diffcore.BLAS_THREADS[0]() == before
-        assert inside == [1] * (2 * cfg.total_iters)
+        # the caller's groups, and those of the worker where it runs
+        assert inside == [1] * ((1 if _at_once() else 2) * cfg.total_iters)
+        if _at_once():
+            assert trainer._worker.report == {"blas_threads": 1, "group_sizes": [1]}
 
     @needs_blas_setter
     def test_overlapping_pins_restore_after_the_last(self):
@@ -730,7 +783,9 @@ class TestGroupedPretrain:
 
     @needs_blas_setter
     def test_previous_step_tapes_dead_when_the_next_starts(self, monkeypatch):
-        # the grouped counterpart of TestOneTapeAlive
+        # the grouped counterpart of TestOneTapeAlive, on the caller's half;
+        # in the worker, a step's tape alive in the next step would raise its
+        # peak resident memory by about a tape (6 MB at this shape)
         tasks, net, cfg = _grouped_setup()
         assemble, adam_step = trainer.assemble_multitask_loss, trainer.adam_step
         tapes, done, checks = [], [0], []
@@ -748,13 +803,96 @@ class TestGroupedPretrain:
 
         monkeypatch.setattr(trainer, "assemble_multitask_loss", watched)
         monkeypatch.setattr(trainer, "adam_step", stepped)
+        trainer._stop_worker()
         gc.disable()
         try:
-            mad.pretrain(tasks, net, cfg)
+            ck = mad.pretrain(tasks, net, cfg, stop_at=1)
+            first_mb = _worker_peak_mb() if _at_once() else None
+            mad.pretrain(tasks, net, cfg, resume_from=ck)
         finally:
             gc.enable()
-        assert len(tapes) == 2 * cfg.total_iters
+        assert len(tapes) == (1 if _at_once() else 2) * cfg.total_iters
         assert all(checks), checks
+        if _at_once():
+            assert _worker_peak_mb() - first_mb <= 1.0, (first_mb, _worker_peak_mb())
+
+    # a child interpreter that takes one grouped step at the _grouped_setup
+    # shape, prints its worker's pid, then ends as argv[1] says
+    CHILD = """
+import sys
+import numpy as np
+from madpde import grf, network, problems, trainer
+rng = np.random.default_rng(11)
+tasks = [problems.BurgersTask(grf.sample_grf(grf.BURGERS_GRF, rng), 0.01)
+         for _ in range(2)]
+net = network.NetworkConfig(input_dim=2, latent_dim=4, hidden_layers=2,
+                            width=64, input_encoding="periodic_x")
+cfg = trainer.TrainConfig(lr0=1e-3, total_iters=1, M_r=488, M_bc=100)
+trainer.optimize("training", tasks, [np.random.default_rng(i) for i in range(2)],
+                 network.init_siren(net, 0), np.zeros((2, 4)), cfg)
+print(trainer._worker.proc.pid, flush=True)
+if sys.argv[1] == "exception":
+    raise RuntimeError("uncaught")
+if sys.argv[1] == "sigkill":
+    sys.stdin.read()
+"""
+
+    @needs_worker
+    @pytest.mark.parametrize("end", ["exit", "exception", "sigkill"])
+    def test_no_worker_outlives_its_interpreter(self, end):
+        env = dict(os.environ, PYTHONPATH=str(Path(trainer.__file__).parents[1]))
+        child = subprocess.Popen([sys.executable, "-c", self.CHILD, end], env=env,
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+        try:
+            pid = int(child.stdout.readline())
+            if end == "sigkill":
+                child.kill()  # the worker exits on the end of its stdin
+            child.communicate(timeout=60)
+        finally:
+            child.kill()
+        assert child.returncode == {"exit": 0, "exception": 1, "sigkill": -9}[end]
+        assert _gone(pid), f"worker {pid} outlived its interpreter"
+
+    @needs_worker
+    def test_killed_worker_fails_the_next_step_and_is_replaced(self):
+        tasks, net, cfg = _grouped_setup()
+        cfg = dataclasses.replace(cfg, total_iters=4, eval_every=2)
+        killed = []
+
+        def kill_the_worker(it, params, Z):
+            if it == 2:  # between iterations 1 and 2
+                killed.append(trainer._worker.proc.pid)
+                os.kill(killed[0], signal.SIGKILL)
+                trainer._worker.proc.wait(timeout=10)
+
+        def run(record=None):
+            streams = [np.random.default_rng(i) for i in range(len(tasks))]
+            return trainer.optimize("training", tasks, streams,
+                                    network.init_siren(net, 0),
+                                    np.zeros((len(tasks), net.latent_dim)), cfg,
+                                    record=record)
+
+        with pytest.raises(trainer.TrainingError,
+                           match=r"^training diverged at iteration 2: the worker "
+                                 r"process of grouped steps exited with code -9$"):
+            run(kill_the_worker)
+        assert trainer._worker is None and _gone(killed[0], timeout=0)
+        again = run()
+        assert trainer._worker.proc.pid != killed[0]
+        assert len(again.losses) == cfg.total_iters
+
+    @needs_worker
+    def test_a_forked_child_starts_its_own_worker(self):
+        tasks, net, cfg = _grouped_setup()
+        mad.pretrain(tasks, net, dataclasses.replace(cfg, total_iters=1))
+        parent_worker = trainer._worker
+        pid = os.fork()
+        if pid == 0:  # the child must not write into its parent's worker
+            os._exit(0 if trainer._worker is None else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert trainer._worker is parent_worker
 
     @needs_blas_setter
     def test_groups_in_turn_hold_one_tape_at_a_time(self, monkeypatch):

@@ -1,7 +1,8 @@
 """Training hot-path benchmark: where a Burgers pre-training step's time goes
 when its tasks run as one group on one tape, as two task groups or as one
-group per task, in turn or at once on two threads, and alternating
-perfbench pairs of two source trees.  Writes ``BENCH_hotpath.json``.
+group per task, in turn or at once with the first half in the worker
+process, and alternating perfbench pairs of two source trees.  Writes
+``BENCH_hotpath.json``.
 
     python3 tools/bench_hotpath.py --parent ../bp --change ../bc \\
         --rounds 3 --pairs burgers_pretrain:1601-1610 --out BENCH_hotpath.json
@@ -18,18 +19,21 @@ modes alternate rep by rep:
 * ``one_tape``: all tasks on one tape on the caller, BLAS at its default;
 * ``in_turn``: two groups, one after the other on the caller, with BLAS
   pinned to one thread (as where one CPU is usable);
-* ``together``: two groups at once, the first on the worker thread, with
-  BLAS pinned to one thread;
+* ``together``: two groups at once, the first in the worker process
+  (``trainer._Worker``), each with BLAS on one thread;
 * ``per_task_in_turn`` and ``per_task``: the groups of
   ``trainer.task_groups`` (one task each at this shape), in turn on the
-  caller, or at once with the first half's on the worker thread, BLAS
-  pinned to one thread; ``per_task`` is the step ``trainer.optimize`` takes.
+  caller, or at once with the first half's in the worker process, BLAS
+  on one thread; ``per_task`` is the step ``trainer.optimize`` takes.
 
-For each mode the table gives the step's wall time and, per group and the
-thread it ran on, the wall time of its assembly (forward) and its reverse
-sweep.  The perfbench span tracer is written for one thread, so its
-per-layer records are corrupt for a step whose groups overlap; this table
-is where the saving shows.
+For each mode the table gives the step's wall time; per group the caller
+ran, the wall time of its assembly (forward) and its reverse sweep; and,
+where the worker ran the first half, the caller's wait for the worker's
+reply once its own half was done (``worker_wait_ms``, 0 when the worker
+finished first) and the worker's report of its last step (its BLAS thread
+count and group sizes).  The perfbench span tracer and this table's
+wrappers see only the caller's half of a step whose halves run at once;
+the wait is where an unbalanced step shows.
 
 The same processes time the crossover that sets ``trainer.GROUP_ELEMENTS``:
 for each of ``CROSSOVER_SHAPES``, one pre-training step on one tape against
@@ -47,7 +51,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import threading
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -140,23 +143,29 @@ def measure_table() -> dict:
     tasks, params, Z, batches, cfg = _problem("burgers", 10, 500, 100)
     setter = diffcore.BLAS_THREADS
 
-    phases = []  # (thread name, first task, phase, ms) of the running step
+    phases = []  # (first task, phase, ms) of the caller's groups of the running step
+    waits = []  # ms the caller waited for the worker's reply in the running step
     assemble, sweep = trainer.assemble_multitask_loss, trainer.TapedLoss.gradients
+    receive = trainer._Worker.receive
 
     def timed_assemble(step_tasks, *args, **kw):
         t = time.perf_counter()
         loss = assemble(step_tasks, *args, **kw)
         first = next(i for i, task in enumerate(tasks) if task is step_tasks[0])
-        phases.append((threading.current_thread().name, first, "assemble",
-                       1e3 * (time.perf_counter() - t)))
+        phases.append((first, "assemble", 1e3 * (time.perf_counter() - t)))
         loss.first_task = first
         return loss
 
     def timed_sweep(loss):
         t = time.perf_counter()
         out = sweep(loss)
-        phases.append((threading.current_thread().name, loss.first_task,
-                       "sweep", 1e3 * (time.perf_counter() - t)))
+        phases.append((loss.first_task, "sweep", 1e3 * (time.perf_counter() - t)))
+        return out
+
+    def timed_receive(worker):
+        t = time.perf_counter()
+        out = receive(worker)
+        waits.append(1e3 * (time.perf_counter() - t))
         return out
 
     cpus = trainer.usable_cpus
@@ -164,38 +173,45 @@ def measure_table() -> dict:
     def step(mode):
         trainer.usable_cpus = (lambda: 1) if mode.endswith("in_turn") else cpus
         phases.clear()
+        waits.clear()
         time.sleep(0.1)  # BLAS's threads stop spinning after the step before
         t = time.perf_counter()
         out = trainer._step(tasks, batches, params, Z, cfg, True,
                             _groups(mode, tasks, cfg, params.config.width))
         ms = 1e3 * (time.perf_counter() - t)
-        return ms, list(phases), out
+        return ms, list(phases), sum(waits) if waits else None, out
 
     samples = {m: [] for m in MODES}
-    grads = {}
+    grads, reports = {}, {}
     trainer.assemble_multitask_loss = timed_assemble
     trainer.TapedLoss.gradients = timed_sweep
+    trainer._Worker.receive = timed_receive
     try:
         for rep in range(REPS + 1):
             order = MODES if rep % 2 == 0 else MODES[::-1]
             for mode in order:
-                ms, ph, out = step(mode)
+                ms, ph, wait, out = step(mode)
                 grads[mode] = out
+                if wait is not None:
+                    reports[mode] = trainer._worker.report
                 if rep:
-                    samples[mode].append((ms, ph))
+                    samples[mode].append((ms, ph, wait))
     finally:
         trainer.assemble_multitask_loss, trainer.TapedLoss.gradients = assemble, sweep
+        trainer._Worker.receive = receive
         trainer.usable_cpus = cpus
 
     table = {}
     for mode, runs in samples.items():
-        row = {"step_ms": statistics.median(ms for ms, _ in runs), "groups": []}
-        for first in sorted({f for _, ph in runs for _, f, _, _ in ph}):
-            threads = {th for _, ph in runs for th, f, _, _ in ph if f == first}
-            row["groups"].append({"first_task": first, "threads": sorted(threads), **{
+        waited = [w for _, _, w in runs if w is not None]
+        row = {"step_ms": statistics.median(ms for ms, _, _ in runs),
+               "worker_wait_ms": statistics.median(waited) if waited else None,
+               "worker_report": reports.get(mode), "groups": []}
+        for first in sorted({f for _, ph, _ in runs for f, _, _ in ph}):
+            row["groups"].append({"first_task": first, **{
                 f"{phase}_ms": statistics.median(
-                    sum(v for _, f, p2, v in ph if (f, p2) == (first, phase))
-                    for _, ph in runs)
+                    sum(v for f, p2, v in ph if (f, p2) == (first, phase))
+                    for _, ph, _ in runs)
                 for phase in ("assemble", "sweep")}})
         table[mode] = row
 

@@ -1,5 +1,5 @@
 """Tape memory benchmark: the tracemalloc peak of one training step at each
-benchmark shape, and the bytes its tape keeps reachable, for two source
+benchmark shape, and that of each of its task groups, for two source
 trees.  Optionally also the perfbench set-up digests and cycle fingerprints
 of both trees, and alternating perfbench pairs.  Writes
 ``BENCH_memory.json``.
@@ -22,11 +22,20 @@ Steps:
   ``ode_pipeline`` shape (6 tasks, M_r 128, M_bc 2, width 32 x 3, latent 16).
 
 A step is ``trainer._step`` over the task groups of ``trainer.task_groups``,
-as ``trainer.optimize`` runs it.  ``tape_mb_before_sweep`` is what
-perfbench's per-layer ``diffcore.tape_mb`` sums, the bytes of ``node.value``
-over a tape, for the largest of the step's group tapes, read when its loss
-is assembled.  ``grad_sha256`` digests the gradients, so the two trees can
-be compared bit for bit.
+as ``trainer.optimize`` runs it; where its halves run at once, the first
+half runs in the worker process, which tracemalloc does not see.  So the
+step reports:
+
+* ``tracemalloc_peak_mb``: the step's peak in this process (the caller's);
+* ``group_peak_mb``: the largest tracemalloc peak of one of the step's
+  groups, each assembled and swept alone in this process, so the largest
+  tape of either half;
+* ``caller_peak_rss_mb`` and, where the step ran the worker,
+  ``worker_peak_rss_mb``: each process's peak resident memory (``VmHWM``),
+  baseline included (read from /proc, so on Linux only).
+
+``grad_sha256`` digests the gradients, so the two trees can be compared bit
+for bit.
 """
 
 from __future__ import annotations
@@ -55,8 +64,10 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _tape_mb(tape) -> float:
-    return sum(node.value.nbytes for node in tape.nodes) / 1e6
+def _peak_rss_mb(pid="self") -> float:
+    with open(f"/proc/{pid}/status") as f:
+        return next(int(line.split()[1]) for line in f
+                    if line.startswith("VmHWM:")) / 1024
 
 
 def measure_step(name: str) -> dict:
@@ -97,31 +108,35 @@ def measure_step(name: str) -> dict:
         grid = evaluation.for_task(held)
 
     groups = trainer.task_groups(step_tasks, cfg, net.width, trainable)
-    assemble, tapes = trainer.assemble_multitask_loss, []
-
-    def watched(*args, **kw):
-        loss = assemble(*args, **kw)
-        tapes.append(_tape_mb(loss.tape))
-        return loss
 
     def step():
-        tapes.clear()
-        trainer.assemble_multitask_loss = watched
-        try:
-            out = trainer._step(step_tasks, batches, params, Z, cfg, trainable, groups)
-        finally:
-            trainer.assemble_multitask_loss = assemble
+        out = trainer._step(step_tasks, batches, params, Z, cfg, trainable, groups)
         if grid is not None:
             evaluation.rel_l2(grid, params, Z[0])
-        return max(tapes), out[2:]
+        return out[2:]
+
+    def traced_peak(work):
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def group(g):
+        trainer.assemble_multitask_loss(step_tasks[g], batches[g], params, Z[g], cfg,
+                                        trainable_theta=trainable).gradients()
 
     step()
-    tracemalloc.start()
-    tape, grads = step()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return {"tracemalloc_peak_mb": peak / 1e6, "groups": len(groups),
-            "tape_mb_before_sweep": tape, "grad_sha256": _digest(*grads)}
+    grads = []
+    peak = traced_peak(lambda: grads.extend(step()))
+    group_peak = max(traced_peak(lambda: group(g)) for g in groups)
+    worker = getattr(trainer, "_worker", None)
+    return {"tracemalloc_peak_mb": peak, "groups": len(groups),
+            "group_peak_mb": group_peak, "caller_peak_rss_mb": _peak_rss_mb(),
+            "worker_peak_rss_mb": (_peak_rss_mb(worker.proc.pid)
+                                   if hasattr(worker, "proc") else None),
+            "grad_sha256": _digest(*grads)}
 
 
 def fingerprints(seed: int, cycles: int, trace: int) -> dict:
@@ -171,7 +186,8 @@ def steps(parent: str, change: str, rounds: int) -> dict:
         row = {}
         for side, rs in runs.items():
             row[side] = {key: statistics.median(r[key] for r in rs)
-                         for key in rs[0] if key != "grad_sha256"}
+                         for key in rs[0]
+                         if key != "grad_sha256" and rs[0][key] is not None}
             row[side]["peak_mb_per_process"] = [round(r["tracemalloc_peak_mb"], 2)
                                                 for r in rs]
         digests = {r["grad_sha256"] for rs in runs.values() for r in rs}
